@@ -1,8 +1,9 @@
 """Quantum Fisher information of the pumped-up interferometer.
 
-Builds the full pipeline, compares the finite-difference QFI against the
-closed forms, and sweeps the tritter angle to expose the interior optimum
-where the pump population boosts the information by orders of magnitude.
+Builds the full pipeline, compares the QFI from the exact strain tangent
+against the closed forms, and sweeps the tritter angle to expose the interior
+optimum where the pump population boosts the information by orders of
+magnitude.
 """
 
 import numpy as np

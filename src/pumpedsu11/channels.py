@@ -206,6 +206,8 @@ class ChannelSpec:
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
             raise ValueError(f"channel kind must be one of {CHANNEL_KINDS}, got {self.kind!r}")
+        if not np.all(np.isfinite([self.strength, self.phase, self.epsilon])):
+            raise ValueError(f"channel parameters must be finite, got {self}")
         if self.strength < 0:
             raise ValueError(f"strength constant must be nonnegative, got {self.strength}")
 
@@ -228,3 +230,15 @@ class ChannelSpec:
         """The channel lifted into the three-mode pipeline (identity on the pump)."""
         op = self.symplectic(epsilon)
         return op if op.n_modes == 3 else embed_on_side_modes(op)
+
+    def generator(self) -> np.ndarray:
+        """The 6x6 strain generator K, zero on the pump: three_mode(eps) = expm(eps K)."""
+        K = np.zeros((6, 6))
+        if self.kind == "phase":
+            K[2:4, 2:4] = K[4:6, 4:6] = 0.5 * self.strength * symplectic_form(1)
+        elif self.kind == "squeezing":
+            K[2:4, 4:6] = K[4:6, 2:4] = 0.25 * self.strength * reflection_phase_matrix(self.phase)
+        else:
+            R = 0.25 * self.strength * rotation_matrix(self.phase)
+            K[2:4, 4:6], K[4:6, 2:4] = R, -R.T
+        return K

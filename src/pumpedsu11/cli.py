@@ -24,8 +24,6 @@ def _add_common(parser):
     parser.add_argument("--out", default=None, help="output file path")
     parser.add_argument("--format", default="csv", choices=("csv", "json"),
                         help="output format (default csv)")
-    parser.add_argument("--fd-step", type=float, default=1e-4, metavar="H",
-                        help="finite-difference step (default 1e-4)")
     parser.add_argument("--eps0", type=float, default=1e-3,
                         help="strain evaluation point for moment signals (default 1e-3)")
 
@@ -59,15 +57,14 @@ def _out_path(args):
     return args.out
 
 
-def _single_point(args, quantities) -> int:
-    spec = parse_config(args.config)
+def _single_point(args, spec, quantities) -> int:
     if spec.kind != "interferometer":
         raise ConfigError(f"{args.config}: this command needs an interferometer config")
     if spec.sweeps:
         raise ConfigError(f"{args.config}: single-point command, but [sweep] is present; "
                           "use the sweep subcommand")
     spec = type(spec)(base=spec.base, sweeps=(), quantities=quantities, kind=spec.kind)
-    rows = run_sweep(spec, eps0=args.eps0, h=args.fd_step)
+    rows = run_sweep(spec, eps0=args.eps0)
     row = rows[0]
     if row["error"]:
         print(f"error: {row['error']}", file=sys.stderr)
@@ -93,17 +90,17 @@ def _cmd_qfi(args) -> int:
     spec = parse_config(args.config)
     # the phase channel has no closed form in this package
     if spec.kind == "interferometer" and spec.base.get("channel") == "phase":
-        return _single_point(args, ("H_numeric",))
-    return _single_point(args, ("H_numeric", "H_closed"))
+        return _single_point(args, spec, ("H_numeric",))
+    return _single_point(args, spec, ("H_numeric", "H_closed"))
 
 
 def _cmd_sensitivity(args) -> int:
-    return _single_point(args, ("F0", "moments", "H_numeric"))
+    return _single_point(args, parse_config(args.config), ("F0", "moments", "H_numeric"))
 
 
 def _cmd_sweep(args) -> int:
     spec = parse_config(args.config)
-    rows = run_sweep(spec, eps0=args.eps0, h=args.fd_step, workers=max(1, args.workers))
+    rows = run_sweep(spec, eps0=args.eps0, workers=max(1, args.workers))
     path = _out_path(args)
     text = emit(rows, args.format, path, spec=spec)
     if path:
@@ -117,7 +114,7 @@ def _cmd_gw_compare(args) -> int:
     spec = parse_config(args.config)
     if spec.kind != "gw":
         raise ConfigError(f"{args.config}: gw-compare needs a [gw] section")
-    rows = run_sweep(spec, eps0=args.eps0, h=args.fd_step)
+    rows = run_sweep(spec, eps0=args.eps0)
     if len(rows) == 1 and rows[0]["error"]:
         print(f"error: {rows[0]['error']}", file=sys.stderr)
         return EXIT_NUMERICAL

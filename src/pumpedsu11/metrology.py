@@ -1,15 +1,14 @@
 """Quantum and classical Fisher information for the probed Gaussian channel.
 
-``qfi_numeric`` evaluates the Gaussian-state quantum Fisher information
+``qfi_numeric`` evaluates the pure-state Gaussian quantum Fisher information
 
-    H = (1/2) Tr[(sigma^-1 sigma')^2] / (1 + mu^2)
-        + d'^T sigma^-1 d' + 2 mu'^2 / (1 - mu^4)
+    H = (1/4) Tr[(sigma^-1 sigma')^2] + d'^T sigma^-1 d'
 
-on the pre-measurement family (state after source, tritter and channel) with
-central finite differences plus one Richardson refinement.  The primes are
-derivatives with respect to the channel strain.  ``qfi_closed_form`` evaluates
-the matching scalar expressions, either exactly or in a named asymptotic
-regime; regimes are never auto-detected.
+on the pre-measurement family (state after source, tritter and channel).  The
+primes are exact strain derivatives, d' = K d and sigma' = K sigma + sigma K^T,
+for the channel generator K (:meth:`ChannelSpec.generator`).  ``qfi_closed_form``
+evaluates the matching scalar expressions, either exactly or in a named
+asymptotic regime; regimes are never auto-detected.
 """
 
 from __future__ import annotations
@@ -18,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pipeline import (InterferometerConfig, max_tritter_angle, pre_measurement_state,
-                       pump_depletion, run_interferometer)
-from .states import GaussianState, purity, reduce_to_modes
+from .pipeline import (InterferometerConfig, build_half_pipelines, max_tritter_angle,
+                       pre_measurement_state, pump_depletion, run_interferometer)
+from .states import GaussianState, reduce_to_modes, symplectic_form
 
 __all__ = [
     "RegimeError",
-    "IllConditionedError",
     "MetrologyReport",
     "SQUEEZING_REGIMES",
     "MODE_MIXING_REGIMES",
@@ -41,8 +39,6 @@ __all__ = [
     "metrology_report",
 ]
 
-CONDITION_LIMIT = 1e12
-PURE_STATE_TOL = 1e-9
 LARGE_NBAR_FLOOR = 1e4
 UNDEPLETED_DELTA = 0.1
 
@@ -51,57 +47,27 @@ class RegimeError(ValueError):
     """An asymptotic formula was requested outside its regime of validity."""
 
 
-class IllConditionedError(RuntimeError):
-    """The covariance matrix is too ill-conditioned to invert reliably."""
-
-
 # ----------------------------------------------------------------------------
 # numeric QFI
 # ----------------------------------------------------------------------------
 
-def _richardson(f, x0: float, h: float):
-    """Central difference with one Richardson extrapolation level."""
-    coarse = (f(x0 + h) - f(x0 - h)) / (2.0 * h)
-    fine = (f(x0 + h / 2.0) - f(x0 - h / 2.0)) / h
-    return (4.0 * fine - coarse) / 3.0
-
-
-def qfi_numeric(config: InterferometerConfig, eps0: float = 0.0, h: float = 1e-4) -> float:
-    """Quantum Fisher information of the strain, by finite differences.
+def qfi_numeric(config: InterferometerConfig, eps0: float = 0.0) -> float:
+    """Quantum Fisher information of the strain, from the exact state tangent.
 
     The QFI of this family is independent of the evaluation point ``eps0``
     (the channel generator is fixed), so the default evaluates at zero strain.
+    Every state of the family is pure, so sigma^-1 = Omega^T sigma Omega.
     """
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
     if eps0 < 0:
         raise ValueError(f"evaluation point must be nonnegative, got {eps0}")
-
-    def d_of(e):
-        return pre_measurement_state(config, e).d
-
-    def sigma_of(e):
-        return pre_measurement_state(config, e).sigma
-
     state = pre_measurement_state(config, eps0)
-    sigma = state.sigma
-    cond = np.linalg.cond(sigma)
-    if cond > CONDITION_LIMIT:
-        raise IllConditionedError(f"covariance condition number {cond:.3e} exceeds 1e12")
-    inv = np.linalg.solve(sigma, np.eye(sigma.shape[0]))
-
-    d_dot = _richardson(d_of, eps0, h)
-    sigma_dot = _richardson(sigma_of, eps0, h)
-    if not (np.all(np.isfinite(d_dot)) and np.all(np.isfinite(sigma_dot))):
-        raise FloatingPointError("non-finite derivative in QFI evaluation")
-
-    mu = purity(state)
-    ratio = inv @ sigma_dot
-    value = 0.5 * np.trace(ratio @ ratio) / (1.0 + mu ** 2) + d_dot @ inv @ d_dot
-    if abs(1.0 - mu) >= PURE_STATE_TOL:
-        # mixed family: purity varies with the strain
-        mu_dot = _richardson(lambda e: purity(pre_measurement_state(config, e)), eps0, h)
-        value += 2.0 * mu_dot ** 2 / (1.0 - mu ** 4)
+    K = config.channel.generator()
+    k_sigma = K @ state.sigma
+    d_dot = K @ state.d
+    omega = symplectic_form(3)
+    inv = omega.T @ state.sigma @ omega
+    ratio = inv @ (k_sigma + k_sigma.T)
+    value = 0.25 * np.trace(ratio @ ratio) + d_dot @ inv @ d_dot
     if not np.isfinite(value):
         raise FloatingPointError(f"QFI evaluated to {value!r}")
     return float(value)
@@ -368,6 +334,28 @@ def _side_moments(config: InterferometerConfig, eps: float) -> tuple[float, floa
     return number_sum_moments(reduce_to_modes(out, (1, 2)))
 
 
+def _number_sum_slopes(config: InterferometerConfig, eps0: float) -> tuple[float, float, float]:
+    """Var(S) and the exact strain slopes of <S> and Var(S), via K_out = S_minus K S_plus."""
+    if eps0 == 0:
+        raise ValueError("number-sum signal is stationary at zero strain; use eps0 > 0")
+    out = run_interferometer(config, eps0)
+    _, var = number_sum_moments(reduce_to_modes(out, (1, 2)))
+    s_plus, s_minus = build_half_pipelines(config)
+    k_out = s_minus.matrix @ config.channel.generator() @ s_plus.matrix
+    k_sigma = k_out @ out.sigma
+    side = slice(2, 6)
+    d, sigma = out.d[side], out.sigma[side, side]
+    d_dot, sigma_dot = (k_out @ out.d)[side], (k_sigma + k_sigma.T)[side, side]
+    d_mean = 0.25 * (np.trace(sigma_dot) + 2.0 * d @ d_dot)
+    d_var = 0.25 * (np.trace(sigma @ sigma_dot) + 2.0 * d_dot @ sigma @ d + d @ sigma_dot @ d)
+    if not np.isfinite(d_mean) or d_mean == 0:
+        raise FloatingPointError(
+            "vanishing signal derivative: measurement is insensitive at this point")
+    if var <= 0:
+        raise FloatingPointError(f"non-positive signal variance {var!r}")
+    return var, float(d_mean), float(d_var)
+
+
 def number_sum_quadratic_response(config: InterferometerConfig) -> tuple[float, float]:
     """Leading coefficients of the number-sum signal: <S> ~ c_mean eps^2, Var ~ c_var eps^2.
 
@@ -399,23 +387,15 @@ def number_sum_quadratic_response(config: InterferometerConfig) -> tuple[float, 
     return arg_sq * mean_c, arg_sq * var_c
 
 
-def sensitivity_number_sum(config: InterferometerConfig, eps0: float = 1e-3,
-                           h: float = 1e-4) -> tuple[float, float]:
+def sensitivity_number_sum(config: InterferometerConfig,
+                           eps0: float = 1e-3) -> tuple[float, float]:
     """Squared sensitivity Var(S)/(d<S>/d eps)^2 and its inverse F0.
 
     The number-sum signal is quadratic in the strain, so its derivative
     vanishes at zero strain; evaluate at a small nonzero ``eps0`` (the F0
     ratio is strain-independent at leading order).
     """
-    if eps0 == 0:
-        raise ValueError("number-sum signal is stationary at zero strain; use eps0 > 0")
-    d_mean = _richardson(lambda e: _side_moments(config, e)[0], eps0, h)
-    var = _side_moments(config, eps0)[1]
-    if not np.isfinite(d_mean) or d_mean == 0:
-        raise FloatingPointError(
-            "vanishing signal derivative: measurement is insensitive at this point")
-    if var <= 0:
-        raise FloatingPointError(f"non-positive signal variance {var!r}")
+    var, d_mean, _ = _number_sum_slopes(config, eps0)
     delta_sq = var / d_mean ** 2
     return float(delta_sq), float(1.0 / delta_sq)
 
@@ -454,8 +434,7 @@ def f0_closed_form(config: InterferometerConfig, regime: str = "exact") -> float
     raise ValueError(f"unknown F0 regime {regime!r}")
 
 
-def fisher_from_moments(config: InterferometerConfig, eps0: float = 1e-3,
-                        h: float = 1e-4) -> float:
+def fisher_from_moments(config: InterferometerConfig, eps0: float = 1e-3) -> float:
     """Fisher information of Gaussian-distributed number-sum data:
     F = F0 + 2 (d sqrt(Var))^2 / Var.
 
@@ -464,11 +443,9 @@ def fisher_from_moments(config: InterferometerConfig, eps0: float = 1e-3,
     eps^2, making the second term 2/eps0^2 regardless of the configuration;
     there the Gaussian model, and with it the bound F <= H, breaks down.
     """
-    _, f0 = sensitivity_number_sum(config, eps0, h)
-    var = _side_moments(config, eps0)[1]
-    if var <= 0:
-        raise FloatingPointError(f"non-positive signal variance {var!r}")
-    d_sigma = _richardson(lambda e: np.sqrt(max(_side_moments(config, e)[1], 0.0)), eps0, h)
+    var, d_mean, d_var = _number_sum_slopes(config, eps0)
+    f0 = d_mean ** 2 / var
+    d_sigma = d_var / (2.0 * np.sqrt(var))
     return float(f0 + 2.0 * d_sigma ** 2 / var)
 
 
@@ -489,13 +466,13 @@ class MetrologyReport:
     regime_labels: frozenset = frozenset()
 
 
-def metrology_report(config: InterferometerConfig, eps0: float = 1e-3, h: float = 1e-4,
+def metrology_report(config: InterferometerConfig, eps0: float = 1e-3,
                      include_turning_point: bool = False,
                      regimes: tuple = ()) -> MetrologyReport:
     """Evaluate the standard set of metrology quantities for one configuration."""
-    h_num = qfi_numeric(config, 0.0, h)
+    h_num = qfi_numeric(config, 0.0)
     h_closed = qfi_closed_form(config, "exact")
-    _, f0 = sensitivity_number_sum(config, eps0, h)
+    _, f0 = sensitivity_number_sum(config, eps0)
     mean_s, var_s = _side_moments(config, eps0)
     theta_t = None
     if include_turning_point:

@@ -56,6 +56,9 @@ class InterferometerConfig:
     tritter_phase: float = 0.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.nbar, self.r, self.theta, self.pump_phase,
+                                   self.squeeze_phase, self.tritter_phase])):
+            raise ValueError(f"interferometer parameters must be finite, got {self}")
         pump_depletion(self.nbar, self.r)  # raises if the pump cannot dominate
         if not 0.0 <= self.theta <= np.pi / 2:
             raise ValueError(f"tritter angle must lie in [0, pi/2], got {self.theta}")
@@ -89,10 +92,8 @@ def build_half_pipelines(config: InterferometerConfig) -> tuple[SymplecticOp, Sy
 def _input_after_source(config: InterferometerConfig) -> GaussianState:
     # sigma carries the source squeezer; d carries the depleted amplitude sqrt(n0)
     n0, _ = pump_depletion(config.nbar, config.r)
-    seeded = pumped_input_state(n0, config.pump_phase)
-    sq = pumped_two_mode_squeezer(config.r, config.squeeze_phase)
-    sigma = sq.matrix @ seeded.sigma @ sq.matrix.T
-    return GaussianState(3, seeded.d, 0.5 * (sigma + sigma.T))
+    return apply_symplectic(pumped_input_state(n0, config.pump_phase),
+                            pumped_two_mode_squeezer(config.r, config.squeeze_phase))
 
 
 def pre_measurement_state(config: InterferometerConfig,

@@ -107,9 +107,12 @@ class SweepSpec:
 
 def _parse_number(token: str, where: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ConfigError(f"{where}: expected a number, got {token!r}") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {token!r}")
+    return value
 
 
 def _parse_sweep_values(value: str, where: str) -> tuple:
@@ -224,7 +227,7 @@ def _build_config(params: dict) -> InterferometerConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _evaluate_point(spec: SweepSpec, overrides: dict, eps0: float, h: float) -> dict:
+def _evaluate_point(spec: SweepSpec, overrides: dict, eps0: float) -> dict:
     row = dict(overrides)
     errors = []
     if spec.kind == "gw":
@@ -256,11 +259,11 @@ def _evaluate_point(spec: SweepSpec, overrides: dict, eps0: float, h: float) -> 
     for quantity in spec.quantities:
         try:
             if quantity == "H_numeric":
-                row["H_numeric"] = qfi_numeric(config, 0.0, h)
+                row["H_numeric"] = qfi_numeric(config, 0.0)
             elif quantity == "H_closed":
                 row["H_closed"] = qfi_closed_form(config, "exact")
             elif quantity == "F0":
-                row["F0"] = sensitivity_number_sum(config, point_eps0, h)[1]
+                row["F0"] = sensitivity_number_sum(config, point_eps0)[1]
             elif quantity == "moments":
                 row["mean_S"], row["var_S"] = _side_moments(config, point_eps0)
             elif quantity == "theta_t":
@@ -272,8 +275,7 @@ def _evaluate_point(spec: SweepSpec, overrides: dict, eps0: float, h: float) -> 
     return row
 
 
-def run_sweep(spec: SweepSpec, eps0: float = 1e-3, h: float = 1e-4,
-              workers: int = 1) -> list:
+def run_sweep(spec: SweepSpec, eps0: float = 1e-3, workers: int = 1) -> list:
     """Evaluate the run configuration over its full grid; one row dict per point.
 
     Rows come back in lexicographic grid order (first swept name outermost)
@@ -286,9 +288,9 @@ def run_sweep(spec: SweepSpec, eps0: float = 1e-3, h: float = 1e-4,
               for combo in itertools.product(*axes)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda p: _evaluate_point(spec, p, eps0, h), points))
+            rows = list(pool.map(lambda p: _evaluate_point(spec, p, eps0), points))
     else:
-        rows = [_evaluate_point(spec, p, eps0, h) for p in points]
+        rows = [_evaluate_point(spec, p, eps0) for p in points]
     return rows
 
 

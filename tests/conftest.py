@@ -26,3 +26,14 @@ def random_config(rng, kind=None, nbar_range=(10.0, 1e6), r_max=2.0,
         pump_phase=rng.uniform(0.0, 2 * np.pi),
         squeeze_phase=rng.uniform(0.0, 2 * np.pi),
         tritter_phase=rng.uniform(0.0, 2 * np.pi))
+
+
+def richardson(f, x0, h=1e-4):
+    """Central difference of ``f`` at ``x0`` with one Richardson extrapolation level.
+
+    Error O(h^4) plus roundoff O(u |f| / h); the tests use it only as an
+    independent referee for the exact strain tangents in ``metrology``.
+    """
+    coarse = (f(x0 + h) - f(x0 - h)) / (2.0 * h)
+    fine = (f(x0 + h / 2.0) - f(x0 - h / 2.0)) / h
+    return (4.0 * fine - coarse) / 3.0

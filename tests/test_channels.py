@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from pumpedsu11 import (ChannelSpec, apply_symplectic, check_symplectic,
                         embed_on_side_modes, gw_mode_mixing_channel,
@@ -154,6 +155,21 @@ def test_channel_spec_argument_scaling():
         ChannelSpec("squeeze", 1.0)
     with pytest.raises(ValueError):
         ChannelSpec("squeezing", -1.0)
+
+
+def test_channel_spec_rejects_non_finite_values():
+    for bad in (dict(strength=np.nan), dict(phase=np.inf), dict(epsilon=np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelSpec("squeezing", **bad)
+
+
+def test_channel_spec_generator_exponentiates_to_channel(rng):
+    for kind in ("squeezing", "mode_mixing", "phase"):
+        spec = ChannelSpec(kind, rng.uniform(0.25, 4.0), rng.uniform(0.0, 2 * np.pi))
+        K = spec.generator()
+        assert not K[:2].any() and not K[:, :2].any()  # zero on the pump
+        for eps in (-0.7, 0.3, 1.9):
+            assert np.max(np.abs(expm(eps * K) - spec.three_mode(eps).matrix)) < 1e-12
 
 
 def test_channel_spec_three_mode_embedding():

@@ -170,3 +170,10 @@ def test_config_validates_angle_range_and_depletion():
         _config(theta=2.0)
     with pytest.raises(PumpDepletedError):
         _config(nbar=5.0, r=2.0)
+
+
+def test_config_rejects_non_finite_values():
+    for bad in (dict(nbar=np.nan), dict(nbar=np.inf), dict(r=np.nan),
+                dict(theta=np.nan), dict(tritter_phase=np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            _config(**bad)

@@ -161,6 +161,13 @@ def test_state_constructor_rejects_unphysical_covariance():
         GaussianState(1, np.zeros(2), 0.5 * np.eye(2))
 
 
+def test_derived_states_are_read_only():
+    state = apply_symplectic(pumped_input_state(2.0), tritter(0.7, 0.3))
+    for derived in (state, reduce_to_modes(state, (1, 2))):
+        assert not derived.d.flags.writeable
+        assert not derived.sigma.flags.writeable
+
+
 def test_reduce_commutes_with_block_diagonal_symplectics(rng):
     # an operation acting only on the kept side modes commutes with reduction
     from pumpedsu11 import embed_on_side_modes

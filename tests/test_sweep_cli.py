@@ -258,10 +258,32 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
-    # r = 7 drives the covariance condition number past the 1e12 guard
-    path = write(tmp_path, "channel = squeezing\nr = 7.0\nnbar = 1e7\ntheta = 0.3\n")
+    # at r = 10 the squeezer's entries (~1e4) leave a symplectic residual of
+    # ~2e-8 in double precision, far past the 1e-10 check
+    path = write(tmp_path, "channel = squeezing\nr = 10.0\nnbar = 1e12\ntheta = 0.3\n")
     assert main(["qfi", "--config", path]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["nbar = nan", "nbar = inf", "strength = nan"])
+def test_cli_rejects_non_finite_values(tmp_path, capsys, line):
+    path = write(tmp_path, f"channel = squeezing\nr = 1.0\ntheta = 0.4\n{line}\n")
+    assert main(["qfi", "--config", path]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["squeezing", "mode_mixing"])
+def test_large_squeezing_rows_are_valid(tmp_path, kind):
+    # the recomputed det(sigma) of these states once failed the physicality test
+    sq, tp = optimal_phases(kind, 0.0, np.pi / 2)
+    path = write(tmp_path, f"channel = {kind}\nchannel_phase = {np.pi / 2!r}\n"
+                           f"squeeze_phase = {sq!r}\ntritter_phase = {tp!r}\n"
+                           "nbar = 1e8\ntheta = 0.4\n[sweep]\nr = values 4.0 4.5 5.0\n")
+    rows = run_sweep(parse_config(path))
+    assert len(rows) == 3
+    for row in rows:
+        assert row["error"] == ""
+        assert row["H_numeric"] == pytest.approx(row["H_closed"], rel=1e-9)
 
 
 def test_cli_qfi_phase_channel_numeric_only(tmp_path, capsys):
