@@ -44,13 +44,32 @@ def rotation_matrix(phi: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def _blocks3(b00, b01, b02, b10, b11, b12, b20, b21, b22) -> np.ndarray:
-    out = np.zeros((6, 6))
-    rows = ((b00, b01, b02), (b10, b11, b12), (b20, b21, b22))
-    for i in range(3):
-        for j in range(3):
-            out[2 * i:2 * i + 2, 2 * j:2 * j + 2] = rows[i][j]
-    return out
+def _side_pair(n_modes: int, diag: float, upper, lower) -> np.ndarray:
+    """Matrix [[diag I, upper], [lower, diag I]] on the two side modes, filled directly.
+
+    ``upper`` and ``lower`` are 2x2 blocks given as ((a, b), (c, d)).  With
+    ``n_modes = 3`` the leading pump mode gets the identity.
+    """
+    mat = np.zeros((2 * n_modes, 2 * n_modes))
+    k = 2 * n_modes - 4
+    if k:
+        mat[0, 0] = mat[1, 1] = 1.0  # the pump
+    mat[k, k] = mat[k + 1, k + 1] = mat[k + 2, k + 2] = mat[k + 3, k + 3] = diag
+    mat[k:k + 2, k + 2:k + 4] = upper
+    mat[k + 2:k + 4, k:k + 2] = lower
+    return mat
+
+
+def _squeeze_block(sh: float, phi: float):
+    # sh times reflection_phase_matrix(phi)
+    a, b = sh * np.cos(phi), sh * np.sin(phi)
+    return ((a, b), (b, -a))
+
+
+def _mixing_blocks(s: float, phi: float):
+    # s times rotation_matrix(phi), and -s times its transpose
+    a, b = s * np.cos(phi), s * np.sin(phi)
+    return ((a, b), (-b, a)), ((-a, b), (-b, -a))
 
 
 def pumped_two_mode_squeezer(r: float, squeeze_phase: float = 0.0) -> SymplecticOp:
@@ -60,13 +79,8 @@ def pumped_two_mode_squeezer(r: float, squeeze_phase: float = 0.0) -> Symplectic
         r: squeezing parameter (signed; the inverse element is r -> -r).
         squeeze_phase: squeezing phase, radians.
     """
-    I2, Z2 = np.eye(2), np.zeros((2, 2))
-    ch, sh = np.cosh(r), np.sinh(r)
-    R = reflection_phase_matrix(squeeze_phase)
-    mat = _blocks3(I2, Z2, Z2,
-                   Z2, ch * I2, sh * R,
-                   Z2, sh * R, ch * I2)
-    return SymplecticOp(3, mat)
+    block = _squeeze_block(np.sinh(r), squeeze_phase)
+    return SymplecticOp(3, _side_pair(3, np.cosh(r), block, block))
 
 
 def tritter(theta: float, phase: float = 0.0) -> SymplecticOp:
@@ -119,10 +133,8 @@ def tritter_from_generator(theta: float, phase: float = 0.0) -> SymplecticOp:
 
 def squeezing_channel(s: float, phase: float = 0.0) -> SymplecticOp:
     """Two-mode squeezing channel on the side modes (4x4)."""
-    ch, sh = np.cosh(s), np.sinh(s)
-    R = reflection_phase_matrix(phase)
-    mat = np.block([[ch * np.eye(2), sh * R], [sh * R, ch * np.eye(2)]])
-    return SymplecticOp(2, mat)
+    block = _squeeze_block(np.sinh(s), phase)
+    return SymplecticOp(2, _side_pair(2, np.cosh(s), block, block))
 
 
 def mode_mixing_channel(m: float, phase: float = 0.0) -> SymplecticOp:
@@ -131,19 +143,18 @@ def mode_mixing_channel(m: float, phase: float = 0.0) -> SymplecticOp:
     Passive: orthogonal as well as symplectic, so it preserves total particle
     number.
     """
-    c, s = np.cos(m), np.sin(m)
-    R = rotation_matrix(phase)
-    mat = np.block([[c * np.eye(2), s * R], [-s * R.T, c * np.eye(2)]])
-    return SymplecticOp(2, mat)
+    upper, lower = _mixing_blocks(np.sin(m), phase)
+    return SymplecticOp(2, _side_pair(2, np.cos(m), upper, lower))
 
 
 def phase_channel(phi: float) -> SymplecticOp:
     """Phase evolution exp(-i phi N/2) of the side modes; identity on the pump (6x6)."""
-    rot = rotation_matrix(phi / 2.0)
-    I2, Z2 = np.eye(2), np.zeros((2, 2))
-    mat = _blocks3(I2, Z2, Z2,
-                   Z2, rot, Z2,
-                   Z2, Z2, rot)
+    c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
+    mat = np.zeros((6, 6))
+    mat[0, 0] = mat[1, 1] = 1.0
+    mat[2, 2] = mat[3, 3] = mat[4, 4] = mat[5, 5] = c
+    mat[2, 3] = mat[4, 5] = s
+    mat[3, 2] = mat[5, 4] = -s
     return SymplecticOp(3, mat)
 
 
@@ -158,9 +169,8 @@ def gw_squeezing_channel(s_nm: float, phase: float = 0.0, form: str = "exact") -
         return squeezing_channel(s_nm, phase)
     if form != "second_order":
         raise ValueError(f"unknown form {form!r}")
-    R = reflection_phase_matrix(phase)
-    diag = (1.0 + 0.5 * s_nm ** 2) * np.eye(2)
-    mat = np.block([[diag, s_nm * R], [s_nm * R, diag]])
+    block = _squeeze_block(s_nm, phase)
+    mat = _side_pair(2, 1.0 + 0.5 * s_nm ** 2, block, block)
     # truncation breaks symplecticity at O(s^4); widen the constructor tolerance
     return SymplecticOp(2, mat, tol=max(1e-10, 2.0 * s_nm ** 4))
 
@@ -171,9 +181,8 @@ def gw_mode_mixing_channel(s_nm: float, phase: float = 0.0, form: str = "exact")
         return mode_mixing_channel(s_nm, phase)
     if form != "second_order":
         raise ValueError(f"unknown form {form!r}")
-    R = rotation_matrix(phase)
-    diag = (1.0 - 0.5 * s_nm ** 2) * np.eye(2)
-    mat = np.block([[diag, s_nm * R], [-s_nm * R.T, diag]])
+    upper, lower = _mixing_blocks(s_nm, phase)
+    mat = _side_pair(2, 1.0 - 0.5 * s_nm ** 2, upper, lower)
     return SymplecticOp(2, mat, tol=max(1e-10, 2.0 * s_nm ** 4))
 
 

@@ -8,6 +8,7 @@ non-sweep command (sweeps record per-row failures in the table instead).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -150,6 +151,8 @@ def main(argv=None) -> int:
         "validate": _cmd_validate,
     }
     try:
+        if not math.isfinite(getattr(args, "eps0", 0.0)):
+            raise ConfigError(f"--eps0 must be a finite number, got {args.eps0!r}")
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pipeline import (InterferometerConfig, build_half_pipelines, max_tritter_angle,
-                       pre_measurement_state, pump_depletion, run_interferometer)
+from .pipeline import (InterferometerConfig, max_tritter_angle, pre_measurement_state,
+                       pump_depletion, run_interferometer)
 from .states import GaussianState, reduce_to_modes, symplectic_form
 
 __all__ = [
@@ -310,8 +310,11 @@ def number_sum_moments(state: GaussianState) -> tuple[float, float]:
     <S>   = [Tr(sigma) + d^T d - 2n] / 4
     Var S = [Tr(sigma^2) + 2 d^T sigma d - 2n] / 8
     """
-    n2 = 2 * state.n_modes
-    d, sigma = state.d, state.sigma
+    return _number_sum(state.d, state.sigma)
+
+
+def _number_sum(d: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
+    n2 = len(d)
     mean = 0.25 * (np.trace(sigma) + d @ d - n2)
     var = 0.125 * (np.trace(sigma @ sigma) + 2.0 * d @ sigma @ d - n2)
     return float(mean), float(var)
@@ -335,17 +338,22 @@ def _side_moments(config: InterferometerConfig, eps: float) -> tuple[float, floa
 
 
 def _number_sum_slopes(config: InterferometerConfig, eps0: float) -> tuple[float, float, float]:
-    """Var(S) and the exact strain slopes of <S> and Var(S), via K_out = S_minus K S_plus."""
+    """Var(S) and the exact strain slopes of <S> and Var(S) at the output.
+
+    The pre-measurement state and its tangent (K d, K sigma + sigma K^T) are
+    pushed through the side-mode rows of the reverse half S_minus, the only
+    rows the number sum reads.
+    """
     if eps0 == 0:
         raise ValueError("number-sum signal is stationary at zero strain; use eps0 > 0")
-    out = run_interferometer(config, eps0)
-    _, var = number_sum_moments(reduce_to_modes(out, (1, 2)))
-    s_plus, s_minus = build_half_pipelines(config)
-    k_out = s_minus.matrix @ config.channel.generator() @ s_plus.matrix
-    k_sigma = k_out @ out.sigma
-    side = slice(2, 6)
-    d, sigma = out.d[side], out.sigma[side, side]
-    d_dot, sigma_dot = (k_out @ out.d)[side], (k_sigma + k_sigma.T)[side, side]
+    pre = pre_measurement_state(config, eps0)
+    K = config.channel.generator()
+    rows = config.reverse_half.matrix[2:]
+    k_sigma = K @ pre.sigma
+    d, d_dot = rows @ pre.d, rows @ (K @ pre.d)
+    sigma = rows @ pre.sigma @ rows.T
+    sigma_dot = rows @ (k_sigma + k_sigma.T) @ rows.T
+    _, var = _number_sum(d, sigma)
     d_mean = 0.25 * (np.trace(sigma_dot) + 2.0 * d @ d_dot)
     d_var = 0.25 * (np.trace(sigma @ sigma_dot) + 2.0 * d_dot @ sigma @ d + d @ sigma_dot @ d)
     if not np.isfinite(d_mean) or d_mean == 0:

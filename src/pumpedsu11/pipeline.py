@@ -6,11 +6,23 @@ pump amplitude is rescaled from sqrt(nbar) to sqrt(n0) with
 n0 = nbar - 2 sinh^2 r, so that total particle number is conserved.  That
 replacement is a modeling step, not a symplectic map, which is why it lives
 here and not in :mod:`channels`.
+
+Everything that does not depend on the strain is built once per
+:class:`InterferometerConfig` and cached on it (``functools.cached_property``):
+the state after the source squeezer and the tritter, the forward half S_plus
+and the reverse half S_minus.  A strain evaluation then costs one channel
+application (none at zero strain, where the channel is the identity), plus
+one application of S_minus for the output state.  This is
+safe because the config is frozen, so its parameters cannot drift away from
+its cache, and the cached states and operations hold read-only arrays.  The
+cache lives exactly as long as its config: ``dataclasses.replace`` builds a
+new config with an empty cache, and nothing is kept at module level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +75,32 @@ class InterferometerConfig:
         if not 0.0 <= self.theta <= np.pi / 2:
             raise ValueError(f"tritter angle must lie in [0, pi/2], got {self.theta}")
 
+    @cached_property
+    def _forward(self) -> tuple[GaussianState, SymplecticOp]:
+        # sigma carries the source squeezer and d the depleted amplitude sqrt(n0);
+        # the state takes the squeezer and the tritter one at a time, as S_plus
+        # applied in one step rounds differently
+        squeezer = pumped_two_mode_squeezer(self.r, self.squeeze_phase)
+        mixer = tritter(self.theta, self.tritter_phase)
+        n0, _ = pump_depletion(self.nbar, self.r)
+        state = apply_symplectic(pumped_input_state(n0, self.pump_phase), squeezer)
+        return apply_symplectic(state, mixer), mixer @ squeezer
+
+    @property
+    def after_tritter(self) -> GaussianState:
+        """State after the source squeezer and the tritter (cached)."""
+        return self._forward[0]
+
+    @property
+    def forward_half(self) -> SymplecticOp:
+        """S_plus: the source squeezer followed by the tritter (cached)."""
+        return self._forward[1]
+
+    @cached_property
+    def reverse_half(self) -> SymplecticOp:
+        """S_minus = S_plus^-1: the reverse tritter followed by the reverse squeezer."""
+        return self.forward_half.inverse()
+
 
 def pump_depletion(nbar: float, r: float) -> tuple[float, float]:
     """Split the input number into pump and side-mode populations.
@@ -81,19 +119,7 @@ def pump_depletion(nbar: float, r: float) -> tuple[float, float]:
 
 def build_half_pipelines(config: InterferometerConfig) -> tuple[SymplecticOp, SymplecticOp]:
     """The forward and reverse halves (S_plus, S_minus), with S_minus S_plus = I."""
-    sq = pumped_two_mode_squeezer(config.r, config.squeeze_phase)
-    tr = tritter(config.theta, config.tritter_phase)
-    s_plus = tr @ sq
-    s_minus = pumped_two_mode_squeezer(-config.r, config.squeeze_phase) \
-        @ tritter(-config.theta, config.tritter_phase)
-    return s_plus, s_minus
-
-
-def _input_after_source(config: InterferometerConfig) -> GaussianState:
-    # sigma carries the source squeezer; d carries the depleted amplitude sqrt(n0)
-    n0, _ = pump_depletion(config.nbar, config.r)
-    return apply_symplectic(pumped_input_state(n0, config.pump_phase),
-                            pumped_two_mode_squeezer(config.r, config.squeeze_phase))
+    return config.forward_half, config.reverse_half
 
 
 def pre_measurement_state(config: InterferometerConfig,
@@ -101,20 +127,18 @@ def pre_measurement_state(config: InterferometerConfig,
     """State after source, tritter and probed channel (no return path).
 
     This is the family whose quantum Fisher information bounds the estimation
-    of the channel strain.
+    of the channel strain.  At zero strain it is the config's cached state
+    after the tritter.
     """
-    state = _input_after_source(config)
-    state = apply_symplectic(state, tritter(config.theta, config.tritter_phase))
-    return apply_symplectic(state, config.channel.three_mode(epsilon))
+    if config.channel.channel_argument(epsilon) == 0:
+        return config.after_tritter  # the channel at zero strain is the identity
+    return apply_symplectic(config.after_tritter, config.channel.three_mode(epsilon))
 
 
 def run_interferometer(config: InterferometerConfig,
                        epsilon: float | None = None) -> GaussianState:
     """Full three-mode output state, including the reverse tritter and squeezer."""
-    state = pre_measurement_state(config, epsilon)
-    state = apply_symplectic(state, tritter(-config.theta, config.tritter_phase))
-    return apply_symplectic(
-        state, pumped_two_mode_squeezer(-config.r, config.squeeze_phase))
+    return apply_symplectic(pre_measurement_state(config, epsilon), config.reverse_half)
 
 
 def particle_numbers_after_tritter(n0: float, n_side: float,

@@ -3,6 +3,12 @@
 Quadrature convention: x = (q_1, p_1, ..., q_n, p_n) with q = a + a^dag and
 p = i(a^dag - a), so the vacuum covariance matrix is the identity (not 1/2)
 and <a^dag a> = (sigma_qq + sigma_pp + d_q^2 + d_p^2)/4 - 1/2 per mode.
+
+``symplectic_form(n)`` is built once per mode count and then returned as the
+same read-only array on every call, since the residual check of every
+``SymplecticOp`` reads it.  Sharing it is safe because no caller can write to
+it; states and operations likewise store their arrays read-only, so the
+pipeline can cache them per configuration.
 """
 
 from __future__ import annotations
@@ -30,15 +36,25 @@ PHYSICALITY_TOL = 1e-9
 SYMPLECTIC_TOL = 1e-10
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Symplectic form Omega in q,p ordering: 2x2 blocks [[0, 1], [-1, 0]]."""
-    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+_OMEGAS: dict = {}
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def symplectic_form(n_modes: int) -> np.ndarray:
+    """Symplectic form Omega in q,p ordering: 2x2 blocks [[0, 1], [-1, 0]].
+
+    Returns one cached read-only array per mode count.
+    """
+    omega = _OMEGAS.get(n_modes)
+    if omega is None:
+        omega = _OMEGAS[n_modes] = _frozen(
+            np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]])))
+    return omega
 
 
 @dataclass(frozen=True)
@@ -65,11 +81,14 @@ class GaussianState:
             raise ValueError(f"displacement shape {d.shape}, expected ({dim},)")
         if sigma.shape != (dim, dim):
             raise ValueError(f"covariance shape {sigma.shape}, expected ({dim}, {dim})")
-        asym = np.max(np.abs(sigma - sigma.T))
+        # apply_symplectic and reduce_to_modes keep a checked state finite and
+        # physical, and the recomputed det of a strongly squeezed state they
+        # derive is mostly roundoff, so derived states skip both tests
+        if not _derived and not (np.isfinite(d).all() and np.isfinite(sigma).all()):
+            raise ValueError("displacement and covariance must be finite")
+        asym = np.abs(sigma - sigma.T).max()
         if asym >= SYMMETRY_TOL:
             raise ValueError(f"covariance not symmetric (max asymmetry {asym:.3e})")
-        # apply_symplectic and reduce_to_modes keep a checked state physical, and
-        # the recomputed det of a strongly squeezed state they derive is mostly roundoff
         if not _derived:
             det = np.linalg.det(sigma)
             if not det >= 1.0 - PHYSICALITY_TOL:
@@ -111,7 +130,7 @@ class SymplecticOp:
 def _symplectic_residual(mat: np.ndarray) -> float:
     n = mat.shape[0] // 2
     omega = symplectic_form(n)
-    return float(np.max(np.abs(mat @ omega @ mat.T - omega)))
+    return float(np.abs(mat @ omega @ mat.T - omega).max())
 
 
 def check_symplectic(op, tol: float = SYMPLECTIC_TOL) -> bool:

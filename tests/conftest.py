@@ -1,12 +1,25 @@
+import os
+import pathlib
+
 import numpy as np
 import pytest
 
+import pumpedsu11
 from pumpedsu11 import ChannelSpec, InterferometerConfig
+
+PACKAGE_ROOT = str(pathlib.Path(pumpedsu11.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+def child_env():
+    """Environment for a child interpreter that imports the package under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    return env
 
 
 def random_config(rng, kind=None, nbar_range=(10.0, 1e6), r_max=2.0,

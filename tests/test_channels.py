@@ -144,6 +144,23 @@ def test_all_constructors_symplectic_over_random_draws(rng):
         assert check_symplectic(phase_channel(ph), tol=1e-10)
 
 
+def test_filled_builders_match_their_generators(rng):
+    # squeezer and side channels against expm of a ChannelSpec generator (K with
+    # strength 4 is the unit-argument generator of the squeezing and mixing channels)
+    for _ in range(200):
+        x, ph = rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2 * np.pi)
+        squeeze = expm(x * ChannelSpec("squeezing", 4.0, ph).generator())
+        mixing = expm(x * ChannelSpec("mode_mixing", 4.0, ph).generator())
+        pairs = [(pumped_two_mode_squeezer(x, ph), squeeze),
+                 (squeezing_channel(x, ph), squeeze[2:, 2:]),
+                 (mode_mixing_channel(x, ph), mixing[2:, 2:]),
+                 (phase_channel(x), expm(x * ChannelSpec("phase", 1.0).generator()))]
+        th = rng.uniform(0.0, np.pi / 2)
+        pairs.append((tritter(th, ph), tritter_from_generator(th, ph).matrix))
+        for op, reference in pairs:
+            assert np.max(np.abs(op.matrix - reference)) < 1e-14
+
+
 def test_channel_spec_argument_scaling():
     spec = ChannelSpec("squeezing", strength=2.0, phase=0.1, epsilon=0.4)
     assert spec.channel_argument() == pytest.approx(0.2)          # eps*B/4

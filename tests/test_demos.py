@@ -4,12 +4,15 @@ import sys
 
 import pytest
 
+from conftest import child_env
+
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_clean(script):
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout.strip()

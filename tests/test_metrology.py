@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pumpedsu11 import (ChannelSpec, GaussianState, InterferometerConfig, RegimeError,
-                        apply_symplectic, f0_closed_form, fisher_from_moments,
+                        apply_symplectic, build_half_pipelines, f0_closed_form, fisher_from_moments,
                         heterodyne_moments, metrology_report, number_sum_moments,
                         number_sum_quadratic_response, optimal_phases,
                         optimal_tritter_angle, qfi_closed_form, qfi_numeric,
@@ -95,6 +95,24 @@ def test_tangents_match_finite_differences(rng):
                 richardson(lambda e: _side_moments(cfg, e)[0], eps0), rel=1e-6)
             assert d_var == pytest.approx(
                 richardson(lambda e: _side_moments(cfg, e)[1], eps0), rel=1e-6)
+
+
+def test_number_sum_slopes_match_output_generator(rng):
+    # referee: the output state with K pushed through both halves, K_out = S_minus K S_plus
+    for _ in range(200):
+        cfg = random_config(rng)
+        out = run_interferometer(cfg, 1e-3)
+        s_plus, s_minus = build_half_pipelines(cfg)
+        k_out = s_minus.matrix @ cfg.channel.generator() @ s_plus.matrix
+        k_sigma = k_out @ out.sigma
+        side = slice(2, 6)
+        d, sigma = out.d[side], out.sigma[side, side]
+        d_dot, sigma_dot = (k_out @ out.d)[side], (k_sigma + k_sigma.T)[side, side]
+        d_mean = 0.25 * (np.trace(sigma_dot) + 2.0 * d @ d_dot)
+        d_var = 0.25 * (np.trace(sigma @ sigma_dot) + 2.0 * d_dot @ sigma @ d
+                        + d @ sigma_dot @ d)
+        _, var = number_sum_moments(reduce_to_modes(out, (1, 2)))
+        assert _number_sum_slopes(cfg, 1e-3) == pytest.approx((var, d_mean, d_var), rel=1e-12)
 
 
 def test_qfi_rejects_bad_step():

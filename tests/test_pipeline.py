@@ -1,14 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from pumpedsu11 import (ChannelSpec, InterferometerConfig, PumpDepletedError,
-                        build_half_pipelines, max_tritter_angle, number_mean,
-                        number_sum_moments, number_sum_quadratic_response,
+                        apply_symplectic, build_half_pipelines, max_tritter_angle,
+                        number_mean, number_sum_moments, number_sum_quadratic_response,
                         particle_numbers_after_tritter, phase_channel,
                         pre_measurement_state, pump_depletion, pumped_input_state,
                         pumped_two_mode_squeezer, purity, reduce_to_modes,
-                        run_interferometer)
+                        run_interferometer, tritter)
 from conftest import random_config
 
 
@@ -46,6 +48,22 @@ def test_half_pipelines_are_mutual_inverses(rng):
         cfg = random_config(rng)
         s_plus, s_minus = build_half_pipelines(cfg)
         assert np.max(np.abs(s_minus.matrix @ s_plus.matrix - np.eye(6))) < 1e-10
+
+
+def test_strain_independent_parts_are_built_once_per_config():
+    cfg = _config()
+    s_plus, s_minus = build_half_pipelines(cfg)
+    assert build_half_pipelines(cfg)[0] is s_plus and build_half_pipelines(cfg)[1] is s_minus
+    # at zero strain the channel is the identity: the cached state after the tritter
+    assert pre_measurement_state(cfg, 0.0) is pre_measurement_state(cfg, 0.0)
+
+    moved = dataclasses.replace(cfg, theta=1.1)
+    expected = tritter(1.1) @ pumped_two_mode_squeezer(1.0)
+    moved_plus, moved_minus = build_half_pipelines(moved)
+    assert moved_plus is not s_plus and moved_minus is not s_minus
+    assert np.array_equal(moved_plus.matrix, expected.matrix)
+    direct = apply_symplectic(pre_measurement_state(cfg, 0.3), s_minus)
+    assert np.array_equal(run_interferometer(cfg, 0.3).sigma, direct.sigma)
 
 
 def test_zero_strain_output_side_modes_are_vacuum(rng):

@@ -139,6 +139,14 @@ def test_symplectic_form_blocks():
     assert np.array_equal(omega, -omega.T)
 
 
+def test_symplectic_form_is_a_shared_read_only_constant():
+    omega = symplectic_form(3)
+    assert symplectic_form(3) is omega
+    with pytest.raises(ValueError):
+        omega[0, 1] = 2.0
+    assert np.array_equal(omega, np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]]))
+
+
 def test_symplectic_op_rejects_non_symplectic_matrix():
     from pumpedsu11 import SymplecticOp
     bad = np.eye(4)
@@ -159,6 +167,18 @@ def test_state_constructor_rejects_asymmetric_covariance():
 def test_state_constructor_rejects_unphysical_covariance():
     with pytest.raises(ValueError):
         GaussianState(1, np.zeros(2), 0.5 * np.eye(2))
+
+
+def test_state_constructor_rejects_non_finite_moments():
+    with pytest.raises(ValueError, match="finite"):
+        GaussianState(1, [np.nan, 0.0], np.eye(2))
+    with pytest.raises(ValueError, match="finite"):
+        GaussianState(1, [0.0, np.inf], np.eye(2))
+    for bad in (np.nan, np.inf):
+        sigma = np.eye(2)
+        sigma[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GaussianState(1, np.zeros(2), sigma)
 
 
 def test_derived_states_are_read_only():

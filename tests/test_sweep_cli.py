@@ -9,6 +9,7 @@ from pumpedsu11 import (ConfigError, emit, optimal_phases, optimal_tritter_angle
                         parse_config, qfi_numeric, run_sweep)
 from pumpedsu11.cli import main
 from pumpedsu11.sweep import DEFAULTS, _build_config
+from conftest import child_env
 
 
 def write(tmp_path, text, name="run.conf"):
@@ -272,6 +273,16 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, line):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["qfi", "sensitivity", "sweep", "gw-compare"])
+def test_cli_rejects_non_finite_eps0(tmp_path, capsys, command, value):
+    text = ("[gw]\nn0 = 1e6\nr_original = 4.2\n" if command == "gw-compare"
+            else "channel = squeezing\nr = 1.0\ntheta = 0.4\n")
+    path = write(tmp_path, text)
+    assert main([command, "--config", path, "--eps0", value]) == 1
+    assert "config error: --eps0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["squeezing", "mode_mixing"])
 def test_large_squeezing_rows_are_valid(tmp_path, kind):
     # the recomputed det(sigma) of these states once failed the physicality test
@@ -320,6 +331,6 @@ def test_output_directory_override(tmp_path, monkeypatch, capsys):
 def test_console_entry_point(tmp_path):
     path = write(tmp_path, "channel = squeezing\nr = 0.5\nnbar = 100\n")
     proc = subprocess.run([sys.executable, "-m", "pumpedsu11.cli", "qfi",
-                           "--config", path], capture_output=True, text=True)
+                           "--config", path], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "H_numeric" in proc.stdout
