@@ -3,10 +3,16 @@
 Three-mode operations (pump + two side modes) are 6x6; the two-mode Gaussian
 channels acting on the side modes alone are 4x4 and can be lifted into the
 three-mode space with :func:`embed_on_side_modes`.
+
+Each element's entries are written once, in a private fill function whose
+arguments broadcast over leading axes: the public builders wrap the scalar case
+in one checked :class:`SymplecticOp`, and ``metrology.evaluate`` fills a whole
+sweep's elements as (N, 6, 6) stacks with the same functions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,32 +50,79 @@ def rotation_matrix(phi: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def _side_pair(n_modes: int, diag: float, upper, lower) -> np.ndarray:
-    """Matrix [[diag I, upper], [lower, diag I]] on the two side modes, filled directly.
+def _side_pair(diag, upper, lower) -> np.ndarray:
+    """Side-mode matrices [[diag I, upper], [lower, diag I]], filled directly (4x4).
 
-    ``upper`` and ``lower`` are 2x2 blocks given as ((a, b), (c, d)).  With
-    ``n_modes = 3`` the leading pump mode gets the identity.
+    ``upper`` and ``lower`` are 2x2 blocks given as ((a, b), (c, d)).  Every
+    entry broadcasts over leading axes and has the shape of ``diag``, so one
+    call fills a single matrix or a stack of them.
     """
-    mat = np.zeros((2 * n_modes, 2 * n_modes))
-    k = 2 * n_modes - 4
-    if k:
-        mat[0, 0] = mat[1, 1] = 1.0  # the pump
-    mat[k, k] = mat[k + 1, k + 1] = mat[k + 2, k + 2] = mat[k + 3, k + 3] = diag
-    mat[k:k + 2, k + 2:k + 4] = upper
-    mat[k + 2:k + 4, k:k + 2] = lower
+    mat = np.zeros(np.shape(diag) + (4, 4))
+    mat[..., 0, 0] = mat[..., 1, 1] = mat[..., 2, 2] = mat[..., 3, 3] = diag
+    for i in (0, 1):
+        for j in (0, 1):
+            mat[..., i, 2 + j] = upper[i][j]
+            mat[..., 2 + i, j] = lower[i][j]
     return mat
 
 
-def _squeeze_block(sh: float, phi: float):
+def _with_pump(side: np.ndarray, pump=1.0) -> np.ndarray:
+    """Three-mode matrices: ``pump`` times the identity on the pump (+) ``side`` (6x6)."""
+    mat = np.zeros(side.shape[:-2] + (6, 6))
+    mat[..., 0, 0] = mat[..., 1, 1] = pump
+    mat[..., 2:, 2:] = side
+    return mat
+
+
+def _squeeze_block(sh, phi):
     # sh times reflection_phase_matrix(phi)
     a, b = sh * np.cos(phi), sh * np.sin(phi)
     return ((a, b), (b, -a))
 
 
-def _mixing_blocks(s: float, phi: float):
+def _mixing_blocks(s, phi):
     # s times rotation_matrix(phi), and -s times its transpose
     a, b = s * np.cos(phi), s * np.sin(phi)
     return ((a, b), (-b, a)), ((-a, b), (-b, -a))
+
+
+def _rotation_pair(c, s) -> np.ndarray:
+    # [[c, s], [-s, c]] on each side mode (4x4)
+    mat = np.zeros(np.shape(c) + (4, 4))
+    mat[..., 0, 0] = mat[..., 1, 1] = mat[..., 2, 2] = mat[..., 3, 3] = c
+    mat[..., 0, 1] = mat[..., 2, 3] = s
+    mat[..., 1, 0] = mat[..., 3, 2] = -s
+    return mat
+
+
+def _two_mode_squeeze(s, phase) -> np.ndarray:
+    block = _squeeze_block(np.sinh(s), phase)
+    return _side_pair(np.cosh(s), block, block)
+
+
+def _mode_mix(m, phase) -> np.ndarray:
+    return _side_pair(np.cos(m), *_mixing_blocks(np.sin(m), phase))
+
+
+def _phase_rotation(phi) -> np.ndarray:
+    return _rotation_pair(np.cos(phi / 2.0), np.sin(phi / 2.0))
+
+
+def _tritter_matrix(theta, phase) -> np.ndarray:
+    c, s = np.cos(theta), np.sin(theta)
+    sv, cv = np.sin(phase), np.cos(phase)
+    f = s / np.sqrt(2.0)
+    cc = np.cos(theta / 2.0) ** 2
+    mm = 0.5 * (c - 1.0)
+    same = ((mm, 0.0), (0.0, mm))
+    mat = _with_pump(_side_pair(cc, same, same), c)
+    a, b = f * sv, f * cv
+    for j in (2, 4):  # the pump couples to each side mode alike
+        mat[..., 0, j], mat[..., 0, j + 1] = a, b
+        mat[..., 1, j], mat[..., 1, j + 1] = -b, a
+        mat[..., j, 0], mat[..., j, 1] = -a, b
+        mat[..., j + 1, 0], mat[..., j + 1, 1] = -b, -a
+    return mat
 
 
 def pumped_two_mode_squeezer(r: float, squeeze_phase: float = 0.0) -> SymplecticOp:
@@ -79,8 +132,7 @@ def pumped_two_mode_squeezer(r: float, squeeze_phase: float = 0.0) -> Symplectic
         r: squeezing parameter (signed; the inverse element is r -> -r).
         squeeze_phase: squeezing phase, radians.
     """
-    block = _squeeze_block(np.sinh(r), squeeze_phase)
-    return SymplecticOp(3, _side_pair(3, np.cosh(r), block, block))
+    return SymplecticOp(3, _with_pump(_two_mode_squeeze(r, squeeze_phase)))
 
 
 def tritter(theta: float, phase: float = 0.0) -> SymplecticOp:
@@ -90,20 +142,7 @@ def tritter(theta: float, phase: float = 0.0) -> SymplecticOp:
     mixing angle ``theta``; theta = 0 is the identity.  Note this differs from
     a two-way beam splitter: theta = pi/2 does not fully swap pump and sides.
     """
-    c, s = np.cos(theta), np.sin(theta)
-    sv, cv = np.sin(phase), np.cos(phase)
-    f = s / np.sqrt(2.0)
-    cc = np.cos(theta / 2.0) ** 2
-    mm = 0.5 * (c - 1.0)
-    mat = np.array([
-        [c, 0.0, f * sv, f * cv, f * sv, f * cv],
-        [0.0, c, -f * cv, f * sv, -f * cv, f * sv],
-        [-f * sv, f * cv, cc, 0.0, mm, 0.0],
-        [-f * cv, -f * sv, 0.0, cc, 0.0, mm],
-        [-f * sv, f * cv, mm, 0.0, cc, 0.0],
-        [-f * cv, -f * sv, 0.0, mm, 0.0, cc],
-    ])
-    return SymplecticOp(3, mat)
+    return SymplecticOp(3, _tritter_matrix(theta, phase))
 
 
 def tritter_from_generator(theta: float, phase: float = 0.0) -> SymplecticOp:
@@ -133,8 +172,7 @@ def tritter_from_generator(theta: float, phase: float = 0.0) -> SymplecticOp:
 
 def squeezing_channel(s: float, phase: float = 0.0) -> SymplecticOp:
     """Two-mode squeezing channel on the side modes (4x4)."""
-    block = _squeeze_block(np.sinh(s), phase)
-    return SymplecticOp(2, _side_pair(2, np.cosh(s), block, block))
+    return SymplecticOp(2, _two_mode_squeeze(s, phase))
 
 
 def mode_mixing_channel(m: float, phase: float = 0.0) -> SymplecticOp:
@@ -143,19 +181,12 @@ def mode_mixing_channel(m: float, phase: float = 0.0) -> SymplecticOp:
     Passive: orthogonal as well as symplectic, so it preserves total particle
     number.
     """
-    upper, lower = _mixing_blocks(np.sin(m), phase)
-    return SymplecticOp(2, _side_pair(2, np.cos(m), upper, lower))
+    return SymplecticOp(2, _mode_mix(m, phase))
 
 
 def phase_channel(phi: float) -> SymplecticOp:
     """Phase evolution exp(-i phi N/2) of the side modes; identity on the pump (6x6)."""
-    c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
-    mat = np.zeros((6, 6))
-    mat[0, 0] = mat[1, 1] = 1.0
-    mat[2, 2] = mat[3, 3] = mat[4, 4] = mat[5, 5] = c
-    mat[2, 3] = mat[4, 5] = s
-    mat[3, 2] = mat[5, 4] = -s
-    return SymplecticOp(3, mat)
+    return SymplecticOp(3, _with_pump(_phase_rotation(phi)))
 
 
 def gw_squeezing_channel(s_nm: float, phase: float = 0.0, form: str = "exact") -> SymplecticOp:
@@ -170,7 +201,7 @@ def gw_squeezing_channel(s_nm: float, phase: float = 0.0, form: str = "exact") -
     if form != "second_order":
         raise ValueError(f"unknown form {form!r}")
     block = _squeeze_block(s_nm, phase)
-    mat = _side_pair(2, 1.0 + 0.5 * s_nm ** 2, block, block)
+    mat = _side_pair(1.0 + 0.5 * s_nm ** 2, block, block)
     # truncation breaks symplecticity at O(s^4); widen the constructor tolerance
     return SymplecticOp(2, mat, tol=max(1e-10, 2.0 * s_nm ** 4))
 
@@ -182,7 +213,7 @@ def gw_mode_mixing_channel(s_nm: float, phase: float = 0.0, form: str = "exact")
     if form != "second_order":
         raise ValueError(f"unknown form {form!r}")
     upper, lower = _mixing_blocks(s_nm, phase)
-    mat = _side_pair(2, 1.0 - 0.5 * s_nm ** 2, upper, lower)
+    mat = _side_pair(1.0 - 0.5 * s_nm ** 2, upper, lower)
     return SymplecticOp(2, mat, tol=max(1e-10, 2.0 * s_nm ** 4))
 
 
@@ -192,9 +223,7 @@ def embed_on_side_modes(op: SymplecticOp) -> SymplecticOp:
         raise ValueError(f"expected a two-mode operation, got {op.n_modes} modes")
     if not check_symplectic(op.matrix):
         raise ValueError("refusing to embed a non-symplectic operation")
-    mat = np.eye(6)
-    mat[2:, 2:] = op.matrix
-    return SymplecticOp(3, mat, tol=op.tol)
+    return SymplecticOp(3, _with_pump(op.matrix), tol=op.tol)
 
 
 @dataclass(frozen=True)
@@ -215,25 +244,21 @@ class ChannelSpec:
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
             raise ValueError(f"channel kind must be one of {CHANNEL_KINDS}, got {self.kind!r}")
-        if not np.all(np.isfinite([self.strength, self.phase, self.epsilon])):
+        if not all(map(math.isfinite, (self.strength, self.phase, self.epsilon))):
             raise ValueError(f"channel parameters must be finite, got {self}")
         if self.strength < 0:
             raise ValueError(f"strength constant must be nonnegative, got {self.strength}")
 
     def channel_argument(self, epsilon: float | None = None) -> float:
-        eps = self.epsilon if epsilon is None else epsilon
-        if self.kind == "phase":
-            return eps * self.strength
-        return 0.25 * eps * self.strength
+        return _channel_argument(self.kind, self.epsilon if epsilon is None else epsilon,
+                                 self.strength)
 
     def symplectic(self, epsilon: float | None = None) -> SymplecticOp:
         """The channel's symplectic matrix at the given strain (native size)."""
-        arg = self.channel_argument(epsilon)
-        if self.kind == "squeezing":
-            return squeezing_channel(arg, self.phase)
-        if self.kind == "mode_mixing":
-            return mode_mixing_channel(arg, self.phase)
-        return phase_channel(arg)
+        side = _side_channel(self.kind, self.channel_argument(epsilon), self.phase)
+        if self.kind == "phase":
+            return SymplecticOp(3, _with_pump(side))
+        return SymplecticOp(2, side)
 
     def three_mode(self, epsilon: float | None = None) -> SymplecticOp:
         """The channel lifted into the three-mode pipeline (identity on the pump)."""
@@ -242,12 +267,36 @@ class ChannelSpec:
 
     def generator(self) -> np.ndarray:
         """The 6x6 strain generator K, zero on the pump: three_mode(eps) = expm(eps K)."""
-        K = np.zeros((6, 6))
-        if self.kind == "phase":
-            K[2:4, 2:4] = K[4:6, 4:6] = 0.5 * self.strength * symplectic_form(1)
-        elif self.kind == "squeezing":
-            K[2:4, 4:6] = K[4:6, 2:4] = 0.25 * self.strength * reflection_phase_matrix(self.phase)
-        else:
-            R = 0.25 * self.strength * rotation_matrix(self.phase)
-            K[2:4, 4:6], K[4:6, 2:4] = R, -R.T
-        return K
+        return _generator(self.kind, self.strength, self.phase)
+
+
+# The three functions below take ``kind`` plus arrays that broadcast over a
+# leading axis, so a batch of channels of one kind is filled in one call.
+
+def _channel_argument(kind: str, epsilon, strength):
+    """s = eps strength/4 (squeezing), m = eps strength/4 (mode mixing), phi = eps strength."""
+    if kind == "phase":
+        return epsilon * strength
+    return 0.25 * epsilon * strength
+
+
+def _side_channel(kind: str, arg, phase) -> np.ndarray:
+    """The channel's side-mode block (4x4) at channel argument ``arg``."""
+    if kind == "squeezing":
+        return _two_mode_squeeze(arg, phase)
+    if kind == "mode_mixing":
+        return _mode_mix(arg, phase)
+    return _phase_rotation(arg)
+
+
+def _generator(kind: str, strength, phase) -> np.ndarray:
+    """Strain generators K (6x6, zero on the pump): the slope of the fill at zero strain."""
+    if kind == "phase":
+        h = 0.5 * strength
+        side = _rotation_pair(0.0 * h, h)
+    else:
+        q = 0.25 * strength
+        blocks = ((_squeeze_block(q, phase),) * 2 if kind == "squeezing"
+                  else _mixing_blocks(q, phase))
+        side = _side_pair(0.0 * q, *blocks)
+    return _with_pump(side, 0.0)

@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 Subcommands: ``qfi``, ``sensitivity``, ``sweep``, ``gw-compare``, ``validate``.
-Exit codes: 0 success, 1 configuration error, 2 numerical failure in a
-non-sweep command (sweeps record per-row failures in the table instead).
+Exit codes: 0 success (also for ``--help``), 1 configuration or command-line
+usage error, 2 numerical failure in a non-sweep command (sweeps record per-row
+failures in the table instead).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 import os
 import sys
 
+from .metrology import QUANTITY_COLUMNS
 from .sweep import ConfigError, emit, parse_config, run_sweep
 from .validation import oracle_checks
 
@@ -41,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p = sub.add_parser("sweep", help="evaluate a parameter grid")
     _add_common(p)
-    p.add_argument("--workers", type=int, default=1, help="concurrent grid workers")
     p = sub.add_parser("gw-compare", help="original vs pumped-up detector QFI")
     _add_common(p)
     p = sub.add_parser("validate", help="run the Fock-oracle cross-check suite")
@@ -70,7 +71,7 @@ def _single_point(args, spec, quantities) -> int:
     if row["error"]:
         print(f"error: {row['error']}", file=sys.stderr)
         return EXIT_NUMERICAL
-    for key in quantities_to_columns(quantities):
+    for key in (column for q in quantities for column in QUANTITY_COLUMNS[q]):
         if row.get(key) is not None:
             print(f"{key} = {row[key]:.12e}")
     path = _out_path(args)
@@ -78,13 +79,6 @@ def _single_point(args, spec, quantities) -> int:
         emit(rows, args.format, path, spec=spec)
         print(f"wrote {path}")
     return EXIT_OK
-
-
-def quantities_to_columns(quantities):
-    cols = []
-    for q in quantities:
-        cols.extend(("mean_S", "var_S") if q == "moments" else (q,))
-    return cols
 
 
 def _cmd_qfi(args) -> int:
@@ -101,7 +95,7 @@ def _cmd_sensitivity(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = parse_config(args.config)
-    rows = run_sweep(spec, eps0=args.eps0, workers=max(1, args.workers))
+    rows = run_sweep(spec, eps0=args.eps0)
     path = _out_path(args)
     text = emit(rows, args.format, path, spec=spec)
     if path:
@@ -142,7 +136,10 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error, or the help
+        return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     handlers = {
         "qfi": _cmd_qfi,
         "sensitivity": _cmd_sensitivity,

@@ -9,6 +9,15 @@ primes are exact strain derivatives, d' = K d and sigma' = K sigma + sigma K^T,
 for the channel generator K (:meth:`ChannelSpec.generator`).  ``qfi_closed_form``
 evaluates the matching scalar expressions, either exactly or in a named
 asymptotic regime; regimes are never auto-detected.
+
+``evaluate`` is the one evaluation path of sweeps and ``metrology_report``: it
+takes every row of a grid at once, fills the source squeezer, tritter, channel
+and generator of all rows as stacked (N, 6, 6) arrays, pushes the stacked
+states through the same steps as the single-point pipeline, and computes H,
+F0 and the side-mode moments with the same formulas (they broadcast over the
+leading axis).  Rows that fail a check are evaluated again by the single-point
+functions, which stay the public API for one configuration and the reference
+the tests compare the batch against.
 """
 
 from __future__ import annotations
@@ -17,9 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import (_channel_argument, _generator, _side_channel, _tritter_matrix,
+                       _two_mode_squeeze, _with_pump)
 from .pipeline import (InterferometerConfig, max_tritter_angle, pre_measurement_state,
                        pump_depletion, run_interferometer)
-from .states import GaussianState, reduce_to_modes, symplectic_form
+from .states import (SYMPLECTIC_TOL, GaussianState, _evolve, _pump_displacement,
+                     _symplectic_inverse, _symplectic_residual, reduce_to_modes,
+                     symplectic_form)
 
 __all__ = [
     "RegimeError",
@@ -61,16 +74,44 @@ def qfi_numeric(config: InterferometerConfig, eps0: float = 0.0) -> float:
     if eps0 < 0:
         raise ValueError(f"evaluation point must be nonnegative, got {eps0}")
     state = pre_measurement_state(config, eps0)
-    K = config.channel.generator()
-    k_sigma = K @ state.sigma
-    d_dot = K @ state.d
-    omega = symplectic_form(3)
-    inv = omega.T @ state.sigma @ omega
-    ratio = inv @ (k_sigma + k_sigma.T)
-    value = 0.25 * np.trace(ratio @ ratio) + d_dot @ inv @ d_dot
+    value = _qfi(config.channel.generator(), state.d, state.sigma)
     if not np.isfinite(value):
         raise FloatingPointError(f"QFI evaluated to {value!r}")
     return float(value)
+
+
+# The formulas below broadcast over leading axes: the single-point functions
+# pass one state, ``evaluate`` a stack of them.
+
+def _t(mat):
+    return mat.swapaxes(-1, -2)
+
+
+def _matvec(mat, vec):
+    return (mat @ vec[..., None])[..., 0]
+
+
+def _quad(u, mat, v):
+    # u^T mat v
+    return (u[..., None, :] @ mat @ v[..., :, None])[..., 0, 0]
+
+
+def _dot(u, v):
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _trace(mat):
+    return mat.trace(axis1=-2, axis2=-1)
+
+
+def _qfi(K, d, sigma):
+    # (1/4) Tr[(sigma^-1 sigma')^2] + d'^T sigma^-1 d', with sigma^-1 = Omega^T sigma Omega
+    k_sigma = K @ sigma
+    d_dot = _matvec(K, d)
+    omega = symplectic_form(3)
+    inv = omega.T @ sigma @ omega
+    ratio = inv @ (k_sigma + _t(k_sigma))
+    return 0.25 * _trace(ratio @ ratio) + _quad(d_dot, inv, d_dot)
 
 
 # ----------------------------------------------------------------------------
@@ -310,14 +351,15 @@ def number_sum_moments(state: GaussianState) -> tuple[float, float]:
     <S>   = [Tr(sigma) + d^T d - 2n] / 4
     Var S = [Tr(sigma^2) + 2 d^T sigma d - 2n] / 8
     """
-    return _number_sum(state.d, state.sigma)
-
-
-def _number_sum(d: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
-    n2 = len(d)
-    mean = 0.25 * (np.trace(sigma) + d @ d - n2)
-    var = 0.125 * (np.trace(sigma @ sigma) + 2.0 * d @ sigma @ d - n2)
+    mean, var = _number_sum(state.d, state.sigma)
     return float(mean), float(var)
+
+
+def _number_sum(d: np.ndarray, sigma: np.ndarray):
+    n2 = d.shape[-1]
+    mean = 0.25 * (_trace(sigma) + _dot(d, d) - n2)
+    var = 0.125 * (_trace(sigma @ sigma) + 2.0 * _quad(d, sigma, d) - n2)
+    return mean, var
 
 
 def heterodyne_moments(state: GaussianState) -> tuple[float, float]:
@@ -347,21 +389,27 @@ def _number_sum_slopes(config: InterferometerConfig, eps0: float) -> tuple[float
     if eps0 == 0:
         raise ValueError("number-sum signal is stationary at zero strain; use eps0 > 0")
     pre = pre_measurement_state(config, eps0)
-    K = config.channel.generator()
-    rows = config.reverse_half.matrix[2:]
-    k_sigma = K @ pre.sigma
-    d, d_dot = rows @ pre.d, rows @ (K @ pre.d)
-    sigma = rows @ pre.sigma @ rows.T
-    sigma_dot = rows @ (k_sigma + k_sigma.T) @ rows.T
-    _, var = _number_sum(d, sigma)
-    d_mean = 0.25 * (np.trace(sigma_dot) + 2.0 * d @ d_dot)
-    d_var = 0.25 * (np.trace(sigma @ sigma_dot) + 2.0 * d_dot @ sigma @ d + d @ sigma_dot @ d)
+    var, d_mean, d_var = (float(v) for v in _slopes(
+        config.channel.generator(), config.reverse_half.matrix[2:], pre.d, pre.sigma))
     if not np.isfinite(d_mean) or d_mean == 0:
         raise FloatingPointError(
             "vanishing signal derivative: measurement is insensitive at this point")
     if var <= 0:
         raise FloatingPointError(f"non-positive signal variance {var!r}")
-    return var, float(d_mean), float(d_var)
+    return var, d_mean, d_var
+
+
+def _slopes(K, rows, d_pre, sigma_pre):
+    # push the state and its tangent (K d, K sigma + sigma K^T) through ``rows``
+    k_sigma = K @ sigma_pre
+    d, d_dot = _matvec(rows, d_pre), _matvec(rows, _matvec(K, d_pre))
+    sigma = rows @ sigma_pre @ _t(rows)
+    sigma_dot = rows @ (k_sigma + _t(k_sigma)) @ _t(rows)
+    _, var = _number_sum(d, sigma)
+    d_mean = 0.25 * (_trace(sigma_dot) + 2.0 * _dot(d, d_dot))
+    d_var = 0.25 * (_trace(sigma @ sigma_dot) + 2.0 * _quad(d_dot, sigma, d)
+                    + _quad(d, sigma_dot, d))
+    return var, d_mean, d_var
 
 
 def number_sum_quadratic_response(config: InterferometerConfig) -> tuple[float, float]:
@@ -458,6 +506,130 @@ def fisher_from_moments(config: InterferometerConfig, eps0: float = 1e-3) -> flo
 
 
 # ----------------------------------------------------------------------------
+# batched evaluation
+# ----------------------------------------------------------------------------
+
+QUANTITY_COLUMNS = {"H_numeric": ("H_numeric",), "H_closed": ("H_closed",), "F0": ("F0",),
+                    "moments": ("mean_S", "var_S"), "theta_t": ("theta_t",)}
+
+
+def _turning_point(config: InterferometerConfig) -> float:
+    _, n_side = pump_depletion(config.nbar, config.r)
+    return optimal_tritter_angle(config.nbar, n_side)
+
+
+# each quantity at one point through the single-point API, as a tuple of columns
+_SINGLE_POINT = {
+    "H_numeric": lambda config, eps0: (qfi_numeric(config, 0.0),),
+    "H_closed": lambda config, eps0: (qfi_closed_form(config, "exact"),),
+    "F0": lambda config, eps0: (sensitivity_number_sum(config, eps0)[1],),
+    "moments": _side_moments,
+    "theta_t": lambda config, eps0: (_turning_point(config),),
+}
+
+
+def evaluate(configs, eps0s, quantities) -> tuple[dict, list]:
+    """Evaluate ``quantities`` for every row (config, eps0) in one stacked pass.
+
+    H_numeric, F0 and the moments of all rows come from (N, 6, 6) stacks that
+    repeat the single-point pipeline step by step: source squeezer, tritter,
+    channel at eps0, and the reverse half S_minus = Omega^T S_plus^T Omega.
+    Every check the single-point functions make is applied to the whole stack
+    (symplectic residual below 1e-10 on the squeezer, tritter, S_plus,
+    S_minus and the side-mode and embedded channel; finite H; eps0 != 0, a
+    finite nonzero d<S>/d eps and Var(S) > 0), and any non-finite value is
+    flagged too.  A flagged row is evaluated again by the single-point
+    function, which raises its own error or returns its value, so each row
+    carries exactly its single-point outcome and never affects another row.
+    H_closed and theta_t are scalar closed forms, evaluated row by row.
+
+    Returns ``(values, errors)``: ``values`` maps each output column of the
+    quantities (``QUANTITY_COLUMNS``) to a list with one entry per row, None
+    where the quantity failed; ``errors[i]`` lists the (quantity, exception)
+    pairs of row i in the order of ``quantities``.
+    """
+    unknown = set(quantities) - set(_SINGLE_POINT)
+    if unknown:
+        raise ValueError(f"unknown quantities {sorted(unknown)}")
+    n = len(configs)
+    stacked = _evaluate_stack(configs, eps0s, quantities) if n else {}
+    values = {}
+    errors = [[] for _ in range(n)]
+    for quantity in quantities:
+        columns = QUANTITY_COLUMNS[quantity]
+        if quantity in stacked:
+            arrays, flagged = stacked[quantity]
+            values.update(zip(columns, (a.tolist() for a in arrays)))
+            redo = np.flatnonzero(flagged).tolist()
+        else:
+            values.update((c, [None] * n) for c in columns)
+            redo = range(n)
+        for i in redo:
+            try:
+                result = _SINGLE_POINT[quantity](configs[i], eps0s[i])
+            except Exception as exc:
+                errors[i].append((quantity, exc))
+                result = (None,) * len(columns)
+            for column, value in zip(columns, result):
+                values[column][i] = value
+    return values, errors
+
+
+def _not_symplectic(*mats):
+    # per row: the residual check fails, or is NaN, on any of the stacks ``mats``
+    return ~(_symplectic_residual(np.stack(mats)) < SYMPLECTIC_TOL).all(axis=0)
+
+
+def _evaluate_stack(configs, eps0s, quantities) -> dict:
+    """{quantity: (column arrays, flagged rows)} for H_numeric, F0 and moments."""
+    wanted = {"H_numeric", "F0", "moments"}.intersection(quantities)
+    if not wanted:
+        return {}
+    n0, r, theta, pump_phase, squeeze_phase, tritter_phase, strength, phase = np.array(
+        [(pump_depletion(c.nbar, c.r)[0], c.r, c.theta, c.pump_phase, c.squeeze_phase,
+          c.tritter_phase, c.channel.strength, c.channel.phase) for c in configs]).T
+    eps0 = np.asarray(eps0s, dtype=float)
+    kind = np.array([c.channel.kind for c in configs])
+    by_kind = [(k, kind == k) for k in set(kind.tolist())]
+    out = {}
+    with np.errstate(all="ignore"):  # flagged rows are redone one at a time
+        squeezer = _with_pump(_two_mode_squeeze(r, squeeze_phase))
+        mixer = _tritter_matrix(theta, tritter_phase)
+        s_plus = mixer @ squeezer
+        flagged = _not_symplectic(squeezer, mixer, s_plus)
+        d, sigma = _evolve(squeezer, _pump_displacement(n0, pump_phase), np.eye(6))
+        d, sigma = _evolve(mixer, d, sigma)
+        K = np.empty(squeezer.shape)
+        for k, rows in by_kind:
+            K[rows] = _generator(k, strength[rows], phase[rows])
+        if "H_numeric" in wanted:
+            h = _qfi(K, d, sigma)
+            out["H_numeric"] = ((h,), flagged | ~np.isfinite(h))
+        if wanted.isdisjoint(("F0", "moments")):
+            return out
+        # the strained pre-measurement state; where the channel argument is
+        # zero the channel is the identity, whose application is exact
+        side = np.empty(squeezer.shape[:-2] + (4, 4))
+        for k, rows in by_kind:
+            side[rows] = _side_channel(k, _channel_argument(k, eps0[rows], strength[rows]),
+                                       phase[rows])
+        channel = _with_pump(side)
+        s_minus = _symplectic_inverse(s_plus)
+        flagged = flagged | _not_symplectic(side) | _not_symplectic(channel, s_minus)
+        d_pre, sigma_pre = _evolve(channel, d, sigma)
+        if "F0" in wanted:
+            var, d_mean, _ = _slopes(K, s_minus[:, 2:], d_pre, sigma_pre)
+            f0 = 1.0 / (var / d_mean ** 2)
+            out["F0"] = ((f0,), flagged | (eps0 == 0) | ~np.isfinite(d_mean) | (d_mean == 0)
+                         | ~(var > 0) | ~np.isfinite(f0))
+        if "moments" in wanted:
+            d_out, sigma_out = _evolve(s_minus, d_pre, sigma_pre)
+            mean, var = _number_sum(d_out[:, 2:], sigma_out[:, 2:, 2:])
+            out["moments"] = ((mean, var), flagged | ~np.isfinite(mean) | ~np.isfinite(var))
+    return out
+
+
+# ----------------------------------------------------------------------------
 # bundled report
 # ----------------------------------------------------------------------------
 
@@ -478,14 +650,15 @@ def metrology_report(config: InterferometerConfig, eps0: float = 1e-3,
                      include_turning_point: bool = False,
                      regimes: tuple = ()) -> MetrologyReport:
     """Evaluate the standard set of metrology quantities for one configuration."""
-    h_num = qfi_numeric(config, 0.0)
-    h_closed = qfi_closed_form(config, "exact")
-    _, f0 = sensitivity_number_sum(config, eps0)
-    mean_s, var_s = _side_moments(config, eps0)
-    theta_t = None
+    quantities = ("H_numeric", "H_closed", "F0", "moments")
     if include_turning_point:
-        _, n_side = pump_depletion(config.nbar, config.r)
-        theta_t = optimal_tritter_angle(config.nbar, n_side)
+        quantities += ("theta_t",)
+    results, errors = evaluate([config], [eps0], quantities)
+    if errors[0]:
+        raise errors[0][0][1]
+    h_num, h_closed, f0, mean_s, var_s = (results[c][0] for c in
+                                          ("H_numeric", "H_closed", "F0", "mean_S", "var_S"))
+    theta_t = results["theta_t"][0] if include_turning_point else None
     values = [h_num, h_closed, f0, mean_s, var_s]
     if not all(np.isfinite(v) for v in values):
         raise FloatingPointError(f"non-finite metrology output: {values!r}")

@@ -21,6 +21,7 @@ new config with an empty cache, and nothing is kept at module level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,8 +69,8 @@ class InterferometerConfig:
     tritter_phase: float = 0.0
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.nbar, self.r, self.theta, self.pump_phase,
-                                   self.squeeze_phase, self.tritter_phase])):
+        if not all(map(math.isfinite, (self.nbar, self.r, self.theta, self.pump_phase,
+                                        self.squeeze_phase, self.tritter_phase))):
             raise ValueError(f"interferometer parameters must be finite, got {self}")
         pump_depletion(self.nbar, self.r)  # raises if the pump cannot dominate
         if not 0.0 <= self.theta <= np.pi / 2:

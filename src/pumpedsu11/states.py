@@ -122,15 +122,20 @@ class SymplecticOp:
                             tol=max(self.tol, other.tol))
 
     def inverse(self) -> "SymplecticOp":
-        # S^{-1} = Omega^T S^T Omega, cheaper and better conditioned than a solve
-        omega = symplectic_form(self.n_modes)
-        return SymplecticOp(self.n_modes, omega.T @ self.matrix.T @ omega, tol=self.tol)
+        return SymplecticOp(self.n_modes, _symplectic_inverse(self.matrix), tol=self.tol)
 
 
-def _symplectic_residual(mat: np.ndarray) -> float:
-    n = mat.shape[0] // 2
-    omega = symplectic_form(n)
-    return float(np.abs(mat @ omega @ mat.T - omega).max())
+def _symplectic_residual(mat: np.ndarray):
+    """max |S Omega S^T - Omega| over the last two axes: one matrix or a stack of them."""
+    omega = symplectic_form(mat.shape[-1] // 2)
+    return np.abs(mat @ omega @ mat.swapaxes(-1, -2) - omega).max(axis=(-2, -1))
+
+
+def _symplectic_inverse(mat: np.ndarray) -> np.ndarray:
+    """S^-1 = Omega^T S^T Omega for one matrix or a stack; cheaper and better
+    conditioned than a solve, and exact (a signed permutation of S^T)."""
+    omega = symplectic_form(mat.shape[-1] // 2)
+    return omega.T @ mat.swapaxes(-1, -2) @ omega
 
 
 def check_symplectic(op, tol: float = SYMPLECTIC_TOL) -> bool:
@@ -141,7 +146,7 @@ def check_symplectic(op, tol: float = SYMPLECTIC_TOL) -> bool:
     mat = op.matrix if isinstance(op, SymplecticOp) else np.asarray(op, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
         raise ValueError(f"expected a square even-dimension matrix, got shape {mat.shape}")
-    return _symplectic_residual(mat) < tol
+    return bool(_symplectic_residual(mat) < tol)
 
 
 def vacuum_state(n_modes: int) -> GaussianState:
@@ -162,11 +167,16 @@ def pumped_input_state(nbar: float, pump_phase: float = 0.0) -> GaussianState:
     """
     if nbar < 0:
         raise ValueError(f"mean particle number must be nonnegative, got {nbar}")
-    d = np.zeros(6)
+    return GaussianState(3, _pump_displacement(nbar, pump_phase), np.eye(6))
+
+
+def _pump_displacement(nbar, pump_phase) -> np.ndarray:
+    """Displacement of the coherent pump with vacuum side modes; broadcasts over inputs."""
     amp = np.sqrt(nbar)
-    d[0] = 2.0 * amp * np.cos(pump_phase)
-    d[1] = 2.0 * amp * np.sin(pump_phase)
-    return GaussianState(3, d, np.eye(6))
+    d = np.zeros(np.shape(amp) + (6,))
+    d[..., 0] = 2.0 * amp * np.cos(pump_phase)
+    d[..., 1] = 2.0 * amp * np.sin(pump_phase)
+    return d
 
 
 def apply_symplectic(state: GaussianState, op: SymplecticOp) -> GaussianState:
@@ -174,10 +184,15 @@ def apply_symplectic(state: GaussianState, op: SymplecticOp) -> GaussianState:
     if state.n_modes != op.n_modes:
         raise ValueError(
             f"mode count mismatch: state has {state.n_modes}, operation has {op.n_modes}")
-    S = op.matrix
-    sigma = S @ state.sigma @ S.T
-    sigma = 0.5 * (sigma + sigma.T)  # scrub roundoff asymmetry
-    return GaussianState(state.n_modes, S @ state.d, sigma, _derived=True)
+    d, sigma = _evolve(op.matrix, state.d, state.sigma)
+    return GaussianState(state.n_modes, d, sigma, _derived=True)
+
+
+def _evolve(S: np.ndarray, d: np.ndarray, sigma: np.ndarray):
+    """d' = S d and sigma' = S sigma S^T for one state or a stack of them."""
+    sigma = S @ sigma @ S.swapaxes(-1, -2)
+    sigma = 0.5 * (sigma + sigma.swapaxes(-1, -2))  # scrub roundoff asymmetry
+    return (S @ d[..., None])[..., 0], sigma
 
 
 def reduce_to_modes(state: GaussianState, modes) -> GaussianState:

@@ -22,6 +22,11 @@ The config format is line-oriented ``key = value`` with optional sections:
 Unknown keys are hard errors.  All physics parameters live in the file so a
 run is reproducible from the file alone; only the output destination may come
 from the environment.
+
+An interferometer sweep validates each grid point on its own (a depleted pump
+or an out-of-range angle becomes that row's error) and then evaluates all
+valid points in one batched call of :func:`metrology.evaluate`; a ``[gw]``
+sweep evaluates its closed-form comparison row by row.
 """
 
 from __future__ import annotations
@@ -31,16 +36,14 @@ import io
 import itertools
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import ChannelSpec
 from .gw import compare_schemes
-from .metrology import (optimal_tritter_angle, qfi_closed_form, qfi_numeric,
-                        sensitivity_number_sum, _side_moments)
-from .pipeline import InterferometerConfig, pump_depletion
+from .metrology import QUANTITY_COLUMNS, evaluate
+from .pipeline import InterferometerConfig
 
 __all__ = [
     "ConfigError",
@@ -81,7 +84,7 @@ GW_DEFAULTS = {
 BASE_KEYS = ("channel",) + tuple(DEFAULTS)
 SWEEPABLE_KEYS = tuple(DEFAULTS) + ("eps0",)
 GW_SWEEPABLE_KEYS = ("n0", "r_original", "r_pumped", "strength", "delta", "theta_sq")
-QUANTITIES = ("H_numeric", "H_closed", "F0", "moments", "theta_t")
+QUANTITIES = tuple(QUANTITY_COLUMNS)  # H_numeric H_closed F0 moments theta_t
 
 INTERFEROMETER_COLUMNS = ("H_numeric", "H_closed", "F0", "mean_S", "var_S", "theta_t", "error")
 GW_COLUMNS = ("qfi_original", "qfi_pumped", "ratio", "theta", "theta_max", "error")
@@ -227,70 +230,61 @@ def _build_config(params: dict) -> InterferometerConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _evaluate_point(spec: SweepSpec, overrides: dict, eps0: float) -> dict:
+def _gw_row(spec: SweepSpec, overrides: dict) -> dict:
     row = dict(overrides)
     errors = []
-    if spec.kind == "gw":
-        for col in GW_COLUMNS[:-1]:
-            row[col] = None
-        try:
-            params = dict(spec.base)
-            params.update(overrides)
-            cmp = compare_schemes(n0=params["n0"], r_original=params["r_original"],
-                                  r_pumped=params["r_pumped"], strength=params["strength"],
-                                  delta=params["delta"], theta_sq=params["theta_sq"])
-            row.update(qfi_original=cmp.qfi_original, qfi_pumped=cmp.qfi_pumped,
-                       ratio=cmp.ratio, theta=cmp.theta, theta_max=cmp.theta_max)
-        except Exception as exc:
-            errors.append(str(exc))
-        row["error"] = "; ".join(errors)
-        return row
-
-    for col in INTERFEROMETER_COLUMNS[:-1]:
+    for col in GW_COLUMNS[:-1]:
         row[col] = None
-    params = dict(spec.base)
-    point_eps0 = overrides.get("eps0", eps0)
-    params.update({k: v for k, v in overrides.items() if k != "eps0"})
     try:
-        config = _build_config(params)
-    except ConfigError as exc:
-        row["error"] = str(exc)
-        return row
-    for quantity in spec.quantities:
-        try:
-            if quantity == "H_numeric":
-                row["H_numeric"] = qfi_numeric(config, 0.0)
-            elif quantity == "H_closed":
-                row["H_closed"] = qfi_closed_form(config, "exact")
-            elif quantity == "F0":
-                row["F0"] = sensitivity_number_sum(config, point_eps0)[1]
-            elif quantity == "moments":
-                row["mean_S"], row["var_S"] = _side_moments(config, point_eps0)
-            elif quantity == "theta_t":
-                _, n_side = pump_depletion(config.nbar, config.r)
-                row["theta_t"] = optimal_tritter_angle(config.nbar, n_side)
-        except Exception as exc:
-            errors.append(f"{quantity}: {exc}")
+        params = dict(spec.base)
+        params.update(overrides)
+        cmp = compare_schemes(n0=params["n0"], r_original=params["r_original"],
+                              r_pumped=params["r_pumped"], strength=params["strength"],
+                              delta=params["delta"], theta_sq=params["theta_sq"])
+        row.update(qfi_original=cmp.qfi_original, qfi_pumped=cmp.qfi_pumped,
+                   ratio=cmp.ratio, theta=cmp.theta, theta_max=cmp.theta_max)
+    except Exception as exc:
+        errors.append(str(exc))
     row["error"] = "; ".join(errors)
     return row
 
 
-def run_sweep(spec: SweepSpec, eps0: float = 1e-3, workers: int = 1) -> list:
+def run_sweep(spec: SweepSpec, eps0: float = 1e-3) -> list:
     """Evaluate the run configuration over its full grid; one row dict per point.
 
-    Rows come back in lexicographic grid order (first swept name outermost)
-    regardless of the execution schedule.  Failures are recorded in the row's
-    ``error`` cell and never abort the sweep.
+    Rows come back in lexicographic grid order (first swept name outermost).
+    Each interferometer point is validated on its own, so a depleted or
+    out-of-range point gets its configuration error; all valid points then go
+    to :func:`metrology.evaluate` as one batch.  Failures are recorded in the
+    row's ``error`` cell and never abort the sweep.
     """
     names = sweeps_names(spec.sweeps)
     axes = [values for _, values in spec.sweeps] or [(None,)]
     points = [dict(zip(names, combo)) if names else {}
               for combo in itertools.product(*axes)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda p: _evaluate_point(spec, p, eps0), points))
-    else:
-        rows = [_evaluate_point(spec, p, eps0) for p in points]
+    if spec.kind == "gw":
+        return [_gw_row(spec, p) for p in points]
+
+    rows, valid, configs, eps0s = [], [], [], []
+    for point in points:
+        row = dict(point)
+        row.update(dict.fromkeys(INTERFEROMETER_COLUMNS[:-1]))
+        row["error"] = ""
+        rows.append(row)
+        params = dict(spec.base)
+        params.update({k: v for k, v in point.items() if k != "eps0"})
+        try:
+            configs.append(_build_config(params))
+        except ConfigError as exc:
+            row["error"] = str(exc)
+            continue
+        valid.append(row)
+        eps0s.append(point.get("eps0", eps0))
+    values, errors = evaluate(configs, eps0s, [q for q in spec.quantities if q in QUANTITIES])
+    for k, row in enumerate(valid):
+        for column, column_values in values.items():
+            row[column] = column_values[k]
+        row["error"] = "; ".join(f"{quantity}: {exc}" for quantity, exc in errors[k])
     return rows
 
 

@@ -128,19 +128,6 @@ quantities = H_numeric
     assert "depleted" in rows[1]["error"] and rows[1]["H_numeric"] is None
 
 
-def test_sweep_worker_count_is_schedule_independent(tmp_path):
-    text = """channel = squeezing
-r = 1.0
-nbar = 1e4
-[sweep]
-theta = linspace 0.1 1.5 8
-"""
-    spec = parse_config(write(tmp_path, text))
-    serial = emit(run_sweep(spec), "csv", spec=spec)
-    threaded = emit(run_sweep(spec, workers=4), "csv", spec=spec)
-    assert serial == threaded
-
-
 def test_emit_csv_shape_and_roundtrip(tmp_path):
     spec = parse_config(write(tmp_path, "channel = squeezing\nr = 0.7\nnbar = 200\ntheta = 0.5\n"))
     rows = run_sweep(spec)
@@ -246,7 +233,7 @@ nbar = 1e4
 theta = linspace 0.1 1.0 4
 """)
     out = tmp_path / "table.csv"
-    assert main(["sweep", "--config", path, "--out", str(out), "--workers", "2"]) == 0
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 0
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 5
     assert lines[0].startswith("theta,")
@@ -281,6 +268,19 @@ def test_cli_rejects_non_finite_eps0(tmp_path, capsys, command, value):
     path = write(tmp_path, text)
     assert main([command, "--config", path, "--eps0", value]) == 1
     assert "config error: --eps0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["sensitivity", "--eps0", "-1e-3"], ["bogus"]])
+def test_cli_usage_error_exit_code(tmp_path, capsys, argv):
+    # argparse reads "-1e-3" as an option, not as the value of --eps0
+    path = write(tmp_path, "channel = squeezing\nr = 1.0\ntheta = 0.4\n")
+    assert main([argv[0], "--config", path, *argv[1:]]) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_cli_help_exit_code(capsys):
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("kind", ["squeezing", "mode_mixing"])
