@@ -112,7 +112,8 @@ def _tritter_matrix(theta, phase) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     sv, cv = np.sin(phase), np.cos(phase)
     f = s / np.sqrt(2.0)
-    cc = np.cos(theta / 2.0) ** 2
+    half = np.cos(theta / 2.0)
+    cc = half * half  # not ** 2: a numpy scalar squares through pow, an array does not
     mm = 0.5 * (c - 1.0)
     same = ((mm, 0.0), (0.0, mm))
     mat = _with_pump(_side_pair(cc, same, same), c)

@@ -452,7 +452,7 @@ def sensitivity_number_sum(config: InterferometerConfig,
     ratio is strain-independent at leading order).
     """
     var, d_mean, _ = _number_sum_slopes(config, eps0)
-    delta_sq = var / d_mean ** 2
+    delta_sq = var / (d_mean * d_mean)
     return float(delta_sq), float(1.0 / delta_sq)
 
 
@@ -619,7 +619,7 @@ def _evaluate_stack(configs, eps0s, quantities) -> dict:
         d_pre, sigma_pre = _evolve(channel, d, sigma)
         if "F0" in wanted:
             var, d_mean, _ = _slopes(K, s_minus[:, 2:], d_pre, sigma_pre)
-            f0 = 1.0 / (var / d_mean ** 2)
+            f0 = 1.0 / (var / (d_mean * d_mean))  # as sensitivity_number_sum
             out["F0"] = ((f0,), flagged | (eps0 == 0) | ~np.isfinite(d_mean) | (d_mean == 0)
                          | ~(var > 0) | ~np.isfinite(f0))
         if "moments" in wanted:

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pumpedsu11 import (ChannelSpec, InterferometerConfig, optimal_tritter_angle,
-                        parse_config, qfi_closed_form, qfi_numeric, run_sweep,
-                        sensitivity_number_sum)
+from pumpedsu11 import (ChannelSpec, InterferometerConfig, mode_mixing_channel,
+                        optimal_tritter_angle, parse_config, phase_channel,
+                        pumped_two_mode_squeezer, qfi_closed_form, qfi_numeric, run_sweep,
+                        sensitivity_number_sum, squeezing_channel, tritter)
+from pumpedsu11.channels import (_generator, _side_channel, _tritter_matrix, _two_mode_squeeze,
+                                 _with_pump)
 from pumpedsu11.metrology import _side_moments, evaluate
 from pumpedsu11.sweep import QUANTITIES
 
@@ -62,6 +65,29 @@ def test_batch_matches_single_point_functions(batch):
             else:
                 rtol = 1e-12 if column == "H_numeric" else 1e-9
                 assert got == pytest.approx(reference, rel=rtol), column
+
+
+def test_stacked_fills_equal_the_scalar_builders(rng):
+    # bit for bit, so a batch row and its single-point evaluation share every
+    # rounding (a numpy scalar squares through pow, an array does not)
+    n = 2000
+    a, b, strength = rng.uniform(0.0, 1.6, n), rng.uniform(0.0, 2 * np.pi, n), rng.uniform(0, 4, n)
+    builders = {"squeezing": lambda i: squeezing_channel(a[i], b[i]).matrix,
+                "mode_mixing": lambda i: mode_mixing_channel(a[i], b[i]).matrix,
+                "phase": lambda i: phase_channel(a[i]).matrix[2:, 2:]}
+    stacks = {kind: (_side_channel(kind, a, b), _generator(kind, strength, b))
+              for kind in builders}
+    squeezers = _with_pump(_two_mode_squeeze(a, b))
+    for i in range(n):
+        assert np.array_equal(squeezers[i], pumped_two_mode_squeezer(a[i], b[i]).matrix)
+        for kind, build in builders.items():
+            side, generator = stacks[kind]
+            assert np.array_equal(side[i], build(i))
+            assert np.array_equal(generator[i], ChannelSpec(kind, strength[i], b[i]).generator())
+    # about one angle in a thousand has a cos^2(theta/2) entry where the two squarings differ
+    theta, phase = rng.uniform(0.0, np.pi / 2, 20000), rng.uniform(0.0, 2 * np.pi, 20000)
+    mixers = _tritter_matrix(theta, phase)
+    assert all(np.array_equal(m, tritter(t, p).matrix) for m, t, p in zip(mixers, theta, phase))
 
 
 def test_failing_rows_keep_their_own_errors(tmp_path):
