@@ -25,14 +25,14 @@ from .pipeline import (InterferometerConfig, PumpDepletedError, build_half_pipel
 from .states import (GaussianState, SymplecticOp, apply_symplectic, check_symplectic,
                      number_mean, purity, pumped_input_state, reduce_to_modes,
                      symplectic_form, vacuum_state)
-from .sweep import ConfigError, SweepSpec, emit, parse_config, run_sweep
+from .sweep import ConfigError, SweepSpec, SweepTable, emit, parse_config, run_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChannelSpec", "ConfigError", "GaussianState", "GwDetectorParams",
     "InterferometerConfig", "MetrologyReport", "PumpDepletedError", "RegimeError",
-    "SchemeComparison", "SweepSpec", "SymplecticOp", "apply_symplectic",
+    "SchemeComparison", "SweepSpec", "SweepTable", "SymplecticOp", "apply_symplectic",
     "build_half_pipelines", "channel_strength", "check_symplectic",
     "compare_schemes", "coupling_constant", "embed_on_side_modes", "emit",
     "f0_closed_form", "fisher_from_moments", "gw_mode_mixing_channel",

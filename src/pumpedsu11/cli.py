@@ -95,11 +95,11 @@ def _cmd_sensitivity(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = parse_config(args.config)
-    rows = run_sweep(spec, eps0=args.eps0)
+    table = run_sweep(spec, eps0=args.eps0, table=True)
     path = _out_path(args)
-    text = emit(rows, args.format, path, spec=spec)
+    text = emit(table, args.format, path)
     if path:
-        print(f"wrote {path} ({len(rows)} rows)")
+        print(f"wrote {path} ({table.size} rows)")
     else:
         sys.stdout.write(text)
     return EXIT_OK

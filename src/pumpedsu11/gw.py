@@ -5,6 +5,11 @@ atomic mass, interaction time) to the dimensionless channel strength driven by
 a resonant gravitational wave, and compares the original two-mode-squeezed
 probe against the pumped-up interferometer scheme.  This module is the single
 unit boundary: everything here is SI, everything upstream is dimensionless.
+
+The scheme formulas broadcast over arrays, with squares written as products
+(a numpy scalar squares through ``pow``, an array through a product, and the
+two can differ in the last bit), so :func:`compare_grid` evaluates a whole
+grid bit-identically to :func:`compare_schemes` row by row.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSpec
-from .pipeline import max_tritter_angle
+from .pipeline import _angle_bound_argument, max_tritter_angle
 
 __all__ = [
     "HBAR",
@@ -28,6 +33,7 @@ __all__ = [
     "pumped_scheme_qfi",
     "qcrb_sensitivity",
     "compare_schemes",
+    "compare_grid",
 ]
 
 HBAR = 1.054571817e-34  # J s
@@ -126,29 +132,35 @@ def channel_strength(params: GwDetectorParams) -> ChannelSpec:
                        epsilon=params.strain)
 
 
-def original_scheme_qfi(r: float, squeeze_phase: float = np.pi / 2,
-                        channel_phase: float = 0.0, strength: float = 1.0) -> float:
+def original_scheme_qfi(r, squeeze_phase=np.pi / 2, channel_phase=0.0, strength=1.0):
     """QFI of the original probe: a two-mode squeezed phonon state, no tritter.
 
     H = (B^2/4) [1 + sin^2(squeeze_phase - channel_phase) sinh^2(2r)];
-    defaults give the optimal phase relation.
+    defaults give the optimal phase relation.  Broadcasts over arrays.
     """
-    return 0.25 * strength ** 2 * (
-        1.0 + np.sin(squeeze_phase - channel_phase) ** 2 * np.sinh(2.0 * r) ** 2)
+    s = np.sin(squeeze_phase - channel_phase)
+    sh = np.sinh(2.0 * r)
+    return 0.25 * (strength * strength) * (1.0 + (s * s) * (sh * sh))
 
 
-def pumped_scheme_qfi(n0: float, r: float, theta: float, strength: float = 1.0) -> float:
+def pumped_scheme_qfi(n0, r, theta, strength=1.0):
     """QFI of the pumped-up scheme at optimal phases in the undepleted regime.
 
     Small-angle expansion around the original scheme: the theta = 0 baseline
     plus the condensate-boosted gain (B^2/2) theta^2 n0 n.  Reduces exactly to
-    :func:`original_scheme_qfi` at theta = 0.
+    :func:`original_scheme_qfi` at theta = 0.  Broadcasts over arrays; raises
+    if any pump population is not positive.
     """
-    if n0 <= 0:
+    if np.any(n0 <= 0):
         raise ValueError(f"pump population must be positive, got {n0}")
-    n_side = 2.0 * np.sinh(r) ** 2
     return original_scheme_qfi(r, strength=strength) \
-        + 0.5 * strength ** 2 * theta ** 2 * n0 * n_side
+        + 0.5 * (strength * strength) * (theta * theta) * n0 * _side_population(r)
+
+
+def _side_population(r):
+    """Side-mode population 2 sinh^2 r of the two-mode squeezed source."""
+    s = np.sinh(r)
+    return 2.0 * (s * s)
 
 
 def qcrb_sensitivity(qfi: float, detectors: float, integration_time: float,
@@ -186,22 +198,91 @@ def compare_schemes(n0: float, r_original: float, r_pumped: float | None = None,
         r_pumped: phonon squeezing of the pumped scheme (defaults to r_original).
         strength: channel strength constant B; ratios are independent of it.
         delta: largest tolerated side/pump population ratio after the tritter.
-        theta_sq: squared tritter angle; defaults to the undepleted-pump bound,
-            and may not exceed it.
+        theta_sq: squared tritter angle, nonnegative; defaults to the
+            undepleted-pump bound, and may not exceed it.
     """
+    if theta_sq is not None and not theta_sq >= 0.0:
+        raise ValueError(f"theta^2 must be nonnegative, got {theta_sq:.4g}")
     if r_pumped is None:
         r_pumped = r_original
-    n_side = 2.0 * np.sinh(r_pumped) ** 2
+    n_side = _side_population(r_pumped)
     gamma = n_side / n0
     theta_max = max_tritter_angle(gamma, delta)
+    bound = theta_max * theta_max
     if theta_sq is None:
-        theta_sq = theta_max ** 2
-    elif theta_sq > theta_max ** 2 * 1.02:
+        theta_sq = bound
+    elif theta_sq > bound * 1.02:
         # 2% headroom on theta^2 accepts bounds quoted at two significant digits
         raise ValueError(f"theta^2 = {theta_sq:.4g} exceeds the undepleted-pump bound "
-                         f"{theta_max ** 2:.4g}")
+                         f"{bound:.4g}")
     theta = np.sqrt(theta_sq)
     h_orig = original_scheme_qfi(r_original, strength=strength)
     h_pump = pumped_scheme_qfi(n0, r_pumped, theta, strength=strength)
     return SchemeComparison(h_orig, h_pump, h_pump / h_orig, r_original, r_pumped,
                             theta, theta_max, n0, n_side)
+
+
+def compare_grid(n0, r_original, r_pumped=None, strength=1.0, delta=0.1, theta_sq=None):
+    """:func:`compare_schemes` over arrays that broadcast to one grid shape.
+
+    Every check of the scalar function is one mask over the grid: n0 > 0,
+    0 <= gamma <= delta, delta < 1, an arccos argument in [-1, 1], a
+    nonnegative theta_sq within 2% of the bound, and a finite value in every
+    column (a NaN always fails).  The rows that pass go through the same
+    formulas as the scalar function, so they are bit-identical to it.  A
+    flagged row is evaluated again by :func:`compare_schemes`, which raises its
+    own error or returns its value, so each row carries exactly its scalar
+    outcome and never affects another row.
+
+    Returns ``(columns, errors)``: ``columns`` maps qfi_original, qfi_pumped,
+    ratio, theta and theta_max to an array that broadcasts to the grid shape
+    (unflagged qfi_original keeps the shape of its own arguments) and holds
+    NaN on failed rows; ``errors`` maps the flat index of each failed row to
+    its exception.
+    """
+    args = (n0, r_original, r_pumped, strength, delta, theta_sq)
+    shape = np.broadcast_shapes(*map(np.shape, args))
+
+    def full(value):
+        return np.broadcast_to(np.asarray(value, dtype=float), shape)
+
+    n0_, r_p, b, delta_ = map(full, (n0, r_original if r_pumped is None else r_pumped,
+                                     strength, delta))
+    with np.errstate(all="ignore"):  # flagged rows are redone one at a time
+        gamma = _side_population(r_p) / n0_
+        z = _angle_bound_argument(gamma, delta_)
+        ok = (n0_ > 0.0) & (0.0 <= gamma) & (gamma <= delta_) & (delta_ < 1.0) \
+            & (-1.0 <= z) & (z <= 1.0)
+        theta_max = np.full(shape, np.nan)
+        theta_max[ok] = max_tritter_angle(gamma[ok], delta_[ok])
+        bound = theta_max * theta_max
+        if theta_sq is None:
+            theta_sq_ = bound
+        else:
+            theta_sq_ = full(theta_sq)
+            ok &= (theta_sq_ >= 0.0) & ~(theta_sq_ > bound * 1.02)
+        theta = np.sqrt(theta_sq_)
+        h_orig = original_scheme_qfi(r_original, strength=strength)
+        h_pump = np.full(shape, np.nan)
+        h_pump[ok] = pumped_scheme_qfi(n0_[ok], r_p[ok], theta[ok], b[ok])
+        # a 0-d result comes back as a numpy scalar
+        columns = {name: np.asarray(values) for name, values in (
+            ("qfi_original", h_orig), ("qfi_pumped", h_pump), ("ratio", h_pump / h_orig),
+            ("theta", theta), ("theta_max", theta_max))}
+        for values in columns.values():
+            ok &= np.isfinite(values)
+    errors = {}
+    redo = np.flatnonzero(~ok).tolist()
+    if redo:
+        columns = {name: np.broadcast_to(values, shape).copy()
+                   for name, values in columns.items()}
+        args = [None if a is None else full(a) for a in args]
+        for i in redo:
+            try:
+                cmp = compare_schemes(*(None if a is None else float(a.flat[i]) for a in args))
+            except Exception as exc:
+                errors[i] = exc
+                cmp = None
+            for name, values in columns.items():
+                values.flat[i] = np.nan if cmp is None else getattr(cmp, name)
+    return columns, errors

@@ -157,19 +157,25 @@ def particle_numbers_after_tritter(n0: float, n_side: float,
     return pump, side
 
 
-def max_tritter_angle(gamma: float, delta: float) -> float:
+def max_tritter_angle(gamma, delta):
     """Largest tritter angle keeping the pump relatively undepleted.
 
     ``gamma`` is the initial side/pump population ratio and ``delta`` the
     largest ratio tolerated after the tritter.  At the returned angle the
-    post-tritter ratio equals delta exactly.
+    post-tritter ratio equals delta exactly.  Broadcasts over arrays of
+    ``gamma`` and ``delta``; raises if any element fails a check.
     """
-    if not 0.0 <= gamma <= delta:
+    if not np.all((0.0 <= gamma) & (gamma <= delta)):
         raise ValueError(f"need 0 <= gamma <= delta, got gamma={gamma}, delta={delta}")
-    if delta >= 1.0:
+    if np.any(delta >= 1.0):
         raise ValueError(f"delta must be small compared to 1, got {delta}")
-    z = (delta * gamma + 2.0 * delta - 3.0 * gamma - 2.0) \
-        / (delta * gamma - 2.0 * delta + gamma - 2.0)
-    if not -1.0 <= z <= 1.0:
+    z = _angle_bound_argument(gamma, delta)
+    if not np.all((-1.0 <= z) & (z <= 1.0)):
         raise ValueError(f"angle bound undefined: arccos argument {z} outside [-1, 1]")
     return 0.5 * np.arccos(z)
+
+
+def _angle_bound_argument(gamma, delta):
+    """cos(2 theta_max): the arccos argument of :func:`max_tritter_angle`, unchecked."""
+    return (delta * gamma + 2.0 * delta - 3.0 * gamma - 2.0) \
+        / (delta * gamma - 2.0 * delta + gamma - 2.0)

@@ -111,7 +111,7 @@ class SymplecticOp:
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape}, expected ({dim}, {dim})")
         res = _symplectic_residual(mat)
-        if res >= self.tol:
+        if not res < self.tol:  # a NaN residual fails too
             raise ValueError(f"matrix is not symplectic (residual {res:.3e} >= {self.tol:.1e})")
         object.__setattr__(self, "matrix", _frozen(mat))
 
@@ -139,7 +139,7 @@ def _symplectic_inverse(mat: np.ndarray) -> np.ndarray:
 
 
 def check_symplectic(op, tol: float = SYMPLECTIC_TOL) -> bool:
-    """True iff max |S Omega S^T - Omega| < tol.
+    """True iff max |S Omega S^T - Omega| < tol; False for a NaN residual.
 
     Accepts a SymplecticOp or a raw square matrix of even dimension.
     """

@@ -26,7 +26,10 @@ from the environment.
 An interferometer sweep validates each grid point on its own (a depleted pump
 or an out-of-range angle becomes that row's error) and then evaluates all
 valid points in one batched call of :func:`metrology.evaluate`; a ``[gw]``
-sweep evaluates its closed-form comparison row by row.
+sweep evaluates its whole grid in one call of :func:`gw.compare_grid`.  The
+``[outputs]`` section selects interferometer quantities only; a ``[gw]`` run
+always writes the comparison columns.  Results are held column by column
+(:class:`SweepTable`), and :func:`emit` formats each column in one pass.
 """
 
 from __future__ import annotations
@@ -35,19 +38,21 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import ChannelSpec
-from .gw import compare_schemes
+from .gw import compare_grid
 from .metrology import QUANTITY_COLUMNS, evaluate
 from .pipeline import InterferometerConfig
 
 __all__ = [
     "ConfigError",
     "SweepSpec",
+    "SweepTable",
     "parse_config",
     "run_sweep",
     "emit",
@@ -150,6 +155,7 @@ def parse_config(path) -> SweepSpec:
     gw: dict = {}
     sweeps: list = []
     quantities = None
+    outputs_where = None
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -175,6 +181,7 @@ def parse_config(path) -> SweepSpec:
         elif section == "outputs":
             if key != "quantities":
                 raise ConfigError(f"{where}: unknown key {key!r} in [outputs]")
+            outputs_where = where
             quantities = tuple(value.replace(",", " ").split())
             for q in quantities:
                 if q not in QUANTITIES + ("comparison",):
@@ -183,6 +190,8 @@ def parse_config(path) -> SweepSpec:
             if key not in GW_DEFAULTS:
                 raise ConfigError(f"{where}: unknown key {key!r} in [gw]")
             gw[key] = _parse_number(value, where)
+            if key == "theta_sq" and gw[key] < 0.0:
+                raise ConfigError(f"{where}: theta_sq must be nonnegative, got {value!r}")
 
     if gw:
         if base:
@@ -192,6 +201,9 @@ def parse_config(path) -> SweepSpec:
         params.update(gw)
         if params["r_original"] is None:
             raise ConfigError(f"{path}: [gw] section requires r_original")
+        if outputs_where is not None:
+            raise ConfigError(f"{outputs_where}: [outputs] does not apply to a [gw] run, "
+                              "which always writes the comparison columns")
         for name, _ in sweeps:
             if name not in GW_SWEEPABLE_KEYS:
                 raise ConfigError(f"{path}: cannot sweep {name!r} in a [gw] run")
@@ -200,6 +212,8 @@ def parse_config(path) -> SweepSpec:
     else:
         if "channel" not in base:
             raise ConfigError(f"{path}: missing required key 'channel'")
+        if quantities is not None and "comparison" in quantities:
+            raise ConfigError(f"{outputs_where}: quantity 'comparison' needs a [gw] section")
         params = dict(DEFAULTS)
         params.update(base)
         for name, _ in sweeps:
@@ -230,62 +244,108 @@ def _build_config(params: dict) -> InterferometerConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _gw_row(spec: SweepSpec, overrides: dict) -> dict:
-    row = dict(overrides)
-    errors = []
-    for col in GW_COLUMNS[:-1]:
-        row[col] = None
-    try:
-        params = dict(spec.base)
-        params.update(overrides)
-        cmp = compare_schemes(n0=params["n0"], r_original=params["r_original"],
-                              r_pumped=params["r_pumped"], strength=params["strength"],
-                              delta=params["delta"], theta_sq=params["theta_sq"])
-        row.update(qfi_original=cmp.qfi_original, qfi_pumped=cmp.qfi_pumped,
-                   ratio=cmp.ratio, theta=cmp.theta, theta_max=cmp.theta_max)
-    except Exception as exc:
-        errors.append(str(exc))
-    row["error"] = "; ".join(errors)
-    return row
+@dataclass(frozen=True)
+class SweepTable:
+    """A result table held column by column, in output order.
 
-
-def run_sweep(spec: SweepSpec, eps0: float = 1e-3) -> list:
-    """Evaluate the run configuration over its full grid; one row dict per point.
-
-    Rows come back in lexicographic grid order (first swept name outermost).
-    Each interferometer point is validated on its own, so a depleted or
-    out-of-range point gets its configuration error; all valid points then go
-    to :func:`metrology.evaluate` as one batch.  Failures are recorded in the
-    row's ``error`` cell and never abort the sweep.
+    Rows run over the grid ``shape`` (one entry per swept name, first name
+    outermost) in C order.  A column is a list with one cell per row, or a
+    float array that broadcasts to ``shape``: a swept axis, or a value that
+    depends on only some of the axes.  :func:`emit` formats such an array once
+    per element and repeats the text in grid order.
     """
-    names = sweeps_names(spec.sweeps)
-    axes = [values for _, values in spec.sweeps] or [(None,)]
-    points = [dict(zip(names, combo)) if names else {}
-              for combo in itertools.product(*axes)]
-    if spec.kind == "gw":
-        return [_gw_row(spec, p) for p in points]
 
-    rows, valid, configs, eps0s = [], [], [], []
-    for point in points:
-        row = dict(point)
-        row.update(dict.fromkeys(INTERFEROMETER_COLUMNS[:-1]))
-        row["error"] = ""
-        rows.append(row)
+    columns: dict
+    shape: tuple = ()
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    def cells(self, name) -> list:
+        """Column ``name`` with one cell per row."""
+        column = self.columns[name]
+        if isinstance(column, np.ndarray):
+            return np.broadcast_to(column, self.shape).ravel().tolist()
+        return column
+
+    def rows(self) -> list:
+        """One dict per row, keys in column order."""
+        names = list(self.columns)
+        return [dict(zip(names, cells)) for cells in zip(*map(self.cells, names))]
+
+
+def _axes(spec: SweepSpec) -> tuple:
+    """The grid shape and each swept axis as an array shaped to broadcast over it."""
+    shape = tuple(len(values) for _, values in spec.sweeps)
+    axes = {}
+    for j, (name, values) in enumerate(spec.sweeps):
+        axes[name] = np.array(values, dtype=float).reshape(
+            (1,) * j + (-1,) + (1,) * (len(shape) - j - 1))
+    return shape, axes
+
+
+def _gw_table(spec: SweepSpec) -> SweepTable:
+    shape, columns = _axes(spec)
+    values, errors = compare_grid(**{key: columns.get(key, spec.base[key])
+                                     for key in GW_DEFAULTS})
+    size = math.prod(shape)
+    error_cells = [""] * size
+    if errors:
+        values = {name: np.broadcast_to(column, shape).ravel().tolist()
+                  for name, column in values.items()}
+        for i, exc in errors.items():
+            error_cells[i] = str(exc)
+            for column in values.values():
+                column[i] = None
+    columns.update(values)
+    columns["error"] = error_cells
+    return SweepTable(columns, shape)
+
+
+def _interferometer_table(spec: SweepSpec, eps0: float) -> SweepTable:
+    shape, columns = _axes(spec)
+    names = sweeps_names(spec.sweeps)
+    size = math.prod(shape)
+    error_cells = [""] * size
+    valid, configs, eps0s = [], [], []
+    for i, combo in enumerate(itertools.product(*(values for _, values in spec.sweeps))):
+        point = dict(zip(names, combo))
         params = dict(spec.base)
         params.update({k: v for k, v in point.items() if k != "eps0"})
         try:
             configs.append(_build_config(params))
         except ConfigError as exc:
-            row["error"] = str(exc)
+            error_cells[i] = str(exc)
             continue
-        valid.append(row)
+        valid.append(i)
         eps0s.append(point.get("eps0", eps0))
-    values, errors = evaluate(configs, eps0s, [q for q in spec.quantities if q in QUANTITIES])
-    for k, row in enumerate(valid):
-        for column, column_values in values.items():
-            row[column] = column_values[k]
-        row["error"] = "; ".join(f"{quantity}: {exc}" for quantity, exc in errors[k])
-    return rows
+    values, errors = evaluate(configs, eps0s, spec.quantities)
+    for column in INTERFEROMETER_COLUMNS[:-1]:
+        cells = [None] * size
+        for i, value in zip(valid, values.get(column, ())):
+            cells[i] = value
+        columns[column] = cells
+    for i, row_errors in zip(valid, errors):
+        error_cells[i] = "; ".join(f"{quantity}: {exc}" for quantity, exc in row_errors)
+    columns["error"] = error_cells
+    return SweepTable(columns, shape)
+
+
+def run_sweep(spec: SweepSpec, eps0: float = 1e-3, *, table: bool = False):
+    """Evaluate the run configuration over its full grid; one row dict per point.
+
+    Rows come back in lexicographic grid order (first swept name outermost).
+    Each interferometer point is validated on its own, so a depleted or
+    out-of-range point gets its configuration error; all valid points then go
+    to :func:`metrology.evaluate` as one batch.  A ``[gw]`` grid goes to
+    :func:`gw.compare_grid` as one batch.  Failures are recorded in the row's
+    ``error`` cell and never abort the sweep.  With ``table=True`` the result
+    is returned as a :class:`SweepTable`, which :func:`emit` formats without a
+    dict per row.
+    """
+    result = _gw_table(spec) if spec.kind == "gw" else _interferometer_table(spec, eps0)
+    return result if table else result.rows()
 
 
 def _columns(spec_or_rows) -> list:
@@ -297,42 +357,81 @@ def _columns(spec_or_rows) -> list:
     return list(spec_or_rows[0].keys())
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return f"{value:.12e}"
+# json writes the non-finite floats this way, not as Python's repr
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_NUMBER_TYPES = {float, int, np.float64}
 
 
-def emit(table: list, fmt: str = "csv", path=None, spec: SweepSpec | None = None) -> str:
+def _number_text(values, fmt: str) -> list:
+    """Cells of a run of numbers: 13 significant digits, as text (CSV) or as
+    the JSON number of the float that text parses to."""
+    text = map("{:.12e}".format, values)
+    if fmt == "csv":
+        return list(text)
+    text = list(map(repr, map(float, text)))
+    return list(map(_JSON_NON_FINITE.get, text, text))
+
+
+def _cell_text(value, fmt: str) -> str:
+    if isinstance(value, (int, float)):
+        return _number_text((value,), fmt)[0]
+    if fmt == "csv":
+        return "" if value is None else value if isinstance(value, str) \
+            else f"{value:.12e}"
+    return json.dumps(value) if value else "null"
+
+
+def _column_text(column, shape, fmt: str) -> list:
+    """One column's cells as text, in grid order."""
+    if isinstance(column, np.ndarray):
+        text = np.array(_number_text(column.ravel().tolist(), fmt), dtype=object)
+        return np.broadcast_to(text.reshape(column.shape), shape).ravel().tolist()
+    kinds = set(map(type, column))
+    if kinds <= _NUMBER_TYPES:
+        return _number_text(column, fmt)
+    if kinds == {str}:
+        return column if fmt == "csv" else [json.dumps(v) if v else "null" for v in column]
+    return [_cell_text(value, fmt) for value in column]
+
+
+def emit(table, fmt: str = "csv", path=None, spec: SweepSpec | None = None) -> str:
     """Serialize a result table to CSV or JSON; returns the text, writes ``path``.
 
-    Numeric cells carry 13 significant digits in both formats, so a CSV/JSON
-    pair of the same table parses to identical values and a written table
-    round-trips bit-for-bit at that precision.
+    ``table`` is a list of row dicts, whose columns come from ``spec`` or else
+    from the first row, or a :class:`SweepTable` (``spec`` is then unused).
+    Cells are numbers, strings or None.  Numeric cells carry 13 significant
+    digits in both formats, so a CSV/JSON pair of the same table parses to
+    identical values and a written table round-trips bit-for-bit at that
+    precision.  Each column is formatted in one pass and the rows are joined
+    through one template; the JSON text is the layout of
+    ``json.dumps(records, indent=1)``.
     """
-    if not table:
+    if not isinstance(table, SweepTable):
+        names = _columns(spec if spec is not None else table) if table else ()
+        table = SweepTable({c: [row.get(c) for row in table] for c in names}, (len(table),))
+    columns, shape, size = table.columns, table.shape, table.size
+    if not size:
         raise ValueError("refusing to emit an empty table")
-    columns = _columns(spec if spec is not None else table)
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    cells = [_column_text(column, shape, fmt) for column in columns.values()]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in table:
-            writer.writerow([_format_cell(row.get(c)) for c in columns])
+        writer.writerow(list(columns))
+        writer.writerows(zip(*cells) if cells else [()] * size)
         text = buf.getvalue()
-    elif fmt == "json":
-        records = []
-        for row in table:
-            rec = {}
-            for c in columns:
-                v = row.get(c)
-                rec[c] = float(f"{v:.12e}") if isinstance(v, (int, float)) else (v or None)
-            records.append(rec)
-        text = json.dumps(records, indent=1) + "\n"
     else:
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+        if cells:
+            parts = []
+            for k, (name, column) in enumerate(zip(columns, cells)):
+                head = (" {" if k == 0 else ",") + f"\n  {json.dumps(name)}: "
+                parts += [itertools.repeat(head), column]
+            parts.append(itertools.repeat("\n },\n"))
+            records = "".join(itertools.chain.from_iterable(zip(*parts)))
+        else:
+            records = " {},\n" * size
+        text = "[\n" + records[:-2] + "\n]\n"
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

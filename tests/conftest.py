@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 import os
 import pathlib
 
@@ -6,6 +9,7 @@ import pytest
 
 import pumpedsu11
 from pumpedsu11 import ChannelSpec, InterferometerConfig
+from pumpedsu11.sweep import GW_COLUMNS, INTERFEROMETER_COLUMNS
 
 PACKAGE_ROOT = str(pathlib.Path(pumpedsu11.__file__).resolve().parent.parent)
 
@@ -50,3 +54,36 @@ def richardson(f, x0, h=1e-4):
     coarse = (f(x0 + h) - f(x0 - h)) / (2.0 * h)
     fine = (f(x0 + h / 2.0) - f(x0 - h / 2.0)) / h
     return (4.0 * fine - coarse) / 3.0
+
+
+def emit_rowwise(table, fmt="csv", spec=None):
+    """Row-by-row CSV/JSON serializer: the referee for ``sweep.emit``'s column path.
+
+    ``table`` is a list of row dicts; the columns come from ``spec`` (swept
+    names, then the fixed columns of its kind) or else from the first row.
+    """
+    if spec is not None:
+        names = [name for name, _ in spec.sweeps]
+        tail = GW_COLUMNS if spec.kind == "gw" else INTERFEROMETER_COLUMNS
+        columns = names + [c for c in tail if c not in names]
+    else:
+        columns = list(table[0].keys())
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in table:
+            cells = []
+            for c in columns:
+                v = row.get(c)
+                cells.append("" if v is None else v if isinstance(v, str) else f"{v:.12e}")
+            writer.writerow(cells)
+        return buf.getvalue()
+    records = []
+    for row in table:
+        rec = {}
+        for c in columns:
+            v = row.get(c)
+            rec[c] = float(f"{v:.12e}") if isinstance(v, (int, float)) else (v or None)
+        records.append(rec)
+    return json.dumps(records, indent=1) + "\n"

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pumpedsu11 import (ChannelSpec, GwDetectorParams, InterferometerConfig,
                         channel_strength, compare_schemes, coupling_constant,
                         max_tritter_angle, original_scheme_qfi, phonon_xi,
                         pumped_scheme_qfi, qcrb_sensitivity, qfi_closed_form)
-from pumpedsu11.gw import HBAR
+from pumpedsu11.gw import HBAR, compare_grid
+from pumpedsu11.sweep import GW_COLUMNS, SweepSpec, run_sweep
 
 
 def _params(**kw):
@@ -150,3 +152,74 @@ def test_pumped_scheme_qfi_structure():
     gain = 0.5 * theta ** 2 * n0 * 2 * np.sinh(r) ** 2
     assert pumped_scheme_qfi(n0, r, theta) == pytest.approx(
         original_scheme_qfi(r) + gain, rel=1e-12)
+
+
+def test_compare_schemes_rejects_negative_theta_sq():
+    with pytest.raises(ValueError, match="nonnegative"):
+        compare_schemes(1e6, r_original=4.2, r_pumped=2.0, theta_sq=-0.01)
+    with pytest.raises(ValueError, match="nonnegative"):
+        compare_schemes(1e6, r_original=4.2, theta_sq=float("nan"))
+
+
+def _scalar_row(params):
+    """The cells of one gw row, from the scalar compare_schemes."""
+    try:
+        cmp = compare_schemes(**params)
+    except Exception as exc:
+        return dict.fromkeys(GW_COLUMNS[:-1]), str(exc)
+    return {c: float(getattr(cmp, c)) for c in GW_COLUMNS[:-1]}, ""
+
+
+def _bits(value):
+    return None if value is None else np.float64(value).view(np.int64)
+
+
+# pump populations, squeezing and base values that reach every check of
+# compare_schemes: n0 <= 0, gamma > delta, delta >= 1, negative or excessive
+# theta_sq, and sinh overflow (r > 355), whose inf rows pass the scalar checks
+N0 = st.one_of(*[st.floats(4.0, 9.0).map(lambda e: 10.0 ** e)] * 3,
+               st.floats(0.0, 4.0).map(lambda e: 10.0 ** e), st.sampled_from([0.0, -5.0]))
+R = st.one_of(*[st.floats(0.0, 3.0)] * 4, st.floats(300.0, 800.0))
+THETA_SQ = st.one_of(*[st.floats(0.0, 0.1)] * 3, st.floats(-0.02, 0.3))
+BASE = st.fixed_dictionaries({
+    "n0": st.floats(1.0, 1e9),
+    "r_original": R,
+    "r_pumped": st.one_of(st.none(), R),
+    "strength": st.floats(0.0, 4.0),
+    "delta": st.one_of(*[st.floats(0.01, 0.3)] * 4, st.floats(0.0, 1.5)),
+    "theta_sq": st.one_of(st.none(), st.none(), THETA_SQ),
+})
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(BASE, st.lists(N0, min_size=1, max_size=5), st.lists(R, min_size=1, max_size=4),
+       st.one_of(st.none(), st.none(), st.lists(THETA_SQ, min_size=1, max_size=3)))
+def test_batched_gw_rows_equal_scalar_rows(base, n0s, rs, theta_sqs):
+    sweeps = [("n0", tuple(n0s)), ("r_pumped", tuple(rs))]
+    if theta_sqs is not None:
+        sweeps.append(("theta_sq", tuple(theta_sqs)))
+    spec = SweepSpec(base=base, sweeps=tuple(sweeps), quantities=("comparison",), kind="gw")
+    with np.errstate(all="ignore"):
+        rows = run_sweep(spec)
+    for row in rows:
+        params = dict(base)
+        params.update((name, row[name]) for name, _ in sweeps)
+        with np.errstate(all="ignore"):
+            expected, error = _scalar_row(params)
+        assert row["error"] == error
+        for column, value in expected.items():
+            assert _bits(row[column]) == _bits(value), (column, row, expected)
+
+
+def test_compare_grid_keeps_reduced_shapes():
+    n0 = np.array([1e6, 2e6, 4e6]).reshape(3, 1)
+    r_pumped = np.array([1.0, 2.0]).reshape(1, 2)
+    columns, errors = compare_grid(n0, 4.2, r_pumped)
+    assert errors == {}
+    assert columns["qfi_original"].shape == ()
+    assert columns["ratio"].shape == (3, 2)
+    for i in range(3):
+        for j in range(2):
+            cmp = compare_schemes(n0[i, 0], 4.2, r_pumped[0, j])
+            assert columns["ratio"][i, j] == cmp.ratio
+            assert columns["theta_max"][i, j] == cmp.theta_max

@@ -183,6 +183,19 @@ def test_max_tritter_angle_rejects_bad_arguments():
         max_tritter_angle(-0.1, 0.1)
 
 
+def test_max_tritter_angle_broadcasts(rng):
+    delta = rng.uniform(0.01, 0.2, 40)
+    gamma = rng.uniform(0.0, 1.0, 40) * delta
+    theta = max_tritter_angle(gamma, delta)
+    assert theta.shape == (40,)
+    for g, d, t in zip(gamma, delta, theta):
+        assert max_tritter_angle(g, d) == t
+    with pytest.raises(ValueError, match="gamma"):
+        max_tritter_angle(np.append(gamma, 0.3), np.append(delta, 0.2))
+    with pytest.raises(ValueError, match="small compared to 1"):
+        max_tritter_angle(np.array([0.0, 0.5]), np.array([0.1, 1.0]))
+
+
 def test_config_validates_angle_range_and_depletion():
     with pytest.raises(ValueError):
         _config(theta=2.0)

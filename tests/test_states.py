@@ -157,6 +157,16 @@ def test_symplectic_op_rejects_non_symplectic_matrix():
         SymplecticOp(2, np.eye(6))
 
 
+def test_symplectic_op_rejects_non_finite_matrix():
+    from pumpedsu11 import SymplecticOp
+    # a NaN residual must fail the check, not slip past a ">= tol" test
+    for bad in (np.full((4, 4), np.nan), np.diag([np.inf, 0.0, 1.0, 1.0])):
+        with np.errstate(invalid="ignore"):
+            assert not check_symplectic(bad)
+            with pytest.raises(ValueError, match="not symplectic"):
+                SymplecticOp(2, bad)
+
+
 def test_state_constructor_rejects_asymmetric_covariance():
     sigma = np.eye(4)
     sigma[0, 1] = 1e-6

@@ -4,12 +4,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pumpedsu11 import (ConfigError, emit, optimal_phases, optimal_tritter_angle,
                         parse_config, qfi_numeric, run_sweep)
 from pumpedsu11.cli import main
-from pumpedsu11.sweep import DEFAULTS, _build_config
-from conftest import child_env
+from pumpedsu11.sweep import DEFAULTS, SweepTable, _build_config
+from conftest import child_env, emit_rowwise
 
 
 def write(tmp_path, text, name="run.conf"):
@@ -334,3 +335,76 @@ def test_console_entry_point(tmp_path):
                            "--config", path], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "H_numeric" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# config checks by run kind, column-wise emit
+# ---------------------------------------------------------------------------
+
+def test_gw_rejects_negative_theta_sq(tmp_path, capsys):
+    path = write(tmp_path, "[gw]\nn0 = 1e6\nr_original = 4.2\ntheta_sq = -0.01\n")
+    with pytest.raises(ConfigError, match="theta_sq must be nonnegative"):
+        parse_config(path)
+    assert main(["gw-compare", "--config", path]) == 1
+    assert "config error" in capsys.readouterr().err
+    # a swept negative value is that row's error
+    rows = run_sweep(parse_config(write(
+        tmp_path, "[gw]\nn0 = 1e6\nr_original = 4.2\n[sweep]\ntheta_sq = values -0.01 0.05\n",
+        "swept.conf")))
+    assert "nonnegative" in rows[0]["error"] and rows[0]["qfi_pumped"] is None
+    assert rows[1]["error"] == "" and rows[1]["theta"] ** 2 == pytest.approx(0.05)
+
+
+def test_quantities_must_fit_the_run_kind(tmp_path, capsys):
+    path = write(tmp_path, "channel = squeezing\nr = 0.5\nnbar = 100\n"
+                           "[outputs]\nquantities = H_numeric comparison\n")
+    with pytest.raises(ConfigError, match=r"run\.conf:5: quantity 'comparison' needs a \[gw\]"):
+        parse_config(path)
+    assert main(["sweep", "--config", path]) == 1
+    for outputs in ("quantities = H_numeric", "quantities = comparison"):
+        path = write(tmp_path, f"[outputs]\n{outputs}\n[gw]\nn0 = 1e6\nr_original = 4.2\n",
+                     "gw.conf")
+        with pytest.raises(ConfigError, match=r"\[outputs\] does not apply to a \[gw\] run"):
+            parse_config(path)
+    capsys.readouterr()
+
+
+CELL = st.one_of(
+    st.none(), st.text(max_size=6), st.sampled_from(["", "a, b", 'say "x"', "x\ny", "\r"]),
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-10 ** 20, 10 ** 20),
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, np.float64(1e-300), True]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 4).flatmap(lambda k: st.lists(
+    st.lists(CELL, min_size=k, max_size=k), min_size=1, max_size=5)))
+def test_emit_equals_rowwise_emit(cells):
+    names = [f"c{k}" for k in range(len(cells[0]))]
+    rows = [dict(zip(names, row)) for row in cells]
+    table = SweepTable({name: [row[name] for row in rows] for name in names}, (len(rows),))
+    for fmt in ("csv", "json"):
+        expected = emit_rowwise(rows, fmt)
+        assert emit(rows, fmt) == expected
+        if names:
+            assert emit(table, fmt) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "channel = squeezing\nr = 0.7\nnbar = 200\n[sweep]\ntheta = values 0.2 0.9\n"
+    "r = values 0.0 0.5 9.0\n",
+    "channel = phase\nr = 0.5\nnbar = 1e4\n[sweep]\neps0 = values 0 1e-3\n"
+    "[outputs]\nquantities = H_numeric H_closed F0\n",
+    "[gw]\nn0 = 1e6\nr_original = 4.2\n[sweep]\nr_pumped = values 1.0 2.0 9.0\n"
+    "theta_sq = values -0.01 0.05 0.2\n",
+    "[gw]\nn0 = 1e6\nr_original = 4.2\nr_pumped = 2.0\n",
+], ids=["interferometer", "phase", "gw", "gw_point"])
+def test_emit_of_sweeps_equals_rowwise_emit(tmp_path, text):
+    spec = parse_config(write(tmp_path, text))
+    rows = run_sweep(spec)
+    table = run_sweep(spec, table=True)
+    assert table.rows() == rows
+    assert any(row["error"] for row in rows) == (len(rows) > 1)
+    for fmt in ("csv", "json"):
+        expected = emit_rowwise(rows, fmt, spec=spec)
+        assert emit(rows, fmt, spec=spec) == expected
+        assert emit(table, fmt) == expected
