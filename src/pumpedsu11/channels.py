@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .states import SymplecticOp, check_symplectic, symplectic_form
 
@@ -156,6 +155,8 @@ def tritter_from_generator(theta: float, phase: float = 0.0) -> SymplecticOp:
     """
     # H/(hbar G) = (1/(2 sqrt 2)) sum_j [cos(phase)(q0 qj + p0 pj)
     #                                    - sin(phase)(q0 pj - p0 qj)],  j = 1, 2
+    from scipy.linalg import expm  # only this cross-check needs scipy
+
     g = 1.0 / (2.0 * np.sqrt(2.0))
     cv, sv = np.cos(phase), np.sin(phase)
     M = np.zeros((6, 6))

@@ -9,13 +9,13 @@ failures in the table instead).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 
 from .metrology import QUANTITY_COLUMNS
 from .sweep import ConfigError, emit, parse_config, run_sweep
-from .validation import oracle_checks
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -32,6 +32,11 @@ def _add_common(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the command line.
+
+    Each call builds a fresh parser; :func:`main` builds one on its first call
+    and reuses it, since parsing leaves the parser unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="pumpedsu11",
         description="Pumped-up SU(1,1) interferometry with Gaussian channels")
@@ -125,6 +130,8 @@ def _cmd_gw_compare(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    # the Fock oracle needs scipy.sparse; no other command loads it
+    from .validation import oracle_checks
     checks = oracle_checks(cutoff=args.cutoff)
     failed = 0
     for name, passed, detail in checks:
@@ -135,9 +142,14 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_NUMERICAL
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error, or the help
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     handlers = {

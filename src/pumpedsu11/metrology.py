@@ -15,14 +15,18 @@ takes every row of a grid at once, fills the source squeezer, tritter, channel
 and generator of all rows as stacked (N, 6, 6) arrays, pushes the stacked
 states through the same steps as the single-point pipeline, and computes H,
 F0 and the side-mode moments with the same formulas (they broadcast over the
-leading axis).  Rows that fail a check are evaluated again by the single-point
-functions, which stay the public API for one configuration and the reference
-the tests compare the batch against.
+leading axis).  The exact closed-form QFI and the turning point are written
+once, as formulas over arrays of parameters, and serve both paths.  Rows that
+fail a check are evaluated again by the single-point functions, which stay
+the public API for one configuration and the reference the tests compare the
+batch against.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -118,19 +122,86 @@ def _qfi(K, d, sigma):
 # closed forms
 # ----------------------------------------------------------------------------
 
+class _Point(NamedTuple):
+    """One configuration's parameters, as scalars or as arrays with one entry per row."""
+
+    nbar: Any
+    r: Any
+    theta: Any
+    pump_phase: Any
+    squeeze_phase: Any
+    tritter_phase: Any
+    strength: Any
+    channel_phase: Any
+    n0: Any
+    n_side: Any
+
+
+_FIELDS = operator.attrgetter("nbar", "r", "theta", "pump_phase", "squeeze_phase",
+                              "tritter_phase", "channel.strength", "channel.phase")
+
+
+def _point(config: InterferometerConfig) -> _Point:
+    return _Point(*_FIELDS(config), *pump_depletion(config.nbar, config.r))
+
+
+def _points(configs) -> _Point:
+    """The rows' parameters as arrays; row i equals ``_point(configs[i])`` bit for bit."""
+    fields = np.array(list(map(_FIELDS, configs))).T
+    # n_side row by row: pump_depletion squares a numpy scalar through pow
+    n_side = np.fromiter((pump_depletion(c.nbar, c.r)[1] for c in configs), float,
+                         len(configs))
+    return _Point(*fields, fields[0] - n_side, n_side)  # n0 = nbar - n_side
+
+
 def _phase_args(config: InterferometerConfig):
-    ch = config.channel
-    if ch.kind == "squeezing":
-        eta1 = np.sinh(2 * config.r) * np.cos(
-            2 * config.tritter_phase - 2 * config.pump_phase
-            - config.squeeze_phase + 2 * ch.phase) + np.cosh(2 * config.r)
-        eta2 = np.sin(config.squeeze_phase - ch.phase) ** 2
-        return eta1, eta2
-    eta3 = np.sinh(2 * config.r) * np.cos(
-        2 * config.tritter_phase - 2 * config.pump_phase
-        + config.squeeze_phase) - np.cosh(2 * config.r)
-    phi1 = np.sin(config.theta) ** 2 * np.sin(ch.phase) ** 2 - 1.0
-    return eta3, phi1
+    return _phase_terms(config.channel.kind, _point(config))
+
+
+# The closed forms below broadcast over a _Point of arrays of one channel kind,
+# so the single-point functions and ``evaluate`` share them.  Every square is a
+# product: a numpy scalar squares through ``pow`` and an array through a
+# product, and the two can differ in the last bit.
+
+def _phase_terms(kind: str, p: _Point):
+    """(eta1, eta2) of the squeezing channel, (eta3, Phi1) of the mode-mixing channel."""
+    sh2r, ch2r = np.sinh(2 * p.r), np.cosh(2 * p.r)
+    if kind == "squeezing":
+        eta1 = sh2r * np.cos(2 * p.tritter_phase - 2 * p.pump_phase - p.squeeze_phase
+                             + 2 * p.channel_phase) + ch2r
+        s = np.sin(p.squeeze_phase - p.channel_phase)
+        return eta1, s * s
+    eta3 = sh2r * np.cos(2 * p.tritter_phase - 2 * p.pump_phase + p.squeeze_phase) - ch2r
+    s, sp = np.sin(p.theta), np.sin(p.channel_phase)
+    return eta3, (s * s) * (sp * sp) - 1.0
+
+
+def _qfi_exact(kind: str, p: _Point):
+    """qfi_closed_form's "exact" branch for the squeezing or mode-mixing channel."""
+    s, c = np.sin(p.theta), np.cos(p.theta)
+    s2, c2 = s * s, c * c
+    sh, sh2r = np.sinh(p.r), np.sinh(2 * p.r)
+    sh_sq, sh2r_sq = sh * sh, sh2r * sh2r
+    if kind == "squeezing":
+        eta1, eta2 = _phase_terms(kind, p)
+        s2t = np.sin(2 * p.theta)
+        s2t_sq = s2t * s2t
+        return (p.strength * p.strength / 16.0) * (
+            4.0 + s2t_sq * sh_sq + 2.0 * (1.0 + c2 * c2) * eta2 * sh2r_sq
+            + p.n0 * (4.0 * (s2 * s2) + eta1 * s2t_sq))
+    eta3, phi1 = _phase_terms(kind, p)
+    sp = np.sin(p.channel_phase)
+    return (p.strength * p.strength / 8.0) * (
+        (1.0 + c2) * sh2r_sq + s2 * phi1 * (sh2r_sq - 2.0 * sh_sq)
+        + 2.0 * p.n0 * s2 * (s2 * (sp * sp) + phi1 * eta3))
+
+
+def _turning_point_argument(nbar, n_side):
+    """cos(2 theta_t): the arccos argument of :func:`optimal_tritter_angle`, unchecked."""
+    n = n_side
+    num = n * (n + 4.0) - 2.0 * nbar
+    den = n * (2.0 * nbar - 3.0 * n - 1.0) + 2.0 * (nbar - n) * np.sqrt(n * (n + 2.0))
+    return num / den
 
 
 def _require(cond: bool, message: str):
@@ -181,11 +252,6 @@ def _qfi_squeezing(config: InterferometerConfig, regime: str) -> float:
     eta1, eta2 = _phase_args(config)
     sh2r = np.sinh(2 * r)
 
-    if regime == "exact":
-        return (b ** 2 / 16.0) * (
-            4.0 + np.sin(2 * theta) ** 2 * np.sinh(r) ** 2
-            + 2.0 * (1.0 + np.cos(theta) ** 4) * eta2 * sh2r ** 2
-            + n0 * (4.0 * np.sin(theta) ** 4 + eta1 * np.sin(2 * theta) ** 2))
     if regime == "theta_zero":
         _check_angle(config, 0.0, regime)
         return 0.25 * b ** 2 * (1.0 + eta2 * sh2r ** 2)
@@ -232,12 +298,6 @@ def _qfi_mode_mixing(config: InterferometerConfig, regime: str) -> float:
     sh2r = np.sinh(2 * r)
     sin2_phi = np.sin(config.channel.phase) ** 2
 
-    if regime == "exact":
-        return (a ** 2 / 8.0) * (
-            (1.0 + np.cos(theta) ** 2) * sh2r ** 2
-            + np.sin(theta) ** 2 * phi1 * (sh2r ** 2 - 2.0 * np.sinh(r) ** 2)
-            + 2.0 * n0 * np.sin(theta) ** 2 * (
-                np.sin(theta) ** 2 * sin2_phi + phi1 * eta3))
     if regime == "theta_zero":
         # printed large-N shorthand: n^2 in place of sinh^2(2r) = n(n+2)
         _check_angle(config, 0.0, regime)
@@ -297,11 +357,13 @@ def qfi_closed_form(config: InterferometerConfig, regime: str = "exact") -> floa
     applied silently.
     """
     kind = config.channel.kind
+    if kind not in ("squeezing", "mode_mixing"):
+        raise ValueError(f"no closed-form QFI for channel kind {kind!r}")
+    if regime == "exact":
+        return _qfi_exact(kind, _point(config))
     if kind == "squeezing":
         return _qfi_squeezing(config, regime)
-    if kind == "mode_mixing":
-        return _qfi_mode_mixing(config, regime)
-    raise ValueError(f"no closed-form QFI for channel kind {kind!r}")
+    return _qfi_mode_mixing(config, regime)
 
 
 def optimal_tritter_angle(nbar: float, n_side: float, mode: str = "exact") -> float:
@@ -320,10 +382,7 @@ def optimal_tritter_angle(nbar: float, n_side: float, mode: str = "exact") -> fl
         return np.pi / 4.0 + 0.5 * np.arcsin(1.0 / (n_side + np.sqrt(n_side * (n_side + 2.0))))
     if mode != "exact":
         raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
-    n = n_side
-    num = n * (n + 4.0) - 2.0 * nbar
-    den = n * (2.0 * nbar - 3.0 * n - 1.0) + 2.0 * (nbar - n) * np.sqrt(n * (n + 2.0))
-    z = num / den
+    z = _turning_point_argument(nbar, n_side)
     if not -1.0 <= z <= 1.0:
         raise ValueError(f"turning point undefined: arccos argument {z} outside [-1, 1]")
     return 0.5 * np.arccos(z)
@@ -534,41 +593,44 @@ def evaluate(configs, eps0s, quantities) -> tuple[dict, list]:
     H_numeric, F0 and the moments of all rows come from (N, 6, 6) stacks that
     repeat the single-point pipeline step by step: source squeezer, tritter,
     channel at eps0, and the reverse half S_minus = Omega^T S_plus^T Omega.
-    Every check the single-point functions make is applied to the whole stack
-    (symplectic residual below 1e-10 on the squeezer, tritter, S_plus,
-    S_minus and the side-mode and embedded channel; finite H; eps0 != 0, a
-    finite nonzero d<S>/d eps and Var(S) > 0), and any non-finite value is
-    flagged too.  A flagged row is evaluated again by the single-point
-    function, which raises its own error or returns its value, so each row
-    carries exactly its single-point outcome and never affects another row.
-    H_closed and theta_t are scalar closed forms, evaluated row by row.
+    H_closed and theta_t come from the closed forms of ``qfi_closed_form``
+    ("exact") and ``optimal_tritter_angle``, applied to arrays of the rows'
+    parameters.  Every check the single-point functions make is applied to the
+    whole stack (symplectic residual below 1e-10 on the squeezer, tritter,
+    S_plus, S_minus and the side-mode and embedded channel; finite H; eps0 !=
+    0, a finite nonzero d<S>/d eps and Var(S) > 0; a channel with a closed
+    form; n_side > 0, nbar > n_side and an arccos argument in [-1, 1]), and
+    any non-finite value is flagged too.  A flagged row is evaluated again by
+    the single-point function, which raises its own error or returns its
+    value, so each row carries exactly its single-point outcome and never
+    affects another row.
 
     Returns ``(values, errors)``: ``values`` maps each output column of the
     quantities (``QUANTITY_COLUMNS``) to a list with one entry per row, None
     where the quantity failed; ``errors[i]`` lists the (quantity, exception)
-    pairs of row i in the order of ``quantities``.
+    pairs of row i in the order of ``quantities``, each exception without its
+    traceback.
     """
     unknown = set(quantities) - set(_SINGLE_POINT)
     if unknown:
         raise ValueError(f"unknown quantities {sorted(unknown)}")
-    n = len(configs)
-    stacked = _evaluate_stack(configs, eps0s, quantities) if n else {}
+    if not configs:
+        return {c: [] for q in quantities for c in QUANTITY_COLUMNS[q]}, []
+    stacked = _evaluate_stack(configs, eps0s, quantities)
     values = {}
-    errors = [[] for _ in range(n)]
+    errors = [[] for _ in configs]
     for quantity in quantities:
         columns = QUANTITY_COLUMNS[quantity]
-        if quantity in stacked:
-            arrays, flagged = stacked[quantity]
-            values.update(zip(columns, (a.tolist() for a in arrays)))
-            redo = np.flatnonzero(flagged).tolist()
-        else:
-            values.update((c, [None] * n) for c in columns)
-            redo = range(n)
-        for i in redo:
+        arrays, flagged = stacked[quantity]
+        values.update(zip(columns, (a.tolist() for a in arrays)))
+        for i in np.flatnonzero(flagged).tolist():
             try:
                 result = _SINGLE_POINT[quantity](configs[i], eps0s[i])
             except Exception as exc:
-                errors[i].append((quantity, exc))
+                # a traceback's frames lead back to this one, whose locals hold
+                # the error list: that cycle would keep the whole batch alive
+                # until the garbage collector runs
+                errors[i].append((quantity, exc.with_traceback(None)))
                 result = (None,) * len(columns)
             for column, value in zip(columns, result):
                 values[column][i] = value
@@ -581,48 +643,56 @@ def _not_symplectic(*mats):
 
 
 def _evaluate_stack(configs, eps0s, quantities) -> dict:
-    """{quantity: (column arrays, flagged rows)} for H_numeric, F0 and moments."""
-    wanted = {"H_numeric", "F0", "moments"}.intersection(quantities)
-    if not wanted:
-        return {}
-    n0, r, theta, pump_phase, squeeze_phase, tritter_phase, strength, phase = np.array(
-        [(pump_depletion(c.nbar, c.r)[0], c.r, c.theta, c.pump_phase, c.squeeze_phase,
-          c.tritter_phase, c.channel.strength, c.channel.phase) for c in configs]).T
-    eps0 = np.asarray(eps0s, dtype=float)
-    kind = np.array([c.channel.kind for c in configs])
-    by_kind = [(k, kind == k) for k in set(kind.tolist())]
+    """{quantity: (column arrays, flagged rows)} for every quantity in ``quantities``."""
+    p = _points(configs)
+    kind = [c.channel.kind for c in configs]
+    by_kind = [(k, np.array([x == k for x in kind])) for k in set(kind)]
     out = {}
     with np.errstate(all="ignore"):  # flagged rows are redone one at a time
-        squeezer = _with_pump(_two_mode_squeeze(r, squeeze_phase))
-        mixer = _tritter_matrix(theta, tritter_phase)
+        if "H_closed" in quantities:
+            h = np.full(len(configs), np.nan)  # the phase channel has no closed form
+            for k, rows in by_kind:
+                if k != "phase":
+                    h[rows] = _qfi_exact(k, _Point(*(a[rows] for a in p)))
+            out["H_closed"] = ((h,), ~np.isfinite(h))
+        if "theta_t" in quantities:
+            z = _turning_point_argument(p.nbar, p.n_side)
+            theta_t = 0.5 * np.arccos(z)  # as optimal_tritter_angle
+            out["theta_t"] = ((theta_t,), ~(p.n_side > 0) | ~(p.nbar > p.n_side)
+                              | ~((-1.0 <= z) & (z <= 1.0)) | ~np.isfinite(theta_t))
+        if {"H_numeric", "F0", "moments"}.isdisjoint(quantities):
+            return out
+        squeezer = _with_pump(_two_mode_squeeze(p.r, p.squeeze_phase))
+        mixer = _tritter_matrix(p.theta, p.tritter_phase)
         s_plus = mixer @ squeezer
         flagged = _not_symplectic(squeezer, mixer, s_plus)
-        d, sigma = _evolve(squeezer, _pump_displacement(n0, pump_phase), np.eye(6))
+        d, sigma = _evolve(squeezer, _pump_displacement(p.n0, p.pump_phase), np.eye(6))
         d, sigma = _evolve(mixer, d, sigma)
         K = np.empty(squeezer.shape)
         for k, rows in by_kind:
-            K[rows] = _generator(k, strength[rows], phase[rows])
-        if "H_numeric" in wanted:
+            K[rows] = _generator(k, p.strength[rows], p.channel_phase[rows])
+        if "H_numeric" in quantities:
             h = _qfi(K, d, sigma)
             out["H_numeric"] = ((h,), flagged | ~np.isfinite(h))
-        if wanted.isdisjoint(("F0", "moments")):
+        if {"F0", "moments"}.isdisjoint(quantities):
             return out
         # the strained pre-measurement state; where the channel argument is
         # zero the channel is the identity, whose application is exact
+        eps0 = np.asarray(eps0s, dtype=float)
         side = np.empty(squeezer.shape[:-2] + (4, 4))
         for k, rows in by_kind:
-            side[rows] = _side_channel(k, _channel_argument(k, eps0[rows], strength[rows]),
-                                       phase[rows])
+            side[rows] = _side_channel(k, _channel_argument(k, eps0[rows], p.strength[rows]),
+                                       p.channel_phase[rows])
         channel = _with_pump(side)
         s_minus = _symplectic_inverse(s_plus)
         flagged = flagged | _not_symplectic(side) | _not_symplectic(channel, s_minus)
         d_pre, sigma_pre = _evolve(channel, d, sigma)
-        if "F0" in wanted:
+        if "F0" in quantities:
             var, d_mean, _ = _slopes(K, s_minus[:, 2:], d_pre, sigma_pre)
             f0 = 1.0 / (var / (d_mean * d_mean))  # as sensitivity_number_sum
             out["F0"] = ((f0,), flagged | (eps0 == 0) | ~np.isfinite(d_mean) | (d_mean == 0)
                          | ~(var > 0) | ~np.isfinite(f0))
-        if "moments" in wanted:
+        if "moments" in quantities:
             d_out, sigma_out = _evolve(s_minus, d_pre, sigma_pre)
             mean, var = _number_sum(d_out[:, 2:], sigma_out[:, 2:, 2:])
             out["moments"] = ((mean, var), flagged | ~np.isfinite(mean) | ~np.isfinite(var))

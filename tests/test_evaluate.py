@@ -1,5 +1,6 @@
 """The batched evaluator against the single-point functions it replaces in sweeps."""
 
+import gc
 import math
 
 import numpy as np
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pumpedsu11 import (ChannelSpec, InterferometerConfig, mode_mixing_channel,
-                        optimal_tritter_angle, parse_config, phase_channel,
+                        optimal_tritter_angle, parse_config, phase_channel, pump_depletion,
                         pumped_two_mode_squeezer, qfi_closed_form, qfi_numeric, run_sweep,
                         sensitivity_number_sum, squeezing_channel, tritter)
 from pumpedsu11.channels import (_generator, _side_channel, _tritter_matrix, _two_mode_squeeze,
                                  _with_pump)
 from pumpedsu11.metrology import _side_moments, evaluate
 from pumpedsu11.sweep import QUANTITIES
+from conftest import random_config
 
 ANGLE = st.floats(0.0, 2 * math.pi)
 
@@ -137,3 +139,45 @@ def test_rows_do_not_depend_on_their_neighbours():
 def test_evaluate_rejects_unknown_quantities():
     with pytest.raises(ValueError, match="unknown"):
         evaluate([], [], ("H_numeric", "comparison"))
+
+
+def test_batched_closed_forms_equal_the_scalar_functions(rng):
+    # the batch applies the formulas of qfi_closed_form and optimal_tritter_angle
+    # to arrays, so a valid row is equal bit for bit, and a failing row (phase
+    # channel, r = 0, no turning point) carries the scalar function's error
+    configs = [random_config(rng, kind=kind, r_max=r_max)
+               for kind in ("squeezing", "mode_mixing", "phase")
+               for r_max in (0.5, 2.0, 5.0) for _ in range(300)]
+    configs.append(InterferometerConfig(1e4, 0.0, 0.3, ChannelSpec("squeezing")))
+    values, errors = evaluate(configs, [1e-3] * len(configs), ("H_closed", "theta_t"))
+    calls = {"H_closed": lambda c: qfi_closed_form(c, "exact"),
+             "theta_t": lambda c: optimal_tritter_angle(c.nbar, pump_depletion(c.nbar, c.r)[1])}
+    valid = dict.fromkeys(calls, 0)
+    for i, config in enumerate(configs):
+        expected_errors = []
+        for quantity, call in calls.items():
+            try:
+                expected = call(config)
+            except ValueError as exc:
+                expected_errors.append((quantity, str(exc)))
+                assert values[quantity][i] is None
+            else:
+                valid[quantity] += 1
+                assert values[quantity][i] == expected, (quantity, config)
+        assert [(q, str(e)) for q, e in errors[i]] == expected_errors
+    assert valid["H_closed"] == 1801 and valid["theta_t"] > 1500, valid
+
+
+def test_stored_errors_hold_no_reference_cycle():
+    # a stored traceback leads back to evaluate's frame, whose locals hold the
+    # errors; that cycle would keep the whole batch alive until a collection
+    config = InterferometerConfig(1e4, 0.0, 0.3, ChannelSpec("phase"))
+    gc.collect()
+    gc.disable()
+    try:
+        values, errors = evaluate([config] * 3, [0.0] * 3, QUANTITIES)
+        assert [q for q, _ in errors[0]] == ["H_closed", "F0", "theta_t"]
+        del values, errors
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +330,77 @@ def test_output_directory_override(tmp_path, monkeypatch, capsys):
     assert (outdir / "point.csv").exists()
 
 
+# A child interpreter runs cli.main for the commands that need no Fock oracle,
+# reports which scipy modules it has loaded, then runs the two scipy users.
+COLD_START = """
+import sys
+import numpy as np
+import pumpedsu11
+import pumpedsu11.cli as cli
+assert cli.main(["qfi", "--config", sys.argv[1]]) == 0
+assert cli.main(["sweep", "--config", sys.argv[2]]) == 0
+print("scipy modules:", sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+assert cli.main(["validate", "--cutoff", "25"]) == 0
+generated = pumpedsu11.tritter_from_generator(0.7, 0.3).matrix
+print("generator agrees:", np.allclose(generated, pumpedsu11.tritter(0.7, 0.3).matrix,
+                                       rtol=0, atol=1e-12))
+"""
+
+
+def test_cli_cold_start_loads_no_scipy(tmp_path):
+    point = write(tmp_path, "channel = squeezing\nr = 0.5\nnbar = 100\n", "point.conf")
+    grid = write(tmp_path, "channel = mode_mixing\nr = 0.5\nnbar = 1e4\n"
+                           "[sweep]\ntheta = values 0.1 0.4\n", "grid.conf")
+    proc = subprocess.run([sys.executable, "-c", COLD_START, point, grid],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert "scipy modules: []" in proc.stdout
+    assert "10/10 oracle checks passed" in proc.stdout
+    assert "generator agrees: True" in proc.stdout
+
+
+# Runs each argv list of sys.argv[1] through one process's cli.main and prints
+# the exit codes and stdout, and how many parsers were built.
+CLI_CALLS = """
+import contextlib, io, json, sys
+from pumpedsu11 import cli
+built = []
+build_parser = cli.build_parser
+cli.build_parser = lambda: built.append(1) or build_parser()
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps({"parsers": len(built), "results": results}))
+"""
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path):
+    point = write(tmp_path, "channel = squeezing\nr = 0.5\nnbar = 100\ntheta = 0.4\n",
+                  "point.conf")
+    grid = write(tmp_path, "channel = squeezing\nr = 0.5\nnbar = 1e4\n"
+                           "[sweep]\ntheta = values 0.1 0.4\n", "grid.conf")
+    calls = [["sensitivity", "--config", point, "--eps0", "-1e-3"], ["--help"],
+             ["qfi", "--config", point], ["sweep", "--config", grid, "--eps0=-1e-3"],
+             ["qfi", "--config", point]]
+
+    def run(argvs):
+        proc = subprocess.run([sys.executable, "-c", CLI_CALLS, json.dumps(argvs)],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    together = run(calls)
+    assert together["parsers"] == 1
+    alone = [run([argv])["results"][0] for argv in calls]
+    assert together["results"] == alone
+    assert [code for code, _ in alone] == [1, 0, 0, 0, 0]
+    assert "usage:" in alone[1][1] and "H_numeric" in alone[2][1]
+    assert alone[3][1].startswith("theta,")
+
+
 def test_console_entry_point(tmp_path):
     path = write(tmp_path, "channel = squeezing\nr = 0.5\nnbar = 100\n")
     proc = subprocess.run([sys.executable, "-m", "pumpedsu11.cli", "qfi",
@@ -367,6 +439,22 @@ def test_quantities_must_fit_the_run_kind(tmp_path, capsys):
         with pytest.raises(ConfigError, match=r"\[outputs\] does not apply to a \[gw\] run"):
             parse_config(path)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("body, message", [
+    ("n0 = 0\nr_original = 4.2\n", "need 0 <= gamma <= delta"),
+    ("n0 = 1e6\nr_original = 4.2\ndelta = 2\n", "delta must be small"),
+    ("n0 = 1e6\nr_original = 400\nr_pumped = 2.0\n", "non-finite qfi_original"),
+], ids=["empty_pump", "large_delta", "overflowing_qfi"])
+def test_gw_base_point_outside_the_domain_is_a_config_error(tmp_path, capsys, body, message):
+    path = write(tmp_path, "[gw]\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        with pytest.raises(ConfigError, match=r"run\.conf: \[gw\] base point") as info:
+            parse_config(path)
+        assert main(["gw-compare", "--config", path]) == 1
+    assert message in str(info.value)
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 CELL = st.one_of(
