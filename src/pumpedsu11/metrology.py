@@ -725,7 +725,11 @@ def metrology_report(config: InterferometerConfig, eps0: float = 1e-3,
         quantities += ("theta_t",)
     results, errors = evaluate([config], [eps0], quantities)
     if errors[0]:
-        raise errors[0][0][1]
+        # the stored exception has no traceback; the single-point call raises it
+        # again from where it arises
+        quantity, exc = errors[0][0]
+        _SINGLE_POINT[quantity](config, eps0)
+        raise exc
     h_num, h_closed, f0, mean_s, var_s = (results[c][0] for c in
                                           ("H_numeric", "H_closed", "F0", "mean_S", "var_S"))
     theta_t = results["theta_t"][0] if include_turning_point else None

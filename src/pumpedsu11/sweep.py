@@ -23,7 +23,8 @@ Unknown keys are hard errors.  All physics parameters live in the file so a
 run is reproducible from the file alone; only the output destination may come
 from the environment.
 
-The base point of either kind is validated when the file is read, so a
+The base point of an interferometer file, and the single point of a ``[gw]``
+file without a ``[sweep]`` section, are validated when the file is read, so a
 point outside the formulas' domain is a :class:`ConfigError` with the file's
 name.  An interferometer sweep validates each grid point on its own (a
 depleted pump or an out-of-range angle becomes that row's error) and then
@@ -210,7 +211,8 @@ def parse_config(path) -> SweepSpec:
         for name, _ in sweeps:
             if name not in GW_SWEEPABLE_KEYS:
                 raise ConfigError(f"{path}: cannot sweep {name!r} in a [gw] run")
-        _check_gw_point(params, path)  # validate the base point now, with file context
+        if not sweeps:  # a swept grid reports each of its rows' failures in that row
+            _check_gw_point(params, path)
         spec = SweepSpec(base=params, sweeps=tuple(sweeps),
                          quantities=("comparison",), kind="gw")
     else:
@@ -236,26 +238,20 @@ def sweeps_names(sweeps) -> tuple:
     return tuple(name for name, _ in sweeps)
 
 
-CHANNEL_KEYS = ("channel", "strength", "channel_phase", "epsilon")
-
-
-def _build_channel(params: dict) -> ChannelSpec:
-    return ChannelSpec(*(params[key] for key in CHANNEL_KEYS))
-
-
-def _build_config(params: dict, channel: ChannelSpec | None = None) -> InterferometerConfig:
-    """The interferometer at ``params``; ``channel``, if given, is the one ``params`` names."""
+def _build_config(params: dict) -> InterferometerConfig:
     try:
+        channel = ChannelSpec(kind=params["channel"], strength=params["strength"],
+                              phase=params["channel_phase"], epsilon=params["epsilon"])
         return InterferometerConfig(
-            nbar=params["nbar"], r=params["r"], theta=params["theta"],
-            channel=channel or _build_channel(params), pump_phase=params["pump_phase"],
-            squeeze_phase=params["squeeze_phase"], tritter_phase=params["tritter_phase"])
+            nbar=params["nbar"], r=params["r"], theta=params["theta"], channel=channel,
+            pump_phase=params["pump_phase"], squeeze_phase=params["squeeze_phase"],
+            tritter_phase=params["tritter_phase"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _check_gw_point(params: dict, path) -> None:
-    """Put a [gw] point through compare_schemes' checks, and require finite results."""
+    """Put an unswept [gw] point through compare_schemes' checks, and require finite results."""
     with np.errstate(all="ignore"):  # a point outside the domain is reported below
         try:
             cmp = compare_schemes(**params)
@@ -331,22 +327,17 @@ def _interferometer_table(spec: SweepSpec, eps0: float) -> SweepTable:
     size = math.prod(shape)
     error_cells = [""] * size
     valid, configs, eps0s = [], [], []
-    channel = None  # a grid that sweeps no channel key has one channel for every row
-    if set(CHANNEL_KEYS).isdisjoint(names):
-        try:
-            channel = _build_channel(spec.base)
-        except ValueError:
-            pass  # each row reports it
     for i, combo in enumerate(itertools.product(*(values for _, values in spec.sweeps))):
+        point = dict(zip(names, combo))
         params = dict(spec.base)
-        params.update(zip(names, combo))  # _build_config reads no "eps0"
+        params.update({k: v for k, v in point.items() if k != "eps0"})
         try:
-            configs.append(_build_config(params, channel))
+            configs.append(_build_config(params))
         except ConfigError as exc:
             error_cells[i] = str(exc)
             continue
         valid.append(i)
-        eps0s.append(params.get("eps0", eps0))
+        eps0s.append(point.get("eps0", eps0))
     values, errors = evaluate(configs, eps0s, spec.quantities)
     for column in INTERFEROMETER_COLUMNS[:-1]:
         cells = [None] * size
@@ -354,8 +345,7 @@ def _interferometer_table(spec: SweepSpec, eps0: float) -> SweepTable:
             cells[i] = value
         columns[column] = cells
     for i, row_errors in zip(valid, errors):
-        if row_errors:
-            error_cells[i] = "; ".join(f"{quantity}: {exc}" for quantity, exc in row_errors)
+        error_cells[i] = "; ".join(f"{quantity}: {exc}" for quantity, exc in row_errors)
     columns["error"] = error_cells
     return SweepTable(columns, shape)
 
@@ -400,16 +390,17 @@ def _number_text(values, fmt: str) -> list:
     return list(map(_JSON_NON_FINITE.get, text, text))
 
 
-def _cell_text(value, fmt: str, string_text) -> str:
+def _cell_text(value, fmt: str) -> str:
     if isinstance(value, (int, float)):
         return _number_text((value,), fmt)[0]
-    if fmt == "csv" and value is not None and not isinstance(value, str):
-        return f"{value:.12e}"
-    return string_text(value)
+    if fmt == "csv":
+        return "" if value is None else value if isinstance(value, str) \
+            else f"{value:.12e}"
+    return json.dumps(value) if value else "null"
 
 
-def _column_text(column, shape, fmt: str, string_text) -> list:
-    """One column's cells as text, in grid order; ``string_text`` writes a string or None."""
+def _column_text(column, shape, fmt: str) -> list:
+    """One column's cells as text, in grid order."""
     if isinstance(column, np.ndarray):
         text = np.array(_number_text(column.ravel().tolist(), fmt), dtype=object)
         return np.broadcast_to(text.reshape(column.shape), shape).ravel().tolist()
@@ -417,30 +408,8 @@ def _column_text(column, shape, fmt: str, string_text) -> list:
     if kinds <= _NUMBER_TYPES:
         return _number_text(column, fmt)
     if kinds == {str}:
-        return list(map(string_text, column))
-    return [_cell_text(value, fmt, string_text) for value in column]
-
-
-def _json_string(value) -> str:
-    return json.dumps(value) if value else "null"
-
-
-def _csv_quoter():
-    """A function writing a string (or None) as one CSV field, quoted as
-    ``csv.writer`` quotes it; each distinct string goes through csv once."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    fields = {None: "", "": ""}
-
-    def quote(text):
-        field = fields.get(text)
-        if field is None:
-            buf.seek(0)
-            buf.truncate()
-            writer.writerow((text, ""))  # not alone, so an empty text stays empty
-            field = fields[text] = buf.getvalue()[:-2]
-        return field
-    return quote
+        return column if fmt == "csv" else [json.dumps(v) if v else "null" for v in column]
+    return [_cell_text(value, fmt) for value in column]
 
 
 def emit(table, fmt: str = "csv", path=None, spec: SweepSpec | None = None) -> str:
@@ -453,8 +422,7 @@ def emit(table, fmt: str = "csv", path=None, spec: SweepSpec | None = None) -> s
     identical values and a written table round-trips bit-for-bit at that
     precision.  Each column is formatted in one pass and the rows are joined
     through one template; the JSON text is the layout of
-    ``json.dumps(records, indent=1)``, and the CSV text that of ``csv.writer``,
-    whose quoting only text cells can need.
+    ``json.dumps(records, indent=1)``.
     """
     if not isinstance(table, SweepTable):
         names = _columns(spec if spec is not None else table) if table else ()
@@ -464,15 +432,13 @@ def emit(table, fmt: str = "csv", path=None, spec: SweepSpec | None = None) -> s
         raise ValueError("refusing to emit an empty table")
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    string_text = _csv_quoter() if fmt == "csv" else _json_string
-    cells = [_column_text(column, shape, fmt, string_text) for column in columns.values()]
+    cells = [_column_text(column, shape, fmt) for column in columns.values()]
     if fmt == "csv":
-        # numeric text never needs quoting, so the fields are joined as they are
-        lines = itertools.chain([",".join(map(string_text, columns))],
-                                map(",".join, zip(*cells)) if cells else [""] * size)
-        if len(columns) == 1:  # csv quotes a field that is alone and empty
-            lines = (line or '""' for line in lines)
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(list(columns))
+        writer.writerows(zip(*cells) if cells else [()] * size)
+        text = buf.getvalue()
     else:
         if cells:
             parts = []

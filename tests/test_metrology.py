@@ -411,3 +411,12 @@ def test_metrology_report_bundle():
     assert report.theta_t is not None
     assert report.regime_labels == frozenset({"exact"})
     assert np.isfinite([report.mean_s, report.var_s]).all()
+
+
+def test_metrology_report_error_keeps_where_it_was_raised():
+    # the batch stores its errors without tracebacks; the report raises the
+    # failing quantity's error from the single-point function that raises it
+    cfg = InterferometerConfig(1e4, 0.5, 0.3, ChannelSpec("phase"))
+    with pytest.raises(ValueError, match="no closed-form QFI") as info:
+        metrology_report(cfg)
+    assert info.traceback[-1].name == "qfi_closed_form"

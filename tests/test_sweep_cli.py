@@ -457,6 +457,18 @@ def test_gw_base_point_outside_the_domain_is_a_config_error(tmp_path, capsys, bo
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("sweep, rows", [("r_pumped = linspace 0.5 1.5 3", 3),
+                                         ("delta = values 0.2 0.3", 2)])
+def test_gw_sweep_may_replace_a_base_value_outside_the_domain(tmp_path, capsys, sweep, rows):
+    # r_pumped defaults to r_original = 4, where gamma ~ 0.149 exceeds the default
+    # delta = 0.1; every swept row replaces that value, so each row is valid
+    path = write(tmp_path, f"[gw]\nn0 = 1e4\nr_original = 4\n[sweep]\n{sweep}\n")
+    assert main(["sweep", "--config", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + rows
+    assert all(line.endswith(",") for line in lines[1:])  # no row has an error
+
+
 CELL = st.one_of(
     st.none(), st.text(max_size=6), st.sampled_from(["", "a, b", 'say "x"', "x\ny", "\r"]),
     st.floats(allow_nan=True, allow_infinity=True), st.integers(-10 ** 20, 10 ** 20),
