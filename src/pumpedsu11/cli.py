@@ -130,7 +130,7 @@ def _cmd_gw_compare(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    # the Fock oracle needs scipy.sparse; no other command loads it
+    # the Fock oracle needs scipy.sparse and scipy.special; no other command loads them
     from .validation import oracle_checks
     checks = oracle_checks(cutoff=args.cutoff)
     failed = 0

@@ -238,7 +238,7 @@ def compare_grid(n0, r_original, r_pumped=None, strength=1.0, delta=0.1, theta_s
     ratio, theta and theta_max to an array that broadcasts to the grid shape
     (unflagged qfi_original keeps the shape of its own arguments) and holds
     NaN on failed rows; ``errors`` maps the flat index of each failed row to
-    its exception.
+    its exception, stored without its traceback.
     """
     args = (n0, r_original, r_pumped, strength, delta, theta_sq)
     shape = np.broadcast_shapes(*map(np.shape, args))
@@ -281,7 +281,8 @@ def compare_grid(n0, r_original, r_pumped=None, strength=1.0, delta=0.1, theta_s
             try:
                 cmp = compare_schemes(*(None if a is None else float(a.flat[i]) for a in args))
             except Exception as exc:
-                errors[i] = exc
+                # a stored traceback would lead back to this frame and its errors
+                errors[i] = exc.with_traceback(None)
                 cmp = None
             for name, values in columns.items():
                 values.flat[i] = np.nan if cmp is None else getattr(cmp, name)

@@ -23,10 +23,10 @@ Unknown keys are hard errors.  All physics parameters live in the file so a
 run is reproducible from the file alone; only the output destination may come
 from the environment.
 
-The base point of an interferometer file, and the single point of a ``[gw]``
-file without a ``[sweep]`` section, are validated when the file is read, so a
-point outside the formulas' domain is a :class:`ConfigError` with the file's
-name.  An interferometer sweep validates each grid point on its own (a
+The unswept keys of an interferometer file's base point, and the single point
+of a ``[gw]`` file without a ``[sweep]`` section, are validated when the file
+is read, so a point outside the formulas' domain is a :class:`ConfigError`
+with the file's name.  An interferometer sweep validates each grid point on its own (a
 depleted pump or an out-of-range angle becomes that row's error) and then
 evaluates all valid points in one batched call of :func:`metrology.evaluate`;
 a ``[gw]`` sweep evaluates its whole grid in one call of
@@ -225,7 +225,7 @@ def parse_config(path) -> SweepSpec:
         for name, _ in sweeps:
             if name not in SWEEPABLE_KEYS:
                 raise ConfigError(f"{path}: cannot sweep unknown parameter {name!r}")
-        _build_config(params)  # validate the base point now, with file context
+        _build_config(_unswept_point(params, sweeps))  # validate now, with file context
         spec = SweepSpec(base=params, sweeps=tuple(sweeps),
                          quantities=quantities or QUANTITIES)
     if spec.grid_size() > GRID_CAP:
@@ -236,6 +236,20 @@ def parse_config(path) -> SweepSpec:
 
 def sweeps_names(sweeps) -> tuple:
     return tuple(name for name, _ in sweeps)
+
+
+def _unswept_point(params: dict, sweeps) -> dict:
+    """The base point with every swept key at its default.
+
+    Each grid row checks its own swept values, so a base value that every row
+    replaces must not fail the file.  A default passes every check on its own,
+    so the base point's check covers exactly the keys no sweep sets, apart
+    from r when nbar is swept: the pump-depletion check ties the two.
+    """
+    swept = {name for name, _ in sweeps if name in DEFAULTS}
+    if "nbar" in swept:
+        swept.add("r")
+    return {**params, **{key: DEFAULTS[key] for key in swept}}
 
 
 def _build_config(params: dict) -> InterferometerConfig:

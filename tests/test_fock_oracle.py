@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.linalg import expm
 
 from pumpedsu11 import fock
 
@@ -24,6 +26,54 @@ def test_two_mode_squeezed_vacuum_photon_number():
     mean, _ = fock.number_moments_fock(psi, 30, 2)
     assert leak < 1e-6
     assert mean == pytest.approx(2.0 * np.sinh(0.5) ** 2, abs=1e-5)
+
+
+def _random_state(dim, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("n_modes, cutoff, op", [
+    (2, 10, fock.Displace(1, 0.8 - 0.5j)),
+    (2, 12, fock.TwoModeSqueeze((0, 1), 0.6, 1.3)),
+    (2, 11, fock.ModeMix((0, 1), 0.9, 0.4)),
+    (2, 12, fock.PhaseRotate((0, 1), 1.7)),       # diagonal: shifted interval, c != 0
+    (2, 10, fock.PhaseRotate((1,), -2.3)),
+    (3, 10, fock.Tritter(0.5, 0.2)),
+], ids=["displace", "two_mode_squeeze", "mode_mix", "phase_rotate", "phase_rotate_one_mode",
+        "tritter"])
+def test_propagator_matches_dense_exponential(n_modes, cutoff, op):
+    # a random state has weight on every eigenvector, up to the truncation edge
+    space = fock.FockSpace(n_modes, cutoff)
+    K = fock._antihermitian_generator(space, op)
+    psi = _random_state(space.dim, cutoff)
+    expected = expm(K.toarray()) @ psi
+    got = fock.expm_multiply(K, psi)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_propagator_leaves_state_under_zero_generator():
+    psi = _random_state(144, 3)
+    before = psi.copy()
+    for K in (sparse.csr_matrix((144, 144), dtype=complex),
+              fock._antihermitian_generator(fock.FockSpace(2, 12), fock.PhaseRotate((0, 1), 0.0))):
+        assert np.array_equal(fock.expm_multiply(K, psi), before)
+    assert np.array_equal(psi, before)
+
+
+def test_propagator_preserves_norm_at_largest_cutoff():
+    # criterion 7's worst corner (r = 0.6, |alpha|^2 = 2, theta = 0.5) at the
+    # dimension guard, where the tritter's Gershgorin radius is largest
+    space = fock.FockSpace(3, 40)
+    ops = [fock.TwoModeSqueeze((1, 2), 0.6, 0.3), fock.Displace(0, np.sqrt(2.0) * 1j),
+           fock.Tritter(0.5, 1.1), fock.TwoModeSqueeze((1, 2), 0.075, 2.0),
+           fock.Tritter(-0.5, 1.1), fock.TwoModeSqueeze((1, 2), -0.6, 0.3)]
+    psi = space.vacuum()
+    for op in ops:
+        psi = fock.expm_multiply(fock._antihermitian_generator(space, op), psi)
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+    assert space.leakage(psi) < fock.LEAKAGE_LIMIT
 
 
 def test_leakage_guard_trips_on_small_cutoff():

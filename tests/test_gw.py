@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,3 +225,21 @@ def test_compare_grid_keeps_reduced_shapes():
             cmp = compare_schemes(n0[i, 0], 4.2, r_pumped[0, j])
             assert columns["ratio"][i, j] == cmp.ratio
             assert columns["theta_max"][i, j] == cmp.theta_max
+
+
+def test_compare_grid_stored_errors_hold_no_reference_cycle():
+    # a stored traceback leads back to compare_grid's frame, whose locals hold
+    # the errors and the grid's columns; that cycle would keep them alive until
+    # a collection
+    n0 = np.where(np.arange(100) % 10 == 0, 0.0, 1e6)  # every tenth row has no pump
+    gc.collect()
+    gc.disable()
+    try:
+        with np.errstate(all="ignore"):
+            columns, errors = compare_grid(n0, 4.2, np.linspace(0.5, 1.5, 100))
+        assert sorted(errors) == list(range(0, 100, 10))
+        assert all(isinstance(exc, ValueError) for exc in errors.values())
+        del columns, errors
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

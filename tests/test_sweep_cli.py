@@ -61,6 +61,31 @@ def test_parse_rejects_invalid_base_point(tmp_path):
         parse_config(path)
 
 
+def test_sweep_may_replace_a_base_value_outside_the_domain(tmp_path, capsys):
+    # r = 3 depletes a 100-particle pump, but every swept row replaces it
+    path = write(tmp_path, "channel = squeezing\nnbar = 100\nr = 3\ntheta = 0.4\n"
+                           "[sweep]\nr = values 0.5 1\n")
+    assert parse_config(path).sweeps == (("r", (0.5, 1.0)),)
+    assert main(["sweep", "--config", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert all(line.endswith(",") for line in lines[1:])  # no row has an error
+
+
+@pytest.mark.parametrize("base, sweep, message", [
+    ("channel = bogus\nr = 0.5\n", "r = values 0.5 1", "channel kind"),
+    ("channel = squeezing\ntheta = 2\n", "r = values 0.5 1", "tritter angle"),
+    ("channel = squeezing\nnbar = 10\nr = 3\n", "theta = values 0.1 0.2", "depleted"),
+    ("channel = squeezing\nnbar = -1\n", "r = values 0.5 1", "depleted"),
+], ids=["unknown_channel", "theta_range", "depleted_unswept_pair", "no_pump"])
+def test_sweep_keeps_the_checks_on_unswept_keys(tmp_path, capsys, base, sweep, message):
+    path = write(tmp_path, base + "[sweep]\n" + sweep + "\n")
+    with pytest.raises(ConfigError, match=message):
+        parse_config(path)
+    assert main(["sweep", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_parse_requires_channel(tmp_path):
     with pytest.raises(ConfigError, match="channel"):
         parse_config(write(tmp_path, "r = 0.5\n"))
