@@ -26,14 +26,14 @@ from the environment.
 The unswept keys of an interferometer file's base point, and the single point
 of a ``[gw]`` file without a ``[sweep]`` section, are validated when the file
 is read, so a point outside the formulas' domain is a :class:`ConfigError`
-with the file's name.  An interferometer sweep validates each grid point on its own (a
-depleted pump or an out-of-range angle becomes that row's error) and then
-evaluates all valid points in one batched call of :func:`metrology.evaluate`;
-a ``[gw]`` sweep evaluates its whole grid in one call of
-:func:`gw.compare_grid`.  The ``[outputs]`` section selects interferometer
-quantities only; a ``[gw]`` run always writes the comparison columns.
-Results are held column by column (:class:`SweepTable`), and :func:`emit`
-formats each column in one pass.
+with the file's name.  An interferometer sweep validates each grid point on
+its own (a depleted pump or an out-of-range angle becomes that row's error)
+and then evaluates all valid points in one batched call of
+:func:`metrology.evaluate`; a ``[gw]`` sweep evaluates its whole grid in one
+call of :func:`gw.compare_grid`.  The ``[outputs]`` section selects
+interferometer quantities only; a ``[gw]`` run always writes the comparison
+columns.  Results are held column by column (:class:`SweepTable`), and
+:func:`emit` formats each column in one pass.
 """
 
 from __future__ import annotations
