@@ -1,9 +1,13 @@
 """Truncated-Fock-space brute force, used as an independent referee.
 
 Everything here is deliberately desk-scale: dense state vectors over a
-truncated Fock basis, sparse quadratic generators, and their exponentials
-applied to a state by a Chebyshev-Bessel series (:func:`expm_multiply`).  None
-of it shares code with the Gaussian formalism it validates.
+truncated Fock basis and sparse quadratic generators built from the basis
+occupation numbers.  A displacement, two-mode squeezer or mode mixer acts on
+the state as the exact exponential of its truncated generator on its own
+modes, one small unitary per block of a conserved number; a phase rotation is
+a diagonal phase; only the tritter, which couples all three modes, goes
+through a Chebyshev-Bessel series (:func:`expm_multiply`).  None of it shares
+code with the Gaussian formalism it validates.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ class LeakageError(RuntimeError):
 
 
 class FockSpace:
-    """A truncated n-mode bosonic Fock space with cached mode operators."""
+    """A truncated n-mode bosonic Fock space: its size guards and basis occupations."""
 
     def __init__(self, n_modes: int, cutoff: int):
         if n_modes not in (2, 3):
@@ -56,16 +60,6 @@ class FockSpace:
         self.n_modes = n_modes
         self.cutoff = cutoff
         self.dim = cutoff ** n_modes
-        ladder = sparse.diags(np.sqrt(np.arange(1, cutoff)), 1, format="csr")
-        eye = sparse.identity(cutoff, format="csr")
-        self.a = []
-        for mode in range(n_modes):
-            factors = [eye] * n_modes
-            factors[mode] = ladder
-            op = factors[0]
-            for f in factors[1:]:
-                op = sparse.kron(op, f, format="csr")
-            self.a.append(op.astype(complex))
         self.occupation = _occupation(cutoff, n_modes)
 
     def vacuum(self) -> np.ndarray:
@@ -85,10 +79,15 @@ class FockSpace:
 def _occupation(cutoff: int, n_modes: int) -> np.ndarray:
     """Occupation number of each basis state, one row per mode.
 
-    Basis indices are lexicographic in the occupation tuple, the order of the
-    Kronecker products that build the mode operators.
+    Basis indices are lexicographic in the occupation tuple: mode 0 varies
+    slowest, as in a Kronecker product of single-mode factors.
     """
     return np.indices((cutoff,) * n_modes).reshape(n_modes, -1).astype(float)
+
+
+def _distinct_pair(modes: tuple[int, int]) -> None:
+    if modes[0] == modes[1]:
+        raise ValueError(f"a two-mode operation needs two distinct modes, got {modes}")
 
 
 @dataclass(frozen=True)
@@ -103,12 +102,18 @@ class TwoModeSqueeze:
     r: float
     phase: float = 0.0
 
+    def __post_init__(self):
+        _distinct_pair(self.modes)
+
 
 @dataclass(frozen=True)
 class ModeMix:
     modes: tuple[int, int]
     m: float
     phase: float = 0.0
+
+    def __post_init__(self):
+        _distinct_pair(self.modes)
 
 
 @dataclass(frozen=True)
@@ -123,33 +128,155 @@ class PhaseRotate:
     phi: float
 
 
-def _antihermitian_generator(space: FockSpace, op) -> sparse.csr_matrix:
-    """K such that the operation's unitary is exp(K)."""
-    a = space.a
+def _ladder_amplitudes(occupation: np.ndarray, cutoff: int, monomials) -> dict:
+    """T, a sum of normal-ordered monomials, as {index shift: amplitude by source state}.
+
+    A monomial ``(raised, lowered)`` is prod a_m^dag over ``raised`` times
+    prod a_m over ``lowered``, with each a_m the truncated ladder operator of
+    mode m on the basis that ``occupation`` lists.  T takes basis state s to
+    s + shift with the products of the ladder operators' sqrt(n) factors, as a
+    product of the truncated matrices gives them; the amplitude is zero where
+    T leaves the truncated space.
+    """
+    n_modes, dim = occupation.shape
+    strides = cutoff ** np.arange(n_modes - 1, -1, -1)
+    by_shift = {}
+    for raised, lowered in monomials:
+        n = {m: occupation[m] for m in (*raised, *lowered)}
+        amp = np.ones(dim)
+        inside = np.ones(dim, dtype=bool)
+        shift = 0
+        for m in lowered:
+            amp *= np.sqrt(n[m])
+            n[m] = n[m] - 1.0
+            inside &= n[m] >= 0
+            shift -= int(strides[m])
+        for m in raised:
+            n[m] = n[m] + 1.0
+            amp *= np.sqrt(n[m])
+            inside &= n[m] < cutoff
+            shift += int(strides[m])
+        amp[~inside] = 0.0
+        by_shift[shift] = by_shift.get(shift, 0.0) + amp
+    return by_shift
+
+
+def _ladder_matrix(occupation: np.ndarray, cutoff: int, coeff: complex, monomials,
+                   sign: float) -> sparse.csr_matrix:
+    """coeff T + sign conj(coeff) T^dag as CSR, with T the sum of ``monomials``.
+
+    ``sign`` is +1 for a Hermitian and -1 for an anti-Hermitian result.  A
+    diagonal T (number operators) enters twice, so its coefficient is halved.
+    """
+    dim = occupation.shape[1]
+    diagonals = {}  # offset (column - row) -> entries by column, as the DIA format holds them
+    for shift, amp in _ladder_amplitudes(occupation, cutoff, monomials).items():
+        # T[s + shift, s] = amp[s] and T^dag[c - shift, c] = amp[c - shift]; the
+        # entries np.roll wraps round are zero, since T takes those states out
+        for offset, values in ((-shift, coeff * amp),
+                               (shift, (sign * np.conj(coeff)) * np.roll(amp, shift))):
+            diagonals[offset] = diagonals.get(offset, 0.0) + values
+    offsets = list(diagonals)
+    data = np.array([diagonals[k] for k in offsets])
+    return sparse.dia_matrix((data, offsets), shape=(dim, dim)).tocsr()
+
+
+def _generator_terms(op):
+    """(coeff, monomials) with the operation's generator K = coeff T - conj(coeff) T^dag."""
     if isinstance(op, Displace):
-        ad = a[op.mode].getH()
-        return (op.alpha * ad - np.conj(op.alpha) * a[op.mode]).tocsr()
+        return op.alpha, [((op.mode,), ())]
     if isinstance(op, TwoModeSqueeze):
-        i, j = op.modes
-        z = op.r * np.exp(1j * op.phase)
-        pair = a[i].getH() @ a[j].getH()
-        return (z * pair - np.conj(z) * pair.getH()).tocsr()
+        return op.r * np.exp(1j * op.phase), [(op.modes, ())]
     if isinstance(op, ModeMix):
         # phase convention matched to the mode-mixing symplectic matrix:
         # exp(m (e^{-i phase} a_i^dag a_j - e^{i phase} a_i a_j^dag))
         i, j = op.modes
-        hop = np.exp(-1j * op.phase) * (a[i].getH() @ a[j])
-        return (op.m * (hop - hop.getH())).tocsr()
+        return op.m * np.exp(-1j * op.phase), [((i,), (j,))]
     if isinstance(op, Tritter):
-        if space.n_modes != 3:
-            raise ValueError("tritter requires a three-mode space")
-        coupling = np.exp(1j * op.phase) * (a[0].getH() @ (a[1] + a[2]))
-        h = (coupling + coupling.getH()) / np.sqrt(2.0)
-        return (-1j * op.theta * h).tocsr()
+        # K = -i theta (e^{i phase} a_0^dag (a_1 + a_2) + h.c.) / sqrt(2)
+        return (-1j * op.theta * np.exp(1j * op.phase) / np.sqrt(2.0),
+                [((0,), (1,)), ((0,), (2,))])
     if isinstance(op, PhaseRotate):
-        num = sum(a[m].getH() @ a[m] for m in op.modes)
-        return (-0.5j * op.phi * num).tocsr()
+        return -0.25j * op.phi, [((m,), (m,)) for m in op.modes]
     raise TypeError(f"unknown preparation operation {op!r}")
+
+
+def _antihermitian_generator(space: FockSpace, op) -> sparse.csr_matrix:
+    """K such that the operation's unitary is exp(K)."""
+    if isinstance(op, Tritter) and space.n_modes != 3:
+        raise ValueError("tritter requires a three-mode space")
+    coeff, monomials = _generator_terms(op)
+    return _ladder_matrix(space.occupation, space.cutoff, coeff, monomials, -1.0)
+
+
+def _local_propagator(op, cutoff: int):
+    """exp(K) of a Displace, TwoModeSqueeze or ModeMix on its own modes.
+
+    K restricted to the operation's modes conserves a number (none for a
+    displacement, n_i - n_j for squeezing, n_i + n_j for mixing), so it splits
+    into blocks of at most ``cutoff`` states.  In each block T moves every
+    state to the next one, and iK = |w| D S D^dag with w = i coeff,
+    S = T + T^T real, and D = diag(e^{i p arg w}) over the block positions p.
+    So exp(K) = D V e^{-i|w| lambda} V^T D^dag, with S = V lambda V^T from one
+    stacked ``eigh`` per block size.
+
+    Returns (modes, U, index): U[b] acts on the local basis states index[b],
+    where the value cutoff**len(modes) pads the smaller blocks.
+    """
+    coeff, monomials = _generator_terms(op)
+    modes = (op.mode,) if isinstance(op, Displace) else op.modes
+    local = {mode: k for k, mode in enumerate(modes)}
+    occupation = _occupation(cutoff, len(modes))
+    [(shift, amp)] = _ladder_amplitudes(
+        occupation, cutoff,
+        [(tuple(local[m] for m in raised), tuple(local[m] for m in lowered))
+         for raised, lowered in monomials]).items()
+    cols = np.flatnonzero(amp)
+    rows = cols + shift
+    if isinstance(op, Displace):
+        conserved = np.zeros(cutoff)
+    elif isinstance(op, TwoModeSqueeze):
+        conserved = occupation[0] - occupation[1]
+    else:
+        conserved = occupation[0] + occupation[1]
+    # a stable sort keeps each block in basis order, which is the order T walks it
+    order = np.argsort(conserved, kind="stable")
+    _, start, sizes = np.unique(conserved[order], return_index=True, return_counts=True)
+    block = np.empty(len(order), dtype=int)
+    block[order] = np.repeat(np.arange(len(sizes)), sizes)
+    pos = np.empty(len(order), dtype=int)
+    pos[order] = np.arange(len(order)) - np.repeat(start, sizes)
+    size = int(sizes.max())
+    index = np.full((len(sizes), size), len(order))
+    index[block, pos] = np.arange(len(order))
+    S = np.zeros((len(sizes), size, size))
+    S[block[cols], pos[rows], pos[cols]] = amp[cols]
+    S += S.transpose(0, 2, 1)
+    w = 1j * coeff
+    phase = np.exp(1j * np.angle(w) * np.arange(size))
+    U = np.zeros(S.shape, dtype=complex)
+    # one eigh per block size: padding every block to the largest costs 4x the flops
+    for n in np.unique(sizes):
+        group = np.flatnonzero(sizes == n)
+        lam, V = np.linalg.eigh(S[group, :n, :n])
+        U[group, :n, :n] = (phase[:n, None] * V * np.exp(-1j * abs(w) * lam)[:, None, :]) @ (
+            V.transpose(0, 2, 1) * phase[:n].conj())
+    return modes, U, index
+
+
+def _apply_local(psi: np.ndarray, op, cutoff: int, n_modes: int) -> np.ndarray:
+    """exp(K) psi for a one- or two-mode operation, by its block unitaries."""
+    modes, U, index = _local_propagator(op, cutoff)
+    axes = tuple(range(len(modes)))
+    t = np.moveaxis(psi.reshape((cutoff,) * n_modes), modes, axes)
+    shape = t.shape
+    t = t.reshape(cutoff ** len(modes), -1)
+    padded = np.concatenate([t, np.zeros((1, t.shape[1]), dtype=complex)])
+    blocks = U @ padded[index]
+    real = index < len(t)
+    out = np.empty_like(t)
+    out[index[real]] = blocks[real]
+    return np.moveaxis(out.reshape(shape), axes, modes).reshape(-1)
 
 
 def expm_multiply(K: sparse.csr_matrix, psi: np.ndarray) -> np.ndarray:
@@ -201,6 +328,16 @@ def expm_multiply(K: sparse.csr_matrix, psi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _propagate(space: FockSpace, op, psi: np.ndarray) -> np.ndarray:
+    """exp(K) psi for one operation: local block unitaries, a diagonal phase, or the series."""
+    if isinstance(op, (Displace, TwoModeSqueeze, ModeMix)):
+        return _apply_local(psi, op, space.cutoff, space.n_modes)
+    K = _antihermitian_generator(space, op)
+    if isinstance(op, PhaseRotate):
+        return np.exp(K.diagonal()) * psi
+    return expm_multiply(K, psi)
+
+
 def prepare_state_fock(ops, cutoff: int, n_modes: int = 2,
                        leakage_limit: float = LEAKAGE_LIMIT) -> tuple[np.ndarray, float]:
     """Apply a sequence of operations to the Fock vacuum.
@@ -212,7 +349,7 @@ def prepare_state_fock(ops, cutoff: int, n_modes: int = 2,
     space = FockSpace(n_modes, cutoff)
     psi = space.vacuum()
     for op in ops:
-        psi = expm_multiply(_antihermitian_generator(space, op), psi)
+        psi = _propagate(space, op, psi)
     leak = space.leakage(psi)
     if leak >= leakage_limit:
         raise LeakageError(
@@ -296,18 +433,16 @@ def number_diff_moments_fock(psi: np.ndarray, cutoff: int, n_modes: int,
 def channel_generator(space: FockSpace, kind: str, strength: float, phase: float,
                       modes: tuple[int, int]) -> sparse.csr_matrix:
     """Hermitian generator G of the channel family U(eps) = exp(-i eps G)."""
-    a = space.a
     i, j = modes
     if kind == "squeezing":
-        pair = np.exp(1j * phase) * (a[i].getH() @ a[j].getH())
-        return (0.25j * strength * (pair - pair.getH())).tocsr()
-    if kind == "mode_mixing":
-        hop = np.exp(-1j * phase) * (a[i].getH() @ a[j])
-        return (0.25j * strength * (hop - hop.getH())).tocsr()
-    if kind == "phase":
-        num = a[i].getH() @ a[i] + a[j].getH() @ a[j]
-        return (0.5 * strength * num).tocsr()
-    raise ValueError(f"unknown channel kind {kind!r}")
+        coeff, monomials = 0.25j * strength * np.exp(1j * phase), [((i, j), ())]
+    elif kind == "mode_mixing":
+        coeff, monomials = 0.25j * strength * np.exp(-1j * phase), [((i,), (j,))]
+    elif kind == "phase":
+        coeff, monomials = 0.25 * strength, [((i,), (i,)), ((j,), (j,))]
+    else:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    return _ladder_matrix(space.occupation, space.cutoff, coeff, monomials, 1.0)
 
 
 def generator_variance(psi: np.ndarray, generator: sparse.csr_matrix) -> float:

@@ -279,7 +279,10 @@ def compare_grid(n0, r_original, r_pumped=None, strength=1.0, delta=0.1, theta_s
         args = [None if a is None else full(a) for a in args]
         for i in redo:
             try:
-                cmp = compare_schemes(*(None if a is None else float(a.flat[i]) for a in args))
+                # the row's error reports the failure; numpy's warning would only repeat it
+                with np.errstate(all="ignore"):
+                    cmp = compare_schemes(*(None if a is None else float(a.flat[i])
+                                            for a in args))
             except Exception as exc:
                 # a stored traceback would lead back to this frame and its errors
                 errors[i] = exc.with_traceback(None)

@@ -1,8 +1,12 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import expm
 
+from conftest import child_env
 from pumpedsu11 import fock
 
 
@@ -41,16 +45,109 @@ def _random_state(dim, seed):
     (2, 12, fock.PhaseRotate((0, 1), 1.7)),       # diagonal: shifted interval, c != 0
     (2, 10, fock.PhaseRotate((1,), -2.3)),
     (3, 10, fock.Tritter(0.5, 0.2)),
+    (3, 10, fock.Displace(2, -1.1 + 0.7j)),
+    (3, 11, fock.TwoModeSqueeze((2, 0), 0.5, -0.8)),
+    (3, 10, fock.ModeMix((1, 0), 1.2, 2.6)),
+    (3, 10, fock.PhaseRotate((0, 2), 0.9)),
 ], ids=["displace", "two_mode_squeeze", "mode_mix", "phase_rotate", "phase_rotate_one_mode",
-        "tritter"])
+        "tritter", "displace_mode_2_of_3", "two_mode_squeeze_2_0", "mode_mix_1_0",
+        "phase_rotate_0_2_of_3"])
 def test_propagator_matches_dense_exponential(n_modes, cutoff, op):
     # a random state has weight on every eigenvector, up to the truncation edge
     space = fock.FockSpace(n_modes, cutoff)
     K = fock._antihermitian_generator(space, op)
     psi = _random_state(space.dim, cutoff)
     expected = expm(K.toarray()) @ psi
-    got = fock.expm_multiply(K, psi)
-    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    # the series, and the per-operation propagator prepare_state_fock applies
+    for got in (fock.expm_multiply(K, psi), fock._propagate(space, op, psi)):
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("kind", [fock.TwoModeSqueeze, fock.ModeMix])
+def test_two_mode_operations_reject_a_repeated_mode(kind):
+    with pytest.raises(ValueError, match="two distinct modes"):
+        kind((1, 1), 0.3)
+
+
+def _dense_ladders(n_modes, cutoff):
+    """Truncated a_m as Kronecker products of dense single-mode factors, mode 0 first."""
+    ladder = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    ops = []
+    for mode in range(n_modes):
+        factors = [np.eye(cutoff)] * n_modes
+        factors[mode] = ladder
+        op = factors[0]
+        for factor in factors[1:]:
+            op = np.kron(op, factor)
+        ops.append(op)
+    return ops
+
+
+def _dense_generator(a, op):
+    """K = c T - conj(c) T^dag of each operation, from products of the dense ladders."""
+    ad = [x.T for x in a]
+    if isinstance(op, fock.Displace):
+        c, T = op.alpha, ad[op.mode]
+    elif isinstance(op, fock.TwoModeSqueeze):
+        i, j = op.modes
+        c, T = op.r * np.exp(1j * op.phase), ad[i] @ ad[j]
+    elif isinstance(op, fock.ModeMix):
+        i, j = op.modes
+        c, T = op.m * np.exp(-1j * op.phase), ad[i] @ a[j]
+    elif isinstance(op, fock.Tritter):
+        c, T = -1j * op.theta * np.exp(1j * op.phase) / np.sqrt(2.0), ad[0] @ (a[1] + a[2])
+    else:
+        return -0.5j * op.phi * sum(ad[m] @ a[m] for m in op.modes)
+    return c * T - np.conj(c) * T.T
+
+
+def _dense_channel_generator(a, kind, strength, phase, modes):
+    """G = c T + conj(c) T^dag of each channel family, from the dense ladders."""
+    ad = [x.T for x in a]
+    i, j = modes
+    if kind == "phase":
+        return 0.5 * strength * (ad[i] @ a[i] + ad[j] @ a[j])
+    if kind == "squeezing":
+        c, T = 0.25j * strength * np.exp(1j * phase), ad[i] @ ad[j]
+    else:
+        c, T = 0.25j * strength * np.exp(-1j * phase), ad[i] @ a[j]
+    return c * T + np.conj(c) * T.T
+
+
+@pytest.mark.parametrize("n_modes, cutoff, op", [
+    (2, 11, fock.Displace(1, 0.8 - 0.5j)),
+    (3, 10, fock.Displace(2, -1.3 + 0.9j)),
+    (2, 11, fock.TwoModeSqueeze((1, 0), 0.6, 1.3)),
+    (3, 10, fock.TwoModeSqueeze((2, 0), 0.4, -0.7)),
+    (2, 11, fock.ModeMix((0, 1), 0.9, 0.4)),
+    (3, 10, fock.ModeMix((2, 1), 0.5, 2.1)),
+    (3, 10, fock.Tritter(-1.5, 2.2)),
+    (2, 11, fock.PhaseRotate((1, 0), 1.7)),
+    (3, 10, fock.PhaseRotate((0, 1, 2), -2.3)),
+])
+def test_generators_match_kronecker_products(n_modes, cutoff, op):
+    a = _dense_ladders(n_modes, cutoff)
+    K = fock._antihermitian_generator(fock.FockSpace(n_modes, cutoff), op)
+    assert np.max(np.abs(K.toarray() - _dense_generator(a, op))) <= 1e-15
+
+
+@pytest.mark.parametrize("n_modes, cutoff, modes", [(2, 11, (0, 1)), (3, 10, (2, 0))])
+@pytest.mark.parametrize("kind", ["squeezing", "mode_mixing", "phase"])
+def test_channel_generators_match_kronecker_products(n_modes, cutoff, modes, kind):
+    a = _dense_ladders(n_modes, cutoff)
+    G = fock.channel_generator(fock.FockSpace(n_modes, cutoff), kind, 1.7, 0.9, modes)
+    expected = _dense_channel_generator(a, kind, 1.7, 0.9, modes)
+    assert np.max(np.abs(G.toarray() - expected)) <= 1e-15
+
+
+def test_fock_import_loads_no_scipy_linalg():
+    # every benchmark workload imports fock; dense or iterative linalg would add to its memory
+    code = ("import sys, pumpedsu11.fock; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_propagator_leaves_state_under_zero_generator():

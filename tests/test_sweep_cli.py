@@ -383,6 +383,16 @@ def test_cli_cold_start_loads_no_scipy(tmp_path):
     assert "generator agrees: True" in proc.stdout
 
 
+def test_cli_gw_sweep_reports_a_failed_row_without_warnings(tmp_path):
+    # n0 = 0 divides by zero when compare_grid redoes the flagged row on its own
+    path = write(tmp_path, "[gw]\nn0 = 1e6\nr_original = 4.2\n[sweep]\nn0 = values 0 1e6\n")
+    proc = subprocess.run([sys.executable, "-m", "pumpedsu11.cli", "sweep", "--config", path],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "need 0 <= gamma <= delta, got gamma=inf, delta=0.1" in proc.stdout
+
+
 # Runs each argv list of sys.argv[1] through one process's cli.main and prints
 # the exit codes and stdout, and how many parsers were built.
 CLI_CALLS = """
