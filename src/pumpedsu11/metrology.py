@@ -80,7 +80,7 @@ def qfi_numeric(config: InterferometerConfig, eps0: float = 0.0) -> float:
     state = pre_measurement_state(config, eps0)
     value = _qfi(config.channel.generator(), state.d, state.sigma)
     if not np.isfinite(value):
-        raise FloatingPointError(f"QFI evaluated to {value!r}")
+        raise FloatingPointError(f"QFI evaluated to {float(value)}")
     return float(value)
 
 
@@ -625,7 +625,8 @@ def evaluate(configs, eps0s, quantities) -> tuple[dict, list]:
         values.update(zip(columns, (a.tolist() for a in arrays)))
         for i in np.flatnonzero(flagged).tolist():
             try:
-                result = _SINGLE_POINT[quantity](configs[i], eps0s[i])
+                with np.errstate(all="ignore"):  # a non-finite result raises below
+                    result = _SINGLE_POINT[quantity](configs[i], eps0s[i])
             except Exception as exc:
                 # a traceback's frames lead back to this one, whose locals hold
                 # the error list: that cycle would keep the whole batch alive
@@ -728,7 +729,8 @@ def metrology_report(config: InterferometerConfig, eps0: float = 1e-3,
         # the stored exception has no traceback; the single-point call raises it
         # again from where it arises
         quantity, exc = errors[0][0]
-        _SINGLE_POINT[quantity](config, eps0)
+        with np.errstate(all="ignore"):
+            _SINGLE_POINT[quantity](config, eps0)
         raise exc
     h_num, h_closed, f0, mean_s, var_s = (results[c][0] for c in
                                           ("H_numeric", "H_closed", "F0", "mean_S", "var_S"))

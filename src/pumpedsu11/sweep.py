@@ -392,21 +392,46 @@ def _columns(spec_or_rows) -> list:
 # json writes the non-finite floats this way, not as Python's repr
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _NUMBER_TYPES = {float, int, np.float64}
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+def _json_number(value) -> str:
+    """The JSON number of ``value`` at 13 significant digits: the shortest repr
+    of the float its ``.12e`` text parses to, or NaN / Infinity / -Infinity."""
+    text = repr(float(f"{value:.12e}"))
+    return _JSON_NON_FINITE.get(text, text)
 
 
 def _number_text(values, fmt: str) -> list:
-    """Cells of a run of numbers: 13 significant digits, as text (CSV) or as
-    the JSON number of the float that text parses to."""
-    text = map("{:.12e}".format, values)
+    """Cells of a list of numbers: 13 significant digits, as text (CSV) or as
+    the JSON number of the float that text parses to.
+
+    A JSON cell is the number's ``.13g`` text, which has the digits of
+    :func:`_json_number` and its layout wherever that repr is in fixed notation
+    with a fraction, or in exponent notation.  A mask over the values sends
+    the cells where the two may differ to :func:`_json_number`: zero, values
+    that may round to an integer below 1e13 (where repr ends in ``.0``), values
+    that may round into [1e13, 1e16) (where repr is in fixed notation and
+    ``.13g`` uses an exponent), subnormals (whose shortest repr may have fewer
+    digits) and non-finite values.
+    """
     if fmt == "csv":
-        return list(text)
-    text = list(map(repr, map(float, text)))
-    return list(map(_JSON_NON_FINITE.get, text, text))
+        return list(map("{:.12e}".format, values))
+    text = list(map("{:.13g}".format, values))
+    x = np.abs(np.array(values, dtype=float))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        # rounding to 13 digits moves a value by at most 5e-13 of itself
+        plain = (((x >= _SMALLEST_NORMAL) & (x < 9.99999999999995e12)
+                  & (np.abs(x - np.rint(x)) > 1e-12 * x))
+                 | ((x >= 1.0000000000001e16) & (x < np.inf)))
+    for i in np.flatnonzero(~plain).tolist():
+        text[i] = _json_number(values[i])
+    return text
 
 
 def _cell_text(value, fmt: str) -> str:
     if isinstance(value, (int, float)):
-        return _number_text((value,), fmt)[0]
+        return f"{value:.12e}" if fmt == "csv" else _json_number(value)
     if fmt == "csv":
         return "" if value is None else value if isinstance(value, str) \
             else f"{value:.12e}"
@@ -421,6 +446,10 @@ def _column_text(column, shape, fmt: str) -> list:
     kinds = set(map(type, column))
     if kinds <= _NUMBER_TYPES:
         return _number_text(column, fmt)
+    if kinds <= _NUMBER_TYPES | {type(None)}:  # a numeric column with failed rows
+        numbers = iter(_number_text([v for v in column if v is not None], fmt))
+        blank = "" if fmt == "csv" else "null"
+        return [blank if v is None else next(numbers) for v in column]
     if kinds == {str}:
         return column if fmt == "csv" else [json.dumps(v) if v else "null" for v in column]
     return [_cell_text(value, fmt) for value in column]
@@ -434,9 +463,11 @@ def emit(table, fmt: str = "csv", path=None, spec: SweepSpec | None = None) -> s
     Cells are numbers, strings or None.  Numeric cells carry 13 significant
     digits in both formats, so a CSV/JSON pair of the same table parses to
     identical values and a written table round-trips bit-for-bit at that
-    precision.  Each column is formatted in one pass and the rows are joined
-    through one template; the JSON text is the layout of
-    ``json.dumps(records, indent=1)``.
+    precision: a CSV number is its ``.12e`` text, a JSON number the shortest
+    repr of the float that text parses to.  Each column is formatted in one
+    pass (a JSON column in one ``.13g`` pass, see :func:`_number_text` for the
+    cells that take the repr rule instead) and the rows are joined through one
+    template; the JSON text is the layout of ``json.dumps(records, indent=1)``.
     """
     if not isinstance(table, SweepTable):
         names = _columns(spec if spec is not None else table) if table else ()

@@ -57,14 +57,14 @@ def oracle_checks(cutoff: int = 25) -> list:
     record("heterodyne mean", g_mean, f_mean, 1e-6)
     record("heterodyne variance", g_var, f_var, 1e-6)
 
-    # QFI of the pipeline family vs 4 Var(G) in Fock space
+    # QFI of the pipeline family vs 4 Var(G) in Fock space; one state for both channels
+    psi, _ = fock.pipeline_state_fock(2.0, 0.2, 0.4, 1.1, 0.45, 0.8, min(cutoff, 40))
+    space = fock.FockSpace(3, min(cutoff, 40))
     for kind in ("squeezing", "mode_mixing"):
         config = InterferometerConfig(
             nbar=2.0, r=0.4, theta=0.45, pump_phase=0.2, squeeze_phase=1.1,
             tritter_phase=0.8, channel=ChannelSpec(kind=kind, strength=1.0, phase=0.6))
         h_gauss = qfi_numeric(config)
-        psi, _ = fock.pipeline_state_fock(2.0, 0.2, 0.4, 1.1, 0.45, 0.8, min(cutoff, 40))
-        space = fock.FockSpace(3, min(cutoff, 40))
         gen = fock.channel_generator(space, kind, 1.0, 0.6, (1, 2))
         record(f"QFI vs 4 Var(G), {kind} channel", h_gauss,
                fock.generator_variance(psi, gen), 1e-3)

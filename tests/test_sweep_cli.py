@@ -279,6 +279,16 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_non_finite_qfi_is_one_error_line(tmp_path):
+    # the strength overflows the QFI's products to inf - inf; the row's error is
+    # the only line on stderr, without numpy's RuntimeWarnings
+    path = write(tmp_path, "channel = squeezing\nstrength = 1e200\nr = 1\ntheta = 0.3\n")
+    proc = subprocess.run([sys.executable, "-m", "pumpedsu11.cli", "qfi", "--config", path],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 2
+    assert proc.stderr == "error: H_numeric: QFI evaluated to nan\n"
+
+
 @pytest.mark.parametrize("line", ["nbar = nan", "nbar = inf", "strength = nan"])
 def test_cli_rejects_non_finite_values(tmp_path, capsys, line):
     path = write(tmp_path, f"channel = squeezing\nr = 1.0\ntheta = 0.4\n{line}\n")
@@ -542,3 +552,32 @@ def test_emit_of_sweeps_equals_rowwise_emit(tmp_path, text):
         expected = emit_rowwise(rows, fmt, spec=spec)
         assert emit(rows, fmt, spec=spec) == expected
         assert emit(table, fmt) == expected
+
+
+# Values where a JSON cell's .13g text and the repr of its 13-digit float may
+# differ: around 1e13 and 1e16, subnormals, zero, integral values after
+# rounding, the 1e-4 boundary of fixed notation, non-finite values, a large
+# int and a bool.
+EDGE_VALUES = [9.999999999999949e12, 9.99999999999995e12, 1e13, 123456789012345.0,
+               9.9999999999999995e15, 1e16, 5e-324, 2.225073858507201e-308,
+               2.2250738585072014e-308, 0.0, -0.0, 2.9999999999999996, 1e-5,
+               9.99999999999995e-5, np.nan, np.inf, -np.inf, 10 ** 20, True]
+
+
+def test_emit_edge_values_equal_rowwise_emit():
+    floats = [float(v) for v in EDGE_VALUES]
+    columns = {"listed": list(EDGE_VALUES), "array": np.array(floats),
+               "with_none": [None if k % 3 == 1 else v for k, v in enumerate(EDGE_VALUES)],
+               "negated": [-v for v in floats]}
+    table = SweepTable(columns, (len(EDGE_VALUES),))
+    rows = table.rows()
+    for fmt in ("csv", "json"):
+        expected = emit_rowwise(rows, fmt)
+        assert emit(table, fmt) == expected
+        assert emit(rows, fmt) == expected
+    text = emit(table, "json")
+    for cell in ('"listed": 10000000000000.0', '"listed": 123456789012300.0',
+                 '"listed": 1e+16', '"listed": 5e-324', '"listed": 2.225073858507e-308', '"listed": -0.0',
+                 '"listed": 3.0', '"listed": 0.0001', '"listed": 1e-05', '"listed": NaN',
+                 '"negated": -Infinity', '"listed": 1e+20', '"listed": 1.0,'):
+        assert cell in text
