@@ -625,7 +625,7 @@ def evaluate(configs, eps0s, quantities) -> tuple[dict, list]:
         values.update(zip(columns, (a.tolist() for a in arrays)))
         for i in np.flatnonzero(flagged).tolist():
             try:
-                with np.errstate(all="ignore"):  # a non-finite result raises below
+                with np.errstate(all="ignore"):  # its own checks report a non-finite value
                     result = _SINGLE_POINT[quantity](configs[i], eps0s[i])
             except Exception as exc:
                 # a traceback's frames lead back to this one, whose locals hold
