@@ -19,9 +19,9 @@ from .metrology import (MetrologyReport, RegimeError, f0_closed_form,
                         number_sum_moments, number_sum_quadratic_response,
                         optimal_phases, optimal_tritter_angle, qfi_closed_form,
                         qfi_numeric, sensitivity_number_sum)
-from .pipeline import (InterferometerConfig, PumpDepletedError, build_half_pipelines,
-                       max_tritter_angle, particle_numbers_after_tritter,
-                       pre_measurement_state, pump_depletion, run_interferometer)
+from .pipeline import (InterferometerConfig, PumpDepletedError, max_tritter_angle,
+                       particle_numbers_after_tritter, pre_measurement_state,
+                       pump_depletion, run_interferometer)
 from .states import (GaussianState, SymplecticOp, apply_symplectic, check_symplectic,
                      number_mean, purity, pumped_input_state, reduce_to_modes,
                      symplectic_form, vacuum_state)
@@ -33,8 +33,8 @@ __all__ = [
     "ChannelSpec", "ConfigError", "GaussianState", "GwDetectorParams",
     "InterferometerConfig", "MetrologyReport", "PumpDepletedError", "RegimeError",
     "SchemeComparison", "SweepSpec", "SweepTable", "SymplecticOp", "apply_symplectic",
-    "build_half_pipelines", "channel_strength", "check_symplectic",
-    "compare_schemes", "coupling_constant", "embed_on_side_modes", "emit",
+    "channel_strength", "check_symplectic", "compare_schemes", "coupling_constant",
+    "embed_on_side_modes", "emit",
     "f0_closed_form", "fisher_from_moments", "gw_mode_mixing_channel",
     "gw_squeezing_channel", "heterodyne_moments", "max_tritter_angle",
     "metrology_report", "mode_mixing_channel", "number_mean", "number_sum_moments",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSpec
-from .pipeline import _angle_bound_argument, max_tritter_angle
+from .pipeline import _angle_bound_argument, _side_population, max_tritter_angle
 
 __all__ = [
     "HBAR",
@@ -155,12 +155,6 @@ def pumped_scheme_qfi(n0, r, theta, strength=1.0):
         raise ValueError(f"pump population must be positive, got {n0}")
     return original_scheme_qfi(r, strength=strength) \
         + 0.5 * (strength * strength) * (theta * theta) * n0 * _side_population(r)
-
-
-def _side_population(r):
-    """Side-mode population 2 sinh^2 r of the two-mode squeezed source."""
-    s = np.sinh(r)
-    return 2.0 * (s * s)
 
 
 def qcrb_sensitivity(qfi: float, detectors: float, integration_time: float,

@@ -10,20 +10,25 @@ for the channel generator K (:meth:`ChannelSpec.generator`).  ``qfi_closed_form`
 evaluates the matching scalar expressions, either exactly or in a named
 asymptotic regime; regimes are never auto-detected.
 
-``evaluate`` is the one evaluation path of sweeps and ``metrology_report``: it
-takes every row of a grid at once, fills the source squeezer, tritter, channel
-and generator of all rows as stacked (N, 6, 6) arrays, pushes the stacked
-states through the same steps as the single-point pipeline, and computes H,
-F0 and the side-mode moments with the same formulas (they broadcast over the
-leading axis).  The exact closed-form QFI and the turning point are written
-once, as formulas over arrays of parameters, and serve both paths.  Rows that
-fail a check are evaluated again by the single-point functions, which stay
-the public API for one configuration and the reference the tests compare the
-batch against.
+``_evaluate_grid`` is the one evaluation path of sweeps: it takes a grid's
+parameters as a ``_Point`` of scalars and arrays that broadcast over the grid,
+fills the source squeezer, tritter, channel and generator each at the shape of
+its own parameters (a (6, 6) matrix for a scalar, a stack for an axis), pushes
+the states through the same steps as the single-point pipeline, and computes
+H, F0 and the side-mode moments with the same formulas (they broadcast over
+the leading axes).  ``evaluate`` is its list-of-configs entry point, which
+``metrology_report`` uses.  The exact closed-form QFI and the turning point
+are written once, as formulas over arrays of parameters, and serve both
+paths.  Rows that fail a check are evaluated again on the single-point path:
+the closed forms from the row's parameters, the other quantities through the
+row's :class:`InterferometerConfig`, the only place the grid builds one.  The
+single-point functions stay the public API for one configuration and the
+reference the tests compare the batch against.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Any, NamedTuple
@@ -32,8 +37,8 @@ import numpy as np
 
 from .channels import (_channel_argument, _generator, _side_channel, _tritter_matrix,
                        _two_mode_squeeze, _with_pump)
-from .pipeline import (InterferometerConfig, max_tritter_angle, pre_measurement_state,
-                       pump_depletion, run_interferometer)
+from .pipeline import (InterferometerConfig, _side_population, max_tritter_angle,
+                       pre_measurement_state, pump_depletion, run_interferometer)
 from .states import (SYMPLECTIC_TOL, GaussianState, _evolve, _pump_displacement,
                      _symplectic_inverse, _symplectic_residual, reduce_to_modes,
                      symplectic_form)
@@ -148,10 +153,21 @@ def _point(config: InterferometerConfig) -> _Point:
 def _points(configs) -> _Point:
     """The rows' parameters as arrays; row i equals ``_point(configs[i])`` bit for bit."""
     fields = np.array(list(map(_FIELDS, configs))).T
-    # n_side row by row: pump_depletion squares a numpy scalar through pow
-    n_side = np.fromiter((pump_depletion(c.nbar, c.r)[1] for c in configs), float,
-                         len(configs))
+    n_side = _side_population(fields[1])
     return _Point(*fields, fields[0] - n_side, n_side)  # n0 = nbar - n_side
+
+
+def _flat(value, shape) -> np.ndarray:
+    """``value``, a scalar or an array that broadcasts to ``shape``, with one entry per grid point."""
+    value = np.asarray(value)
+    if value.shape != shape:
+        value = np.broadcast_to(value, shape)
+    return value.ravel()
+
+
+def _row_point(p: _Point, shape, i) -> _Point:
+    """The parameters of flat grid point ``i``, as Python floats."""
+    return _Point(*(_flat(field, shape)[i].item() for field in p))
 
 
 def _phase_args(config: InterferometerConfig):
@@ -194,6 +210,13 @@ def _qfi_exact(kind: str, p: _Point):
     return (p.strength * p.strength / 8.0) * (
         (1.0 + c2) * sh2r_sq + s2 * phi1 * (sh2r_sq - 2.0 * sh_sq)
         + 2.0 * p.n0 * s2 * (s2 * (sp * sp) + phi1 * eta3))
+
+
+def _exact_closed_form(kind: str, p: _Point):
+    """``qfi_closed_form(config, "exact")`` at the parameters ``p``, same error included."""
+    if kind not in ("squeezing", "mode_mixing"):
+        raise ValueError(f"no closed-form QFI for channel kind {kind!r}")
+    return _qfi_exact(kind, p)
 
 
 def _turning_point_argument(nbar, n_side):
@@ -571,91 +594,162 @@ def fisher_from_moments(config: InterferometerConfig, eps0: float = 1e-3) -> flo
 QUANTITY_COLUMNS = {"H_numeric": ("H_numeric",), "H_closed": ("H_closed",), "F0": ("F0",),
                     "moments": ("mean_S", "var_S"), "theta_t": ("theta_t",)}
 
-
-def _turning_point(config: InterferometerConfig) -> float:
-    _, n_side = pump_depletion(config.nbar, config.r)
-    return optimal_tritter_angle(config.nbar, n_side)
-
-
-# each quantity at one point through the single-point API, as a tuple of columns
-_SINGLE_POINT = {
+# each quantity at one row through the single-point path, as a tuple of columns:
+# the closed forms from the row's parameters, the others from its config
+_FROM_POINT = {
+    "H_closed": lambda kind, p: (_exact_closed_form(kind, p),),
+    "theta_t": lambda kind, p: (optimal_tritter_angle(p.nbar, p.n_side),),
+}
+_FROM_CONFIG = {
     "H_numeric": lambda config, eps0: (qfi_numeric(config, 0.0),),
-    "H_closed": lambda config, eps0: (qfi_closed_form(config, "exact"),),
     "F0": lambda config, eps0: (sensitivity_number_sum(config, eps0)[1],),
     "moments": _side_moments,
-    "theta_t": lambda config, eps0: (_turning_point(config),),
+}
+# every quantity from a config, through the public single-point functions
+_SINGLE_POINT = {
+    **_FROM_CONFIG,
+    "H_closed": lambda config, eps0: (qfi_closed_form(config, "exact"),),
+    "theta_t": lambda config, eps0: (optimal_tritter_angle(
+        config.nbar, pump_depletion(config.nbar, config.r)[1]),),
 }
 
 
 def evaluate(configs, eps0s, quantities) -> tuple[dict, list]:
     """Evaluate ``quantities`` for every row (config, eps0) in one stacked pass.
 
-    H_numeric, F0 and the moments of all rows come from (N, 6, 6) stacks that
-    repeat the single-point pipeline step by step: source squeezer, tritter,
-    channel at eps0, and the reverse half S_minus = Omega^T S_plus^T Omega.
-    H_closed and theta_t come from the closed forms of ``qfi_closed_form``
-    ("exact") and ``optimal_tritter_angle``, applied to arrays of the rows'
-    parameters.  Every check the single-point functions make is applied to the
-    whole stack (symplectic residual below 1e-10 on the squeezer, tritter,
-    S_plus, S_minus and the side-mode and embedded channel; finite H; eps0 !=
-    0, a finite nonzero d<S>/d eps and Var(S) > 0; a channel with a closed
-    form; n_side > 0, nbar > n_side and an arccos argument in [-1, 1]), and
-    any non-finite value is flagged too.  A flagged row is evaluated again by
-    the single-point function, which raises its own error or returns its
-    value, so each row carries exactly its single-point outcome and never
-    affects another row.
-
-    Returns ``(values, errors)``: ``values`` maps each output column of the
-    quantities (``QUANTITY_COLUMNS``) to a list with one entry per row, None
-    where the quantity failed; ``errors[i]`` lists the (quantity, exception)
-    pairs of row i in the order of ``quantities``, each exception without its
+    The list-of-configs entry point of :func:`_evaluate_grid`: the rows of
+    each channel kind go to it as one batch of parameter arrays.  Returns
+    ``(values, errors)``: ``values`` maps each output column of the quantities
+    (``QUANTITY_COLUMNS``) to a list with one entry per row, None where the
+    quantity failed; ``errors[i]`` lists the (quantity, exception) pairs of
+    row i in the order of ``quantities``, each exception without its
     traceback.
     """
-    unknown = set(quantities) - set(_SINGLE_POINT)
+    unknown = set(quantities) - set(QUANTITY_COLUMNS)
     if unknown:
         raise ValueError(f"unknown quantities {sorted(unknown)}")
-    if not configs:
-        return {c: [] for q in quantities for c in QUANTITY_COLUMNS[q]}, []
-    stacked = _evaluate_stack(configs, eps0s, quantities)
-    values = {}
+    values = {c: [None] * len(configs) for q in quantities for c in QUANTITY_COLUMNS[q]}
     errors = [[] for _ in configs]
+    kinds = [c.channel.kind for c in configs]
+    for kind in dict.fromkeys(kinds):
+        rows = [i for i, k in enumerate(kinds) if k == kind]
+        group = [configs[i] for i in rows]
+        eps0 = np.array([eps0s[i] for i in rows], dtype=float)
+        cells, failures = _evaluate_grid(kind, _points(group), eps0, quantities,
+                                         (len(rows),), True, group.__getitem__)
+        for column, column_cells in cells.items():
+            for i, value in zip(rows, column_cells):
+                values[column][i] = value
+        for j, failure in failures.items():
+            errors[rows[j]] = failure
+    return values, errors
+
+
+def _evaluate_grid(kind: str, p: _Point, eps0, quantities, shape, valid, config):
+    """Evaluate ``quantities`` on a grid of one channel kind; ``(values, errors)``.
+
+    ``p`` and ``eps0`` hold scalars or arrays that broadcast to ``shape``, and
+    :func:`_evaluate_stack` computes every grid point at once.  H_numeric, F0
+    and the moments come from stacks that repeat the single-point pipeline
+    step by step: source squeezer, tritter, channel at eps0, and the reverse
+    half S_minus = Omega^T S_plus^T Omega.  H_closed and theta_t come from the
+    closed forms of ``qfi_closed_form`` ("exact") and ``optimal_tritter_angle``.
+    Every check the single-point functions make is applied to the whole grid
+    (symplectic residual below 1e-10 on the squeezer, tritter, S_plus, S_minus
+    and the side-mode and embedded channel; finite H; eps0 != 0, a finite
+    nonzero d<S>/d eps and Var(S) > 0; a channel with a closed form; n_side >
+    0, nbar > n_side and an arccos argument in [-1, 1]), and any non-finite
+    value is flagged too.
+
+    A flagged row among those ``valid`` marks (a flat mask, or True) is
+    evaluated again through the single-point path (:func:`_single_row`),
+    which raises its own error or returns its value, so each row carries
+    exactly its single-point outcome and never affects another row.  A value
+    depends only on the parameters its array varies over, so it is redone
+    once per point of the array's own shape, on the first flagged row over
+    that point, and the other rows over it share the outcome.  ``values``
+    maps each output column to a list with one cell per grid point in C
+    order; ``errors`` maps the flat index of each row with a failure to its
+    (quantity, exception) pairs, each exception without its traceback.
+    """
+    stacked = _evaluate_stack(kind, p, eps0, quantities)
+    values, errors = {}, {}
     for quantity in quantities:
         columns = QUANTITY_COLUMNS[quantity]
         arrays, flagged = stacked[quantity]
-        values.update(zip(columns, (a.tolist() for a in arrays)))
-        for i in np.flatnonzero(flagged).tolist():
-            try:
-                with np.errstate(all="ignore"):  # its own checks report a non-finite value
-                    result = _SINGLE_POINT[quantity](configs[i], eps0s[i])
-            except Exception as exc:
-                # a traceback's frames lead back to this one, whose locals hold
-                # the error list: that cycle would keep the whole batch alive
-                # until the garbage collector runs
-                errors[i].append((quantity, exc.with_traceback(None)))
-                result = (None,) * len(columns)
+        values.update(zip(columns, (_flat(a, shape).tolist() for a in arrays)))
+        rows = np.flatnonzero(_flat(flagged, shape) & valid)
+        if not rows.size:
+            continue
+        own = np.broadcast_shapes(np.shape(flagged), *map(np.shape, arrays))
+        points = _flat(np.arange(math.prod(own)).reshape(own), shape)[rows]
+        outcomes = {}
+        for i, point in zip(rows.tolist(), points.tolist()):
+            if point not in outcomes:
+                outcomes[point] = _single_row(quantity, kind, p, eps0, shape, i, config)
+            result, exc = outcomes[point]
+            if exc is not None:
+                errors.setdefault(i, []).append((quantity, exc))
             for column, value in zip(columns, result):
                 values[column][i] = value
     return values, errors
 
 
+def _single_row(quantity, kind, p, eps0, shape, i, config):
+    """Flat row i's ``quantity`` through the single-point path: (column values,
+    None), or (Nones, the exception it raised, without its traceback).
+
+    H_closed and theta_t are redone from the row's parameters, the other
+    quantities from ``config(i)``, the row's :class:`InterferometerConfig`.
+    """
+    try:
+        with np.errstate(all="ignore"):  # its own checks report a non-finite value
+            if quantity in _FROM_POINT:
+                return _FROM_POINT[quantity](kind, _row_point(p, shape, i)), None
+            return _FROM_CONFIG[quantity](config(i), _flat(eps0, shape)[i].item()), None
+    except Exception as exc:
+        # a traceback's frames lead back to the caller, whose locals hold the
+        # errors: that cycle would keep the whole grid alive until the garbage
+        # collector runs
+        return (None,) * len(QUANTITY_COLUMNS[quantity]), exc.with_traceback(None)
+
+
 def _not_symplectic(*mats):
-    # per row: the residual check fails, or is NaN, on any of the stacks ``mats``
-    return ~(_symplectic_residual(np.stack(mats)) < SYMPLECTIC_TOL).all(axis=0)
+    # per grid point: the residual check fails, or is NaN, on any of ``mats``;
+    # matrices of one shape are checked as one stack
+    flagged = False
+    for shape in dict.fromkeys(mat.shape for mat in mats):
+        stack = np.stack([mat for mat in mats if mat.shape == shape])
+        flagged = flagged | ~(_symplectic_residual(stack) < SYMPLECTIC_TOL).all(axis=0)
+    return flagged
 
 
-def _evaluate_stack(configs, eps0s, quantities) -> dict:
-    """{quantity: (column arrays, flagged rows)} for every quantity in ``quantities``."""
-    p = _points(configs)
-    kind = [c.channel.kind for c in configs]
-    by_kind = [(k, np.array([x == k for x in kind])) for k in set(kind)]
+def _common(first, *rest):
+    # a fill takes its shape from its first argument, so the others may be
+    # scalars; any other mix is broadcast to one shape
+    if all(np.ndim(a) == 0 for a in rest):
+        return (first, *rest)
+    return np.broadcast_arrays(first, *rest)
+
+
+def _evaluate_stack(kind: str, p: _Point, eps0, quantities) -> dict:
+    """{quantity: (column arrays, flagged points)} for every quantity in ``quantities``.
+
+    Each element is filled at the broadcast shape of its own arguments: the
+    squeezer over r and the squeeze phase, the tritter over theta and its
+    phase, the generator over the channel's strength and phase, the channel
+    over those and eps0.  Their products broadcast to the grid, so a one-point
+    grid runs on single matrices, and the returned arrays and masks broadcast
+    to the grid as well.
+    """
     out = {}
-    with np.errstate(all="ignore"):  # flagged rows are redone one at a time
+    with np.errstate(all="ignore"):  # flagged points are redone one at a time
         if "H_closed" in quantities:
-            h = np.full(len(configs), np.nan)  # the phase channel has no closed form
-            for k, rows in by_kind:
-                if k != "phase":
-                    h[rows] = _qfi_exact(k, _Point(*(a[rows] for a in p)))
-            out["H_closed"] = ((h,), ~np.isfinite(h))
+            if kind == "phase":  # the phase channel has no closed form
+                out["H_closed"] = ((np.nan,), True)
+            else:
+                h = _qfi_exact(kind, p)
+                out["H_closed"] = ((h,), ~np.isfinite(h))
         if "theta_t" in quantities:
             z = _turning_point_argument(p.nbar, p.n_side)
             theta_t = 0.5 * np.arccos(z)  # as optimal_tritter_angle
@@ -663,15 +757,14 @@ def _evaluate_stack(configs, eps0s, quantities) -> dict:
                               | ~((-1.0 <= z) & (z <= 1.0)) | ~np.isfinite(theta_t))
         if {"H_numeric", "F0", "moments"}.isdisjoint(quantities):
             return out
-        squeezer = _with_pump(_two_mode_squeeze(p.r, p.squeeze_phase))
-        mixer = _tritter_matrix(p.theta, p.tritter_phase)
+        squeezer = _with_pump(_two_mode_squeeze(*_common(p.r, p.squeeze_phase)))
+        mixer = _tritter_matrix(*_common(p.theta, p.tritter_phase))
         s_plus = mixer @ squeezer
         flagged = _not_symplectic(squeezer, mixer, s_plus)
-        d, sigma = _evolve(squeezer, _pump_displacement(p.n0, p.pump_phase), np.eye(6))
+        d = _pump_displacement(*_common(p.n0, p.pump_phase))
+        d, sigma = _evolve(squeezer, d, np.eye(6))
         d, sigma = _evolve(mixer, d, sigma)
-        K = np.empty(squeezer.shape)
-        for k, rows in by_kind:
-            K[rows] = _generator(k, p.strength[rows], p.channel_phase[rows])
+        K = _generator(kind, *_common(p.strength, p.channel_phase))
         if "H_numeric" in quantities:
             h = _qfi(K, d, sigma)
             out["H_numeric"] = ((h,), flagged | ~np.isfinite(h))
@@ -679,23 +772,20 @@ def _evaluate_stack(configs, eps0s, quantities) -> dict:
             return out
         # the strained pre-measurement state; where the channel argument is
         # zero the channel is the identity, whose application is exact
-        eps0 = np.asarray(eps0s, dtype=float)
-        side = np.empty(squeezer.shape[:-2] + (4, 4))
-        for k, rows in by_kind:
-            side[rows] = _side_channel(k, _channel_argument(k, eps0[rows], p.strength[rows]),
-                                       p.channel_phase[rows])
+        side = _side_channel(kind, *_common(_channel_argument(kind, eps0, p.strength),
+                                            p.channel_phase))
         channel = _with_pump(side)
         s_minus = _symplectic_inverse(s_plus)
         flagged = flagged | _not_symplectic(side) | _not_symplectic(channel, s_minus)
         d_pre, sigma_pre = _evolve(channel, d, sigma)
         if "F0" in quantities:
-            var, d_mean, _ = _slopes(K, s_minus[:, 2:], d_pre, sigma_pre)
+            var, d_mean, _ = _slopes(K, s_minus[..., 2:, :], d_pre, sigma_pre)
             f0 = 1.0 / (var / (d_mean * d_mean))  # as sensitivity_number_sum
             out["F0"] = ((f0,), flagged | (eps0 == 0) | ~np.isfinite(d_mean) | (d_mean == 0)
                          | ~(var > 0) | ~np.isfinite(f0))
         if "moments" in quantities:
             d_out, sigma_out = _evolve(s_minus, d_pre, sigma_pre)
-            mean, var = _number_sum(d_out[:, 2:], sigma_out[:, 2:, 2:])
+            mean, var = _number_sum(d_out[..., 2:], sigma_out[..., 2:, 2:])
             out["moments"] = ((mean, var), flagged | ~np.isfinite(mean) | ~np.isfinite(var))
     return out
 

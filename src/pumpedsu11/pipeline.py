@@ -34,7 +34,6 @@ __all__ = [
     "InterferometerConfig",
     "PumpDepletedError",
     "pump_depletion",
-    "build_half_pipelines",
     "pre_measurement_state",
     "run_interferometer",
     "particle_numbers_after_tritter",
@@ -103,24 +102,32 @@ class InterferometerConfig:
         return self.forward_half.inverse()
 
 
+def _side_population(r):
+    """Side-mode population n_side = 2 sinh^2 r of the source squeezer.
+
+    The square is a product, not ``** 2``: a numpy scalar squares through
+    ``pow`` and an array through a product, and the two can differ in the last
+    bit.  Written this way one value of r gives one n_side bit for bit, as a
+    scalar or as an element of an array of any shape, so :func:`pump_depletion`,
+    the sweep grid and :mod:`gw` agree.
+    """
+    s = np.sinh(r)
+    return 2.0 * (s * s)
+
+
 def pump_depletion(nbar: float, r: float) -> tuple[float, float]:
     """Split the input number into pump and side-mode populations.
 
     Returns (n0, n_side) with n_side = 2 sinh^2 r and n0 = nbar - n_side, so
     that n0 + n_side = nbar exactly.
     """
-    n_side = 2.0 * np.sinh(r) ** 2
+    n_side = _side_population(r)
     n0 = nbar - n_side
     if n0 <= 0:
         raise PumpDepletedError(
             f"pump depleted: source squeezing needs {n_side:.6g} particles "
             f"but only {nbar:.6g} are available")
     return n0, n_side
-
-
-def build_half_pipelines(config: InterferometerConfig) -> tuple[SymplecticOp, SymplecticOp]:
-    """The forward and reverse halves (S_plus, S_minus), with S_minus S_plus = I."""
-    return config.forward_half, config.reverse_half
 
 
 def pre_measurement_state(config: InterferometerConfig,

@@ -26,19 +26,24 @@ from the environment.
 The unswept keys of an interferometer file's base point, and the single point
 of a ``[gw]`` file without a ``[sweep]`` section, are validated when the file
 is read, so a point outside the formulas' domain is a :class:`ConfigError`
-with the file's name.  An interferometer sweep validates each grid point on
-its own (a depleted pump or an out-of-range angle becomes that row's error)
-and then evaluates all valid points in one batched call of
-:func:`metrology.evaluate`; a ``[gw]`` sweep evaluates its whole grid in one
-call of :func:`gw.compare_grid`.  The ``[outputs]`` section selects
-interferometer quantities only; a ``[gw]`` run always writes the comparison
-columns.  Results are held column by column (:class:`SweepTable`), and
-:func:`emit` formats each column in one pass.
+with the file's name.  An interferometer sweep is held as arrays: each swept
+key is an array shaped to broadcast over the grid, and each unswept key stays
+a scalar.  The grid's row checks (strength, pump depletion, angle range) run
+as masks over those arrays, and a failing row gets the error text of its
+first failing check.  The arrays then go straight to the stacked kernel
+(``metrology._evaluate_grid``), which builds an :class:`InterferometerConfig`
+only for a row whose pipeline quantities it has to redo one at a time.  A
+``[gw]`` sweep evaluates its whole grid in one call of
+:func:`gw.compare_grid`.  The ``[outputs]`` section selects interferometer
+quantities only; a ``[gw]`` run always writes the comparison columns.
+Results are held column by column (:class:`SweepTable`), and :func:`emit`
+formats each column in one pass.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -50,8 +55,9 @@ import numpy as np
 
 from .channels import ChannelSpec
 from .gw import compare_grid, compare_schemes
-from .metrology import QUANTITY_COLUMNS, evaluate
-from .pipeline import InterferometerConfig
+from .metrology import QUANTITY_COLUMNS, _evaluate_grid, _Point
+from .pipeline import (InterferometerConfig, PumpDepletedError, _side_population,
+                       pump_depletion)
 
 __all__ = [
     "ConfigError",
@@ -335,30 +341,83 @@ def _gw_table(spec: SweepSpec) -> SweepTable:
     return SweepTable(columns, shape)
 
 
+def _row_params(spec: SweepSpec, shape, i) -> dict:
+    """The parameters of flat grid row ``i``: the base point and the row's swept values."""
+    index = np.unravel_index(i, shape)
+    return {**spec.base, **{name: values[j] for (name, values), j in zip(spec.sweeps, index)}}
+
+
+def _depletion_error(nbar: float, r: float) -> str:
+    try:
+        pump_depletion(nbar, r)
+    except PumpDepletedError as exc:
+        return str(exc)
+
+
+def _config_error(params: dict) -> str:
+    try:
+        _build_config(params)
+    except ConfigError as exc:
+        return str(exc)
+
+
+def _grid_errors(spec: SweepSpec, shape, params: dict, n0) -> dict:
+    """{flat row: configuration error} for the grid rows :func:`_build_config` rejects.
+
+    The checks of :class:`ChannelSpec` and :class:`InterferometerConfig` run
+    as masks, in their order, and only on what a sweep sets: strength >= 0,
+    the pump depletion (nbar or r swept) and the angle range; the keys no
+    sweep sets were checked by :func:`parse_config`.  A row's error is the
+    text of its first failing check: from :func:`pump_depletion` on the row's
+    nbar and r when that is the depletion (once per distinct pair), else from
+    :func:`_build_config` on the row.
+    """
+    swept = set(sweeps_names(spec.sweeps))
+    checks = []  # (failing points, is the depletion check)
+    if "strength" in swept:
+        checks.append((params["strength"] < 0.0, False))
+    if swept & {"nbar", "r"}:
+        checks.append((n0 <= 0.0, True))
+    if "theta" in swept:
+        theta = params["theta"]
+        checks.append((~((0.0 <= theta) & (theta <= np.pi / 2)), False))
+    if not checks:
+        return {}
+    masks = np.stack([np.broadcast_to(mask, shape).ravel() for mask, _ in checks])
+    rows = np.flatnonzero(masks.any(axis=0))
+    first = masks[:, rows].argmax(axis=0).tolist()
+    nbar, r = (np.broadcast_to(params[key], shape).ravel()[rows].tolist()
+               for key in ("nbar", "r"))
+    depletion_error = functools.cache(_depletion_error)
+    return {i: depletion_error(nbar_i, r_i) if checks[k][1]
+            else _config_error(_row_params(spec, shape, i))
+            for i, k, nbar_i, r_i in zip(rows.tolist(), first, nbar, r)}
+
+
 def _interferometer_table(spec: SweepSpec, eps0: float) -> SweepTable:
     shape, columns = _axes(spec)
-    names = sweeps_names(spec.sweeps)
     size = math.prod(shape)
-    error_cells = [""] * size
-    valid, configs, eps0s = [], [], []
-    for i, combo in enumerate(itertools.product(*(values for _, values in spec.sweeps))):
-        point = dict(zip(names, combo))
-        params = dict(spec.base)
-        params.update({k: v for k, v in point.items() if k != "eps0"})
-        try:
-            configs.append(_build_config(params))
-        except ConfigError as exc:
-            error_cells[i] = str(exc)
-            continue
-        valid.append(i)
-        eps0s.append(point.get("eps0", eps0))
-    values, errors = evaluate(configs, eps0s, spec.quantities)
+    params = {key: columns.get(key, spec.base[key]) for key in DEFAULTS}
+    n_side = _side_population(params["r"])
+    n0 = params["nbar"] - n_side
+    point = _Point(*(params[name] for name in _Point._fields[:-2]), n0, n_side)
+    failed = _grid_errors(spec, shape, params, n0)
+    valid = True
+    if failed:
+        valid = np.ones(size, dtype=bool)
+        valid[list(failed)] = False
+    values, errors = _evaluate_grid(
+        spec.base["channel"], point, columns.get("eps0", eps0), spec.quantities, shape, valid,
+        functools.cache(lambda i: _build_config(_row_params(spec, shape, i))))
     for column in INTERFEROMETER_COLUMNS[:-1]:
-        cells = [None] * size
-        for i, value in zip(valid, values.get(column, ())):
-            cells[i] = value
+        cells = values.get(column) or [None] * size
+        for i in failed:
+            cells[i] = None
         columns[column] = cells
-    for i, row_errors in zip(valid, errors):
+    error_cells = [""] * size
+    for i, text in failed.items():
+        error_cells[i] = text
+    for i, row_errors in errors.items():
         error_cells[i] = "; ".join(f"{quantity}: {exc}" for quantity, exc in row_errors)
     columns["error"] = error_cells
     return SweepTable(columns, shape)
@@ -369,8 +428,8 @@ def run_sweep(spec: SweepSpec, eps0: float = 1e-3, *, table: bool = False):
 
     Rows come back in lexicographic grid order (first swept name outermost).
     Each interferometer point is validated on its own, so a depleted or
-    out-of-range point gets its configuration error; all valid points then go
-    to :func:`metrology.evaluate` as one batch.  A ``[gw]`` grid goes to
+    out-of-range point gets its configuration error; the grid's parameter
+    arrays then go to the stacked kernel as one batch.  A ``[gw]`` grid goes to
     :func:`gw.compare_grid` as one batch.  Failures are recorded in the row's
     ``error`` cell and never abort the sweep.  With ``table=True`` the result
     is returned as a :class:`SweepTable`, which :func:`emit` formats without a
@@ -402,9 +461,28 @@ def _json_number(value) -> str:
     return _JSON_NON_FINITE.get(text, text)
 
 
+def _csv_line(cells) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
+# the characters for which csv.writer quotes a cell (whether "\r" is one
+# depends on the Python version)
+_CSV_QUOTED = frozenset(c for c in ',"\r\n' if _csv_line([c]) != c + "\n")
+
+
+def _csv_cell(text: str) -> str:
+    """A text cell as csv.writer writes it: quoted, with quotes doubled, if it
+    holds a delimiter, a quote or a line break."""
+    if _CSV_QUOTED.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
 def _number_text(values, fmt: str) -> list:
-    """Cells of a list of numbers: 13 significant digits, as text (CSV) or as
-    the JSON number of the float that text parses to.
+    """Cells of a list or array of numbers: 13 significant digits, as text
+    (CSV) or as the JSON number of the float that text parses to.
 
     A JSON cell is the number's ``.13g`` text, which has the digits of
     :func:`_json_number` and its layout wherever that repr is in fixed notation
@@ -415,17 +493,18 @@ def _number_text(values, fmt: str) -> list:
     ``.13g`` uses an exponent), subnormals (whose shortest repr may have fewer
     digits) and non-finite values.
     """
+    numbers = values.tolist() if isinstance(values, np.ndarray) else values
     if fmt == "csv":
-        return list(map("{:.12e}".format, values))
-    text = list(map("{:.13g}".format, values))
-    x = np.abs(np.array(values, dtype=float))
+        return list(map("{:.12e}".format, numbers))
+    text = list(map("{:.13g}".format, numbers))
+    x = np.abs(np.asarray(values, dtype=float))
     with np.errstate(invalid="ignore"):  # inf - inf
         # rounding to 13 digits moves a value by at most 5e-13 of itself
         plain = (((x >= _SMALLEST_NORMAL) & (x < 9.99999999999995e12)
                   & (np.abs(x - np.rint(x)) > 1e-12 * x))
                  | ((x >= 1.0000000000001e16) & (x < np.inf)))
     for i in np.flatnonzero(~plain).tolist():
-        text[i] = _json_number(values[i])
+        text[i] = _json_number(numbers[i])
     return text
 
 
@@ -433,15 +512,15 @@ def _cell_text(value, fmt: str) -> str:
     if isinstance(value, (int, float)):
         return f"{value:.12e}" if fmt == "csv" else _json_number(value)
     if fmt == "csv":
-        return "" if value is None else value if isinstance(value, str) \
+        return "" if value is None else _csv_cell(value) if isinstance(value, str) \
             else f"{value:.12e}"
     return json.dumps(value) if value else "null"
 
 
 def _column_text(column, shape, fmt: str) -> list:
-    """One column's cells as text, in grid order."""
+    """One column's cells as text, in grid order (a CSV text cell quoted as csv.writer would)."""
     if isinstance(column, np.ndarray):
-        text = np.array(_number_text(column.ravel().tolist(), fmt), dtype=object)
+        text = np.array(_number_text(column.ravel(), fmt), dtype=object)
         return np.broadcast_to(text.reshape(column.shape), shape).ravel().tolist()
     kinds = set(map(type, column))
     if kinds <= _NUMBER_TYPES:
@@ -451,7 +530,9 @@ def _column_text(column, shape, fmt: str) -> list:
         blank = "" if fmt == "csv" else "null"
         return [blank if v is None else next(numbers) for v in column]
     if kinds == {str}:
-        return column if fmt == "csv" else [json.dumps(v) if v else "null" for v in column]
+        if fmt == "csv":
+            return list(map(_csv_cell, column))
+        return [json.dumps(v) if v else "null" for v in column]
     return [_cell_text(value, fmt) for value in column]
 
 
@@ -467,7 +548,10 @@ def emit(table, fmt: str = "csv", path=None, spec: SweepSpec | None = None) -> s
     repr of the float that text parses to.  Each column is formatted in one
     pass (a JSON column in one ``.13g`` pass, see :func:`_number_text` for the
     cells that take the repr rule instead) and the rows are joined through one
-    template; the JSON text is the layout of ``json.dumps(records, indent=1)``.
+    template.  The CSV text is ``csv.writer``'s with ``"\n"`` line ends: only a
+    text cell can need quotes, so only text cells go through its quoting rule
+    (:func:`_csv_cell`).  The JSON text is the layout of
+    ``json.dumps(records, indent=1)``.
     """
     if not isinstance(table, SweepTable):
         names = _columns(spec if spec is not None else table) if table else ()
@@ -479,11 +563,11 @@ def emit(table, fmt: str = "csv", path=None, spec: SweepSpec | None = None) -> s
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     cells = [_column_text(column, shape, fmt) for column in columns.values()]
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(columns))
-        writer.writerows(zip(*cells) if cells else [()] * size)
-        text = buf.getvalue()
+        lines = [",".join(map(_csv_cell, columns)), *map(",".join, zip(*cells))] if cells \
+            else [""] * (size + 1)
+        if len(columns) == 1:  # csv.writer writes a row of one empty cell as ""
+            lines = [line or '""' for line in lines]
+        text = "\n".join(lines) + "\n"
     else:
         if cells:
             parts = []

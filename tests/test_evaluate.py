@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pumpedsu11 import (ChannelSpec, InterferometerConfig, mode_mixing_channel,
-                        optimal_tritter_angle, parse_config, phase_channel, pump_depletion,
-                        pumped_two_mode_squeezer, qfi_closed_form, qfi_numeric, run_sweep,
-                        sensitivity_number_sum, squeezing_channel, tritter)
+from pumpedsu11 import (ChannelSpec, ConfigError, InterferometerConfig, mode_mixing_channel,
+                        number_sum_moments, optimal_tritter_angle, parse_config, phase_channel,
+                        pump_depletion, pumped_two_mode_squeezer, qfi_closed_form, qfi_numeric,
+                        reduce_to_modes, run_interferometer, run_sweep, sensitivity_number_sum,
+                        squeezing_channel, tritter)
 from pumpedsu11.channels import (_generator, _side_channel, _tritter_matrix, _two_mode_squeeze,
                                  _with_pump)
 from pumpedsu11.metrology import _side_moments, evaluate
-from pumpedsu11.sweep import QUANTITIES
+from pumpedsu11.sweep import INTERFEROMETER_COLUMNS, QUANTITIES, _build_config
 from conftest import random_config
 
 ANGLE = st.floats(0.0, 2 * math.pi)
@@ -181,3 +182,103 @@ def test_stored_errors_hold_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def reference_row(params, eps0):
+    """One row of a sweep the single-point way: one _build_config, then the
+    public single-point function of each quantity; ({column: value}, error text)."""
+    try:
+        config = _build_config(params)
+    except ConfigError as exc:
+        return dict.fromkeys(INTERFEROMETER_COLUMNS[:-1]), str(exc)
+    calls = (("H_numeric", ("H_numeric",), lambda: (qfi_numeric(config, 0.0),)),
+             ("H_closed", ("H_closed",), lambda: (qfi_closed_form(config, "exact"),)),
+             ("F0", ("F0",), lambda: (sensitivity_number_sum(config, eps0)[1],)),
+             ("moments", ("mean_S", "var_S"), lambda: number_sum_moments(
+                 reduce_to_modes(run_interferometer(config, eps0), (1, 2)))),
+             ("theta_t", ("theta_t",), lambda: (optimal_tritter_angle(
+                 config.nbar, pump_depletion(config.nbar, config.r)[1]),)))
+    values, errors = {}, []
+    for quantity, columns, call in calls:
+        try:
+            with np.errstate(all="ignore"):
+                values.update(zip(columns, call()))
+        except Exception as exc:
+            values.update(dict.fromkeys(columns))
+            errors.append(f"{quantity}: {exc}")
+    return values, "; ".join(errors)
+
+
+def _seeded_grid(rng, kind):
+    phases = "".join(f"{name} = {rng.uniform(0.0, 2 * np.pi)!r}\n" for name in
+                     ("pump_phase", "squeeze_phase", "tritter_phase", "channel_phase"))
+    # nbar = 5 depletes every r > 0.9 and r = 10 every pump but 1e12; at
+    # nbar = 1e12, r = 10 fails the 1e-10 symplectic residual check
+    return (f"channel = {kind}\n{phases}[sweep]\n"
+            f"nbar = values 5 {10 ** rng.uniform(2.0, 6.0)!r} 1e12\n"
+            f"r = values 0 {rng.uniform(0.2, 2.5)!r} 10\n"
+            f"theta = values -0.1 {rng.uniform(0.0, np.pi / 2)!r} 1.5707963267948966 1.6\n"
+            f"strength = values -0.5 {rng.uniform(0.3, 3.0)!r}\n"
+            f"eps0 = values 0 {rng.uniform(1e-4, 1e-2)!r}\n")
+
+
+@pytest.mark.parametrize("kind", ["squeezing", "mode_mixing", "phase"])
+def test_grid_sweep_equals_the_single_point_path(tmp_path, rng, kind):
+    # the grid path builds no config for a row it evaluates; every cell and
+    # every error text must still be the single-point path's, bit for bit
+    grids = [_seeded_grid(rng, kind),
+             f"channel = {kind}\nr = 2.0\ntheta = 0.5\n[sweep]\nnbar = values 1 26 27 1e6\n"]
+    for k, text in enumerate(grids):
+        path = tmp_path / f"grid{k}.conf"
+        path.write_text(text)
+        spec = parse_config(str(path))
+        rows = run_sweep(spec)
+        assert len(rows) == spec.grid_size()
+        errors = set()
+        for row in rows:
+            params = dict(spec.base, **{name: row[name] for name, _ in spec.sweeps})
+            values, error = reference_row(params, row.get("eps0", 1e-3))
+            assert row["error"] == error, params
+            assert {c: row[c] for c in values} == values, params
+            errors.update(part.split(":")[0] for part in error.split("; "))
+            # n_side is 2 sinh^2 r through one product helper; the square
+            # spelled with ** 2 (pow on a numpy scalar) may differ from it in
+            # the last bit, and in nothing more
+            n_side = pump_depletion(np.inf, params["r"])[1]
+            assert abs(2.0 * np.sinh(params["r"]) ** 2 - n_side) <= np.spacing(n_side)
+        # the phase channel has no closed form, so none of its rows is clean
+        expected = {"H_closed" if kind == "phase" else "", "pump depleted"} | (
+            {"tritter angle must lie in [0, pi/2], got -0.1",
+             "strength constant must be nonnegative, got -0.5", "H_numeric"} if k == 0
+            else {"theta_t"})
+        assert expected <= errors, errors
+
+
+def test_the_grid_path_builds_configs_only_for_flagged_pipeline_rows(tmp_path, monkeypatch):
+    built = []
+    post_init = InterferometerConfig.__post_init__
+
+    def counted(self):
+        built.append((self.r, self.theta))
+        post_init(self)
+
+    monkeypatch.setattr(InterferometerConfig, "__post_init__", counted)
+    # a 10 theta x 5 r grid with an r = 0 row (theta_t fails: an error from
+    # the closed form, no config) and a depleted row (its error comes from
+    # pump_depletion): only the base point parse_config checks is built
+    path = tmp_path / "theta.conf"
+    path.write_text("channel = squeezing\nnbar = 1e4\n[sweep]\n"
+                    "theta = linspace 0.05 1.5 10\nr = values 0 0.5 1 1.5 6\n")
+    rows = run_sweep(parse_config(str(path)))
+    assert sum(row["error"].startswith("pump depleted") for row in rows) == 10
+    assert sum(row["error"].startswith("theta_t: need n_side > 0") for row in rows) == 10
+    assert len(built) == 1
+    # r = 10 at nbar = 1e12 fails the residual check of H_numeric, F0 and the
+    # moments: its row is redone through one config, built once
+    built.clear()
+    path.write_text("channel = squeezing\nnbar = 1e12\ntheta = 0.4\n[sweep]\n"
+                    "r = values 0 0.8 10 30\n")
+    rows = run_sweep(parse_config(str(path)))
+    assert [row["error"].split(":")[0] for row in rows] == [
+        "theta_t", "", "H_numeric", "pump depleted"]
+    assert built == [(0.0, 0.4), (10.0, 0.4)]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pumpedsu11 import (ChannelSpec, GaussianState, InterferometerConfig, RegimeError,
-                        apply_symplectic, build_half_pipelines, f0_closed_form, fisher_from_moments,
+                        apply_symplectic, f0_closed_form, fisher_from_moments,
                         heterodyne_moments, metrology_report, number_sum_moments,
                         number_sum_quadratic_response, optimal_phases,
                         optimal_tritter_angle, qfi_closed_form, qfi_numeric,
@@ -102,7 +102,7 @@ def test_number_sum_slopes_match_output_generator(rng):
     for _ in range(200):
         cfg = random_config(rng)
         out = run_interferometer(cfg, 1e-3)
-        s_plus, s_minus = build_half_pipelines(cfg)
+        s_plus, s_minus = cfg.forward_half, cfg.reverse_half
         k_out = s_minus.matrix @ cfg.channel.generator() @ s_plus.matrix
         k_sigma = k_out @ out.sigma
         side = slice(2, 6)

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from pumpedsu11 import (ChannelSpec, InterferometerConfig, PumpDepletedError,
-                        apply_symplectic, build_half_pipelines, max_tritter_angle,
+                        apply_symplectic, max_tritter_angle,
                         number_mean, number_sum_moments, number_sum_quadratic_response,
                         particle_numbers_after_tritter, phase_channel,
                         pre_measurement_state, pump_depletion, pumped_input_state,
@@ -38,7 +38,7 @@ def test_pump_depletion_raises_when_exhausted():
 
 def test_half_pipelines_trivial_case():
     cfg = _config(r=0.0, theta=0.0)
-    s_plus, s_minus = build_half_pipelines(cfg)
+    s_plus, s_minus = cfg.forward_half, cfg.reverse_half
     assert np.allclose(s_plus.matrix, np.eye(6))
     assert np.allclose(s_minus.matrix, np.eye(6))
 
@@ -46,20 +46,20 @@ def test_half_pipelines_trivial_case():
 def test_half_pipelines_are_mutual_inverses(rng):
     for _ in range(20):
         cfg = random_config(rng)
-        s_plus, s_minus = build_half_pipelines(cfg)
+        s_plus, s_minus = cfg.forward_half, cfg.reverse_half
         assert np.max(np.abs(s_minus.matrix @ s_plus.matrix - np.eye(6))) < 1e-10
 
 
 def test_strain_independent_parts_are_built_once_per_config():
     cfg = _config()
-    s_plus, s_minus = build_half_pipelines(cfg)
-    assert build_half_pipelines(cfg)[0] is s_plus and build_half_pipelines(cfg)[1] is s_minus
+    s_plus, s_minus = cfg.forward_half, cfg.reverse_half
+    assert cfg.forward_half is s_plus and cfg.reverse_half is s_minus
     # at zero strain the channel is the identity: the cached state after the tritter
     assert pre_measurement_state(cfg, 0.0) is pre_measurement_state(cfg, 0.0)
 
     moved = dataclasses.replace(cfg, theta=1.1)
     expected = tritter(1.1) @ pumped_two_mode_squeezer(1.0)
-    moved_plus, moved_minus = build_half_pipelines(moved)
+    moved_plus, moved_minus = moved.forward_half, moved.reverse_half
     assert moved_plus is not s_plus and moved_minus is not s_minus
     assert np.array_equal(moved_plus.matrix, expected.matrix)
     direct = apply_symplectic(pre_measurement_state(cfg, 0.3), s_minus)
@@ -78,7 +78,7 @@ def test_zero_strain_output_side_modes_are_vacuum(rng):
 def test_zero_strain_full_chain_is_identity(rng):
     for kind in ("squeezing", "mode_mixing", "phase"):
         cfg = random_config(rng, kind=kind)
-        s_plus, s_minus = build_half_pipelines(cfg)
+        s_plus, s_minus = cfg.forward_half, cfg.reverse_half
         chain = s_minus.matrix @ cfg.channel.three_mode(0.0).matrix @ s_plus.matrix
         assert np.max(np.abs(chain - np.eye(6))) < 1e-10
 
