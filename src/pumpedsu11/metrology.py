@@ -167,7 +167,8 @@ def _flat(value, shape) -> np.ndarray:
 
 def _row_point(p: _Point, shape, i) -> _Point:
     """The parameters of flat grid point ``i``, as Python floats."""
-    return _Point(*(_flat(field, shape)[i].item() for field in p))
+    return _Point(*(_flat(field, shape)[i].item() if np.ndim(field) else float(field)
+                    for field in p))
 
 
 def _phase_args(config: InterferometerConfig):
@@ -715,12 +716,18 @@ def _single_row(quantity, kind, p, eps0, shape, i, config):
 
 
 def _not_symplectic(*mats):
-    # per grid point: the residual check fails, or is NaN, on any of ``mats``;
-    # matrices of one shape are checked as one stack
+    # per grid point: the residual check fails, or is NaN, on any of ``mats``,
+    # each at its own shape; the matrices of one size are checked in one call
     flagged = False
-    for shape in dict.fromkeys(mat.shape for mat in mats):
-        stack = np.stack([mat for mat in mats if mat.shape == shape])
-        flagged = flagged | ~(_symplectic_residual(stack) < SYMPLECTIC_TOL).all(axis=0)
+    for n in dict.fromkeys(mat.shape[-1] for mat in mats):
+        group = [mat for mat in mats if mat.shape[-1] == n]
+        ok = _symplectic_residual(np.concatenate([m.reshape(-1, n, n) for m in group])) \
+            < SYMPLECTIC_TOL
+        start = 0
+        for mat in group:
+            stop = start + mat.size // (n * n)
+            flagged = flagged | ~ok[start:stop].reshape(mat.shape[:-2])
+            start = stop
     return flagged
 
 
@@ -776,7 +783,7 @@ def _evaluate_stack(kind: str, p: _Point, eps0, quantities) -> dict:
                                             p.channel_phase))
         channel = _with_pump(side)
         s_minus = _symplectic_inverse(s_plus)
-        flagged = flagged | _not_symplectic(side) | _not_symplectic(channel, s_minus)
+        flagged = flagged | _not_symplectic(side, channel, s_minus)
         d_pre, sigma_pre = _evolve(channel, d, sigma)
         if "F0" in quantities:
             var, d_mean, _ = _slopes(K, s_minus[..., 2:, :], d_pre, sigma_pre)

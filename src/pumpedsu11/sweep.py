@@ -526,9 +526,11 @@ def _column_text(column, shape, fmt: str) -> list:
     if kinds <= _NUMBER_TYPES:
         return _number_text(column, fmt)
     if kinds <= _NUMBER_TYPES | {type(None)}:  # a numeric column with failed rows
+        if fmt == "csv":
+            number = "{:.12e}".format
+            return ["" if v is None else number(v) for v in column]
         numbers = iter(_number_text([v for v in column if v is not None], fmt))
-        blank = "" if fmt == "csv" else "null"
-        return [blank if v is None else next(numbers) for v in column]
+        return ["null" if v is None else next(numbers) for v in column]
     if kinds == {str}:
         if fmt == "csv":
             return list(map(_csv_cell, column))
