@@ -14,9 +14,8 @@ from .channels import (ChannelSpec, embed_on_side_modes, gw_mode_mixing_channel,
 from .gw import (GwDetectorParams, SchemeComparison, channel_strength,
                  compare_schemes, coupling_constant, original_scheme_qfi,
                  phonon_xi, pumped_scheme_qfi, qcrb_sensitivity)
-from .metrology import (MetrologyReport, RegimeError, f0_closed_form,
-                        fisher_from_moments, heterodyne_moments, metrology_report,
-                        number_sum_moments, number_sum_quadratic_response,
+from .metrology import (RegimeError, f0_closed_form, fisher_from_moments,
+                        heterodyne_moments, number_sum_moments, number_sum_quadratic_response,
                         optimal_phases, optimal_tritter_angle, qfi_closed_form,
                         qfi_numeric, sensitivity_number_sum)
 from .pipeline import (InterferometerConfig, PumpDepletedError, max_tritter_angle,
@@ -31,13 +30,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelSpec", "ConfigError", "GaussianState", "GwDetectorParams",
-    "InterferometerConfig", "MetrologyReport", "PumpDepletedError", "RegimeError",
+    "InterferometerConfig", "PumpDepletedError", "RegimeError",
     "SchemeComparison", "SweepSpec", "SweepTable", "SymplecticOp", "apply_symplectic",
     "channel_strength", "check_symplectic", "compare_schemes", "coupling_constant",
     "embed_on_side_modes", "emit",
     "f0_closed_form", "fisher_from_moments", "gw_mode_mixing_channel",
     "gw_squeezing_channel", "heterodyne_moments", "max_tritter_angle",
-    "metrology_report", "mode_mixing_channel", "number_mean", "number_sum_moments",
+    "mode_mixing_channel", "number_mean", "number_sum_moments",
     "number_sum_quadratic_response", "optimal_phases", "optimal_tritter_angle",
     "original_scheme_qfi", "parse_config", "particle_numbers_after_tritter",
     "phase_channel", "phonon_xi", "pre_measurement_state", "pump_depletion",

@@ -27,7 +27,6 @@ __all__ = [
     "Tritter",
     "PhaseRotate",
     "prepare_state_fock",
-    "prepare_state_adaptive",
     "number_moments_fock",
     "number_diff_moments_fock",
     "generator_variance",
@@ -355,54 +354,6 @@ def prepare_state_fock(ops, cutoff: int, n_modes: int = 2,
         raise LeakageError(
             f"truncation leakage {leak:.3e} exceeds {leakage_limit:.1e} at cutoff {cutoff}")
     return psi / np.linalg.norm(psi), leak
-
-
-def _restrict_to_cutoff(psi_big: np.ndarray, big: int, small: int,
-                        n_modes: int) -> np.ndarray:
-    """Project a state onto the basis states with all occupations below ``small``.
-
-    Basis indices are lexicographic in the occupation tuple at either cutoff,
-    so the masked entries line up with the smaller space's layout.
-    """
-    mask = np.all(_occupation(big, n_modes) < small, axis=0)
-    return psi_big[mask]
-
-
-def prepare_state_adaptive(ops, n_modes: int = 2, start_cutoff: int = MIN_CUTOFF,
-                           leakage_limit: float = LEAKAGE_LIMIT,
-                           step: int = 5) -> tuple[np.ndarray, float, int]:
-    """Prepare a state, growing the cutoff until the result has converged.
-
-    A truncated anti-Hermitian generator always exponentiates to something
-    unitary, so a small top-level occupancy alone does not prove the cutoff
-    was large enough.  This climbs the cutoff until two consecutive
-    preparations agree in fidelity (and pass the leakage bound), and raises
-    LeakageError if the dimension guard is reached first.
-
-    Returns (state, leakage, cutoff) at the larger of the two agreeing cutoffs.
-    """
-    cutoff = max(start_cutoff, MIN_CUTOFF)
-    previous = None  # (psi, cutoff) of the last leakage-passing preparation
-    while True:
-        try:
-            psi, leak = prepare_state_fock(ops, cutoff, n_modes, leakage_limit)
-        except LeakageError:
-            psi = None
-            previous = None
-        if psi is not None:
-            if previous is not None:
-                prev_psi, prev_cutoff = previous
-                overlap = abs(np.vdot(
-                    prev_psi, _restrict_to_cutoff(psi, cutoff, prev_cutoff, n_modes))) ** 2
-                if overlap >= 1.0 - max(leakage_limit, 1e-9):
-                    return psi, leak, cutoff
-            previous = (psi, cutoff)
-        bigger = cutoff + step
-        if bigger ** n_modes > MAX_DIMENSION:
-            raise LeakageError(
-                f"preparation did not converge within the dimension guard "
-                f"(last cutoff {cutoff}, guard {MAX_DIMENSION})")
-        cutoff = bigger
 
 
 def _diagonal_moments(psi: np.ndarray, weights: np.ndarray) -> tuple[float, float]:

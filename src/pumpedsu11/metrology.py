@@ -10,42 +10,39 @@ for the channel generator K (:meth:`ChannelSpec.generator`).  ``qfi_closed_form`
 evaluates the matching scalar expressions, either exactly or in a named
 asymptotic regime; regimes are never auto-detected.
 
-``_evaluate_grid`` is the one evaluation path of sweeps: it takes a grid's
-parameters as a ``_Point`` of scalars and arrays that broadcast over the grid,
-fills the source squeezer, tritter, channel and generator each at the shape of
-its own parameters (a (6, 6) matrix for a scalar, a stack for an axis), pushes
-the states through the same steps as the single-point pipeline, and computes
-H, F0 and the side-mode moments with the same formulas (they broadcast over
-the leading axes).  ``evaluate`` is its list-of-configs entry point, which
-``metrology_report`` uses.  The exact closed-form QFI and the turning point
-are written once, as formulas over arrays of parameters, and serve both
-paths.  Rows that fail a check are evaluated again on the single-point path:
-the closed forms from the row's parameters, the other quantities through the
-row's :class:`InterferometerConfig`, the only place the grid builds one.  The
-single-point functions stay the public API for one configuration and the
-reference the tests compare the batch against.
+``_evaluate_grid`` is the one implementation of H_numeric, F0 and the
+side-mode moments.  It takes a grid's parameters as a ``_Point`` of scalars
+and arrays that broadcast over the grid, fills the source squeezer, tritter,
+channel and generator each at the shape of its own parameters (a (6, 6)
+matrix for a scalar, a stack for an axis), pushes the states through the
+pipeline's steps, and computes each quantity with formulas that broadcast
+over the leading axes.  It applies every check in the order the quantity
+needs it and words each failing point's error itself.  Sweeps call it on
+their grids, ``evaluate`` on a list of configs, and the single-point
+functions (``qfi_numeric``, ``sensitivity_number_sum``,
+``fisher_from_moments``) on a one-point grid, raising the point's error.
+The exact closed-form QFI and the turning point are written once, as
+formulas over arrays of parameters; a grid point where they fail takes its
+error from their scalar functions.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 import operator
-from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 import numpy as np
 
 from .channels import (_channel_argument, _generator, _side_channel, _tritter_matrix,
                        _two_mode_squeeze, _with_pump)
-from .pipeline import (InterferometerConfig, _side_population, max_tritter_angle,
-                       pre_measurement_state, pump_depletion, run_interferometer)
+from .pipeline import InterferometerConfig, _side_population, max_tritter_angle, pump_depletion
 from .states import (SYMPLECTIC_TOL, GaussianState, _evolve, _pump_displacement,
-                     _symplectic_inverse, _symplectic_residual, reduce_to_modes,
+                     _symplectic_error, _symplectic_inverse, _symplectic_residual,
                      symplectic_form)
 
 __all__ = [
     "RegimeError",
-    "MetrologyReport",
     "SQUEEZING_REGIMES",
     "MODE_MIXING_REGIMES",
     "qfi_numeric",
@@ -58,7 +55,6 @@ __all__ = [
     "sensitivity_number_sum",
     "f0_closed_form",
     "fisher_from_moments",
-    "metrology_report",
 ]
 
 LARGE_NBAR_FLOOR = 1e4
@@ -73,24 +69,18 @@ class RegimeError(ValueError):
 # numeric QFI
 # ----------------------------------------------------------------------------
 
-def qfi_numeric(config: InterferometerConfig, eps0: float = 0.0) -> float:
+def qfi_numeric(config: InterferometerConfig) -> float:
     """Quantum Fisher information of the strain, from the exact state tangent.
 
-    The QFI of this family is independent of the evaluation point ``eps0``
-    (the channel generator is fixed), so the default evaluates at zero strain.
-    Every state of the family is pure, so sigma^-1 = Omega^T sigma Omega.
+    The QFI of this family does not depend on the strain (the channel
+    generator is fixed), so it is evaluated at zero strain.  Every state of
+    the family is pure, so sigma^-1 = Omega^T sigma Omega.
     """
-    if eps0 < 0:
-        raise ValueError(f"evaluation point must be nonnegative, got {eps0}")
-    state = pre_measurement_state(config, eps0)
-    value = _qfi(config.channel.generator(), state.d, state.sigma)
-    if not np.isfinite(value):
-        raise FloatingPointError(f"QFI evaluated to {float(value)}")
-    return float(value)
+    return _at_config(config, 0.0, "H_numeric")[0]
 
 
-# The formulas below broadcast over leading axes: the single-point functions
-# pass one state, ``evaluate`` a stack of them.
+# The formulas below broadcast over leading axes: a one-point grid passes one
+# state, a larger grid a stack of them.
 
 def _t(mat):
     return mat.swapaxes(-1, -2)
@@ -165,12 +155,6 @@ def _flat(value, shape) -> np.ndarray:
     return value.ravel()
 
 
-def _row_point(p: _Point, shape, i) -> _Point:
-    """The parameters of flat grid point ``i``, as Python floats."""
-    return _Point(*(_flat(field, shape)[i].item() if np.ndim(field) else float(field)
-                    for field in p))
-
-
 def _phase_args(config: InterferometerConfig):
     return _phase_terms(config.channel.kind, _point(config))
 
@@ -214,7 +198,8 @@ def _qfi_exact(kind: str, p: _Point):
 
 
 def _exact_closed_form(kind: str, p: _Point):
-    """``qfi_closed_form(config, "exact")`` at the parameters ``p``, same error included."""
+    """``qfi_closed_form(config, "exact")`` at the parameters ``p``; raises for a
+    channel kind without a closed form."""
     if kind not in ("squeezing", "mode_mixing"):
         raise ValueError(f"no closed-form QFI for channel kind {kind!r}")
     return _qfi_exact(kind, p)
@@ -381,10 +366,8 @@ def qfi_closed_form(config: InterferometerConfig, regime: str = "exact") -> floa
     applied silently.
     """
     kind = config.channel.kind
-    if kind not in ("squeezing", "mode_mixing"):
-        raise ValueError(f"no closed-form QFI for channel kind {kind!r}")
-    if regime == "exact":
-        return _qfi_exact(kind, _point(config))
+    if regime == "exact" or kind not in ("squeezing", "mode_mixing"):
+        return _exact_closed_form(kind, _point(config))
     if kind == "squeezing":
         return _qfi_squeezing(config, regime)
     return _qfi_mode_mixing(config, regime)
@@ -458,8 +441,8 @@ def heterodyne_moments(state: GaussianState) -> tuple[float, float]:
 
 
 def _side_moments(config: InterferometerConfig, eps: float) -> tuple[float, float]:
-    out = run_interferometer(config, eps)
-    return number_sum_moments(reduce_to_modes(out, (1, 2)))
+    # mean and variance of the side modes' number sum at the output
+    return _at_config(config, eps, "moments")
 
 
 def _number_sum_slopes(config: InterferometerConfig, eps0: float) -> tuple[float, float, float]:
@@ -469,17 +452,7 @@ def _number_sum_slopes(config: InterferometerConfig, eps0: float) -> tuple[float
     pushed through the side-mode rows of the reverse half S_minus, the only
     rows the number sum reads.
     """
-    if eps0 == 0:
-        raise ValueError("number-sum signal is stationary at zero strain; use eps0 > 0")
-    pre = pre_measurement_state(config, eps0)
-    var, d_mean, d_var = (float(v) for v in _slopes(
-        config.channel.generator(), config.reverse_half.matrix[2:], pre.d, pre.sigma))
-    if not np.isfinite(d_mean) or d_mean == 0:
-        raise FloatingPointError(
-            "vanishing signal derivative: measurement is insensitive at this point")
-    if var <= 0:
-        raise FloatingPointError(f"non-positive signal variance {var!r}")
-    return var, d_mean, d_var
+    return _at_config(config, eps0, "slopes")
 
 
 def _slopes(K, rows, d_pre, sigma_pre):
@@ -594,25 +567,18 @@ def fisher_from_moments(config: InterferometerConfig, eps0: float = 1e-3) -> flo
 
 QUANTITY_COLUMNS = {"H_numeric": ("H_numeric",), "H_closed": ("H_closed",), "F0": ("F0",),
                     "moments": ("mean_S", "var_S"), "theta_t": ("theta_t",)}
+# the kernel's columns, with the private quantity of the number-sum functions:
+# Var(S) and the strain slopes of <S> and Var(S)
+_COLUMNS = {**QUANTITY_COLUMNS, "slopes": ("var", "d_mean", "d_var")}
 
-# each quantity at one row through the single-point path, as a tuple of columns:
-# the closed forms from the row's parameters, the others from its config
-_FROM_POINT = {
-    "H_closed": lambda kind, p: (_exact_closed_form(kind, p),),
-    "theta_t": lambda kind, p: (optimal_tritter_angle(p.nbar, p.n_side),),
-}
-_FROM_CONFIG = {
-    "H_numeric": lambda config, eps0: (qfi_numeric(config, 0.0),),
-    "F0": lambda config, eps0: (sensitivity_number_sum(config, eps0)[1],),
-    "moments": _side_moments,
-}
-# every quantity from a config, through the public single-point functions
-_SINGLE_POINT = {
-    **_FROM_CONFIG,
-    "H_closed": lambda config, eps0: (qfi_closed_form(config, "exact"),),
-    "theta_t": lambda config, eps0: (optimal_tritter_angle(
-        config.nbar, pump_depletion(config.nbar, config.r)[1]),),
-}
+
+def _at_config(config: InterferometerConfig, eps0: float, quantity: str) -> tuple:
+    """``quantity``'s columns at one configuration, a one-point grid; raises its error."""
+    values, errors = _evaluate_grid(config.channel.kind, _point(config), eps0, (quantity,),
+                                    (), True)
+    if errors:
+        raise errors[0][0][1]
+    return tuple(values[column][0] for column in _COLUMNS[quantity])
 
 
 def evaluate(configs, eps0s, quantities) -> tuple[dict, list]:
@@ -634,10 +600,9 @@ def evaluate(configs, eps0s, quantities) -> tuple[dict, list]:
     kinds = [c.channel.kind for c in configs]
     for kind in dict.fromkeys(kinds):
         rows = [i for i, k in enumerate(kinds) if k == kind]
-        group = [configs[i] for i in rows]
         eps0 = np.array([eps0s[i] for i in rows], dtype=float)
-        cells, failures = _evaluate_grid(kind, _points(group), eps0, quantities,
-                                         (len(rows),), True, group.__getitem__)
+        cells, failures = _evaluate_grid(kind, _points([configs[i] for i in rows]), eps0,
+                                         quantities, (len(rows),), True)
         for column, column_cells in cells.items():
             for i, value in zip(rows, column_cells):
                 values[column][i] = value
@@ -646,89 +611,92 @@ def evaluate(configs, eps0s, quantities) -> tuple[dict, list]:
     return values, errors
 
 
-def _evaluate_grid(kind: str, p: _Point, eps0, quantities, shape, valid, config):
+def _evaluate_grid(kind: str, p: _Point, eps0, quantities, shape, valid):
     """Evaluate ``quantities`` on a grid of one channel kind; ``(values, errors)``.
 
     ``p`` and ``eps0`` hold scalars or arrays that broadcast to ``shape``, and
-    :func:`_evaluate_stack` computes every grid point at once.  H_numeric, F0
-    and the moments come from stacks that repeat the single-point pipeline
-    step by step: source squeezer, tritter, channel at eps0, and the reverse
-    half S_minus = Omega^T S_plus^T Omega.  H_closed and theta_t come from the
-    closed forms of ``qfi_closed_form`` ("exact") and ``optimal_tritter_angle``.
-    Every check the single-point functions make is applied to the whole grid
-    (symplectic residual below 1e-10 on the squeezer, tritter, S_plus, S_minus
-    and the side-mode and embedded channel; finite H; eps0 != 0, a finite
-    nonzero d<S>/d eps and Var(S) > 0; a channel with a closed form; n_side >
-    0, nbar > n_side and an arccos argument in [-1, 1]), and any non-finite
-    value is flagged too.
-
-    A flagged row among those ``valid`` marks (a flat mask, or True) is
-    evaluated again through the single-point path (:func:`_single_row`),
-    which raises its own error or returns its value, so each row carries
-    exactly its single-point outcome and never affects another row.  A value
-    depends only on the parameters its array varies over, so it is redone
-    once per point of the array's own shape, on the first flagged row over
-    that point, and the other rows over it share the outcome.  ``values``
-    maps each output column to a list with one cell per grid point in C
-    order; ``errors`` maps the flat index of each row with a failure to its
-    (quantity, exception) pairs, each exception without its traceback.
+    :func:`_evaluate_stack` computes every grid point at once, with the checks
+    of each quantity in the order they apply.  A grid point among those
+    ``valid`` marks (a flat mask, or True) fails at its first failing check,
+    whose error it carries; the other points carry their values.  A check
+    depends only on the parameters its mask varies over, so its error is built
+    once per point of the mask's own shape and shared by the grid rows over
+    that point.  ``values`` maps each output column to a list with one cell per
+    grid point in C order, None where the quantity failed; ``errors`` maps the
+    flat index of each row with a failure to its (quantity, exception) pairs,
+    each exception without a traceback.
     """
     stacked = _evaluate_stack(kind, p, eps0, quantities)
     values, errors = {}, {}
     for quantity in quantities:
-        columns = QUANTITY_COLUMNS[quantity]
-        arrays, flagged = stacked[quantity]
+        columns = _COLUMNS[quantity]
+        arrays, checks = stacked[quantity]
         values.update(zip(columns, (_flat(a, shape).tolist() for a in arrays)))
-        rows = np.flatnonzero(_flat(flagged, shape) & valid)
-        if not rows.size:
+        pending = _flat(functools.reduce(operator.or_, (failed for failed, _ in checks), False),
+                        shape) & valid
+        if not pending.any():
             continue
-        own = np.broadcast_shapes(np.shape(flagged), *map(np.shape, arrays))
-        points = _flat(np.arange(math.prod(own)).reshape(own), shape)[rows]
-        outcomes = {}
-        for i, point in zip(rows.tolist(), points.tolist()):
-            if point not in outcomes:
-                outcomes[point] = _single_row(quantity, kind, p, eps0, shape, i, config)
-            result, exc = outcomes[point]
-            if exc is not None:
-                errors.setdefault(i, []).append((quantity, exc))
-            for column, value in zip(columns, result):
-                values[column][i] = value
+        for failed, error in checks:
+            rows = np.flatnonzero(pending & _flat(failed, shape))
+            if not rows.size:
+                continue
+            pending[rows] = False
+            points = _flat(np.arange(np.size(failed)).reshape(np.shape(failed)), shape)[rows]
+            built = {}
+            for i, point in zip(rows.tolist(), points.tolist()):
+                if point not in built:
+                    built[point] = error(point)
+                if built[point] is not None:
+                    errors.setdefault(i, []).append((quantity, built[point]))
+                    for column in columns:
+                        values[column][i] = None
     return values, errors
 
 
-def _single_row(quantity, kind, p, eps0, shape, i, config):
-    """Flat row i's ``quantity`` through the single-point path: (column values,
-    None), or (Nones, the exception it raised, without its traceback).
+# A check is a pair (failed, error): a mask at its own shape, and a function of
+# a flat index into that shape that builds the point's exception (or returns
+# None where the point passes after all).
 
-    H_closed and theta_t are redone from the row's parameters, the other
-    quantities from ``config(i)``, the row's :class:`InterferometerConfig`.
-    """
-    try:
-        with np.errstate(all="ignore"):  # its own checks report a non-finite value
-            if quantity in _FROM_POINT:
-                return _FROM_POINT[quantity](kind, _row_point(p, shape, i)), None
-            return _FROM_CONFIG[quantity](config(i), _flat(eps0, shape)[i].item()), None
-    except Exception as exc:
-        # a traceback's frames lead back to the caller, whose locals hold the
-        # errors: that cycle would keep the whole grid alive until the garbage
-        # collector runs
-        return (None,) * len(QUANTITY_COLUMNS[quantity]), exc.with_traceback(None)
+def _residual_check(res):
+    # a NaN residual fails too
+    return ~(res < SYMPLECTIC_TOL), lambda j: _symplectic_error(_item(res, j), SYMPLECTIC_TOL)
 
 
-def _not_symplectic(*mats):
-    # per grid point: the residual check fails, or is NaN, on any of ``mats``,
-    # each at its own shape; the matrices of one size are checked in one call
-    flagged = False
+def _scalar_check(failed, call, *fields):
+    """A closed form's check: where ``failed``, the point's outcome is that of
+    the scalar function ``call`` on the point's ``fields``, as Python floats."""
+    own = np.broadcast_shapes(np.shape(failed), *map(np.shape, fields))
+
+    def error(j):
+        try:
+            with np.errstate(all="ignore"):  # its own checks report a non-finite value
+                call(*(_item(np.broadcast_to(field, own), j) for field in fields))
+        except Exception as exc:
+            # a traceback's frames lead back to the caller, whose locals hold the
+            # errors: that cycle would keep the whole grid alive until the garbage
+            # collector runs
+            return exc.with_traceback(None)
+    return np.broadcast_to(failed, own), error
+
+
+def _item(values, j) -> float:
+    # entry j of an array, or of a numpy scalar, as a Python float
+    return np.asarray(values).flat[j].item()
+
+
+def _residuals(*mats) -> list:
+    """The symplectic residual of each of ``mats``, at its own shape; the
+    matrices of one size are checked in one call."""
+    res = [None] * len(mats)
     for n in dict.fromkeys(mat.shape[-1] for mat in mats):
-        group = [mat for mat in mats if mat.shape[-1] == n]
-        ok = _symplectic_residual(np.concatenate([m.reshape(-1, n, n) for m in group])) \
-            < SYMPLECTIC_TOL
+        group = [k for k, mat in enumerate(mats) if mat.shape[-1] == n]
+        flat = _symplectic_residual(np.concatenate([mats[k].reshape(-1, n, n) for k in group]))
         start = 0
-        for mat in group:
-            stop = start + mat.size // (n * n)
-            flagged = flagged | ~ok[start:stop].reshape(mat.shape[:-2])
+        for k in group:
+            stop = start + mats[k].size // (n * n)
+            res[k] = flat[start:stop].reshape(mats[k].shape[:-2])
             start = stop
-    return flagged
+    return res
 
 
 def _common(first, *rest):
@@ -740,103 +708,76 @@ def _common(first, *rest):
 
 
 def _evaluate_stack(kind: str, p: _Point, eps0, quantities) -> dict:
-    """{quantity: (column arrays, flagged points)} for every quantity in ``quantities``.
+    """{quantity: (column arrays, checks)} for every quantity in ``quantities``.
 
-    Each element is filled at the broadcast shape of its own arguments: the
-    squeezer over r and the squeeze phase, the tritter over theta and its
-    phase, the generator over the channel's strength and phase, the channel
-    over those and eps0.  Their products broadcast to the grid, so a one-point
-    grid runs on single matrices, and the returned arrays and masks broadcast
-    to the grid as well.
+    H_numeric, F0 and the moments follow the pipeline step by step: source
+    squeezer, tritter, channel at eps0, and the reverse half S_minus = Omega^T
+    S_plus^T Omega.  Each element is filled at the broadcast shape of its own
+    arguments (the squeezer over r and the squeeze phase, the tritter over
+    theta and its phase, the channel over eps0, the strength and the channel
+    phase), so a one-point grid runs on single matrices, and the returned
+    arrays and masks broadcast to the grid.  A quantity's checks come in the
+    order the object pipeline applies them, among them the symplectic residual
+    (below 1e-10) of each element it builds.
     """
     out = {}
-    with np.errstate(all="ignore"):  # flagged points are redone one at a time
+    with np.errstate(all="ignore"):  # the checks report non-finite values
         if "H_closed" in quantities:
-            if kind == "phase":  # the phase channel has no closed form
-                out["H_closed"] = ((np.nan,), True)
+            if kind == "phase":  # no closed form: the scalar function's error
+                out["H_closed"] = ((np.nan,), [_scalar_check(
+                    True, lambda: _exact_closed_form(kind, p))])
             else:
-                h = _qfi_exact(kind, p)
-                out["H_closed"] = ((h,), ~np.isfinite(h))
+                out["H_closed"] = ((_qfi_exact(kind, p),), [])
         if "theta_t" in quantities:
             z = _turning_point_argument(p.nbar, p.n_side)
             theta_t = 0.5 * np.arccos(z)  # as optimal_tritter_angle
-            out["theta_t"] = ((theta_t,), ~(p.n_side > 0) | ~(p.nbar > p.n_side)
-                              | ~((-1.0 <= z) & (z <= 1.0)) | ~np.isfinite(theta_t))
-        if {"H_numeric", "F0", "moments"}.isdisjoint(quantities):
+            failed = (~(p.n_side > 0) | ~(p.nbar > p.n_side) | ~((-1.0 <= z) & (z <= 1.0))
+                      | ~np.isfinite(theta_t))
+            out["theta_t"] = ((theta_t,), [_scalar_check(
+                failed, optimal_tritter_angle, p.nbar, p.n_side)])
+        strained = not {"F0", "slopes", "moments"}.isdisjoint(quantities)
+        if not strained and "H_numeric" not in quantities:
             return out
         squeezer = _with_pump(_two_mode_squeeze(*_common(p.r, p.squeeze_phase)))
         mixer = _tritter_matrix(*_common(p.theta, p.tritter_phase))
         s_plus = mixer @ squeezer
-        flagged = _not_symplectic(squeezer, mixer, s_plus)
+        mats = [squeezer, mixer, s_plus]
+        if strained:
+            # where the channel argument is zero the channel is the identity,
+            # whose application is exact
+            side = _side_channel(kind, *_common(_channel_argument(kind, eps0, p.strength),
+                                                p.channel_phase))
+            s_minus = _symplectic_inverse(s_plus)
+            mats += [side, s_minus]
+        pipeline = [_residual_check(res) for res in _residuals(*mats)]
         d = _pump_displacement(*_common(p.n0, p.pump_phase))
         d, sigma = _evolve(squeezer, d, np.eye(6))
         d, sigma = _evolve(mixer, d, sigma)
         K = _generator(kind, *_common(p.strength, p.channel_phase))
         if "H_numeric" in quantities:
             h = _qfi(K, d, sigma)
-            out["H_numeric"] = ((h,), flagged | ~np.isfinite(h))
-        if {"F0", "moments"}.isdisjoint(quantities):
+            out["H_numeric"] = ((h,), pipeline[:3] + [(
+                ~np.isfinite(h), lambda j: FloatingPointError(f"QFI evaluated to {_item(h, j)}"))])
+        if not strained:
             return out
-        # the strained pre-measurement state; where the channel argument is
-        # zero the channel is the identity, whose application is exact
-        side = _side_channel(kind, *_common(_channel_argument(kind, eps0, p.strength),
-                                            p.channel_phase))
-        channel = _with_pump(side)
-        s_minus = _symplectic_inverse(s_plus)
-        flagged = flagged | _not_symplectic(side, channel, s_minus)
-        d_pre, sigma_pre = _evolve(channel, d, sigma)
-        if "F0" in quantities:
-            var, d_mean, _ = _slopes(K, s_minus[..., 2:, :], d_pre, sigma_pre)
-            f0 = 1.0 / (var / (d_mean * d_mean))  # as sensitivity_number_sum
-            out["F0"] = ((f0,), flagged | (eps0 == 0) | ~np.isfinite(d_mean) | (d_mean == 0)
-                         | ~(var > 0) | ~np.isfinite(f0))
+        d_pre, sigma_pre = _evolve(_with_pump(side), d, sigma)  # the strained state
+        if not {"F0", "slopes"}.isdisjoint(quantities):
+            var, d_mean, d_var = _slopes(K, s_minus[..., 2:, :], d_pre, sigma_pre)
+            slopes = [(eps0 == 0, lambda j: ValueError(
+                "number-sum signal is stationary at zero strain; use eps0 > 0"))] + pipeline + [
+                (~np.isfinite(d_mean) | (d_mean == 0), lambda j: FloatingPointError(
+                    "vanishing signal derivative: measurement is insensitive at this point")),
+                (var <= 0, lambda j: FloatingPointError(
+                    f"non-positive signal variance {_item(var, j)!r}"))]
+            out["slopes"] = ((var, d_mean, d_var), slopes)
+            # sensitivity_number_sum divides Python floats, which raise where
+            # a divisor is zero
+            square = d_mean * d_mean
+            delta_sq = var / square
+            out["F0"] = ((1.0 / delta_sq,), slopes + [(
+                (square == 0) | (delta_sq == 0),
+                lambda j: ZeroDivisionError("float division by zero"))])
         if "moments" in quantities:
             d_out, sigma_out = _evolve(s_minus, d_pre, sigma_pre)
-            mean, var = _number_sum(d_out[..., 2:], sigma_out[..., 2:, 2:])
-            out["moments"] = ((mean, var), flagged | ~np.isfinite(mean) | ~np.isfinite(var))
+            out["moments"] = (_number_sum(d_out[..., 2:], sigma_out[..., 2:, 2:]), pipeline)
     return out
-
-
-# ----------------------------------------------------------------------------
-# bundled report
-# ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MetrologyReport:
-    """One interferometer's figures of merit at a common configuration."""
-
-    h_numeric: float
-    h_closed_form: float
-    f0: float
-    mean_s: float
-    var_s: float
-    theta_t: float | None = None
-    regime_labels: frozenset = frozenset()
-
-
-def metrology_report(config: InterferometerConfig, eps0: float = 1e-3,
-                     include_turning_point: bool = False,
-                     regimes: tuple = ()) -> MetrologyReport:
-    """Evaluate the standard set of metrology quantities for one configuration."""
-    quantities = ("H_numeric", "H_closed", "F0", "moments")
-    if include_turning_point:
-        quantities += ("theta_t",)
-    results, errors = evaluate([config], [eps0], quantities)
-    if errors[0]:
-        # the stored exception has no traceback; the single-point call raises it
-        # again from where it arises
-        quantity, exc = errors[0][0]
-        with np.errstate(all="ignore"):
-            _SINGLE_POINT[quantity](config, eps0)
-        raise exc
-    h_num, h_closed, f0, mean_s, var_s = (results[c][0] for c in
-                                          ("H_numeric", "H_closed", "F0", "mean_S", "var_S"))
-    theta_t = results["theta_t"][0] if include_turning_point else None
-    values = [h_num, h_closed, f0, mean_s, var_s]
-    if not all(np.isfinite(v) for v in values):
-        raise FloatingPointError(f"non-finite metrology output: {values!r}")
-    if f0 > h_num * (1.0 + 1e-9):
-        raise FloatingPointError(
-            f"moment sensitivity F0 = {f0!r} exceeds the QFI {h_num!r}: numerics corrupted")
-    return MetrologyReport(h_num, h_closed, f0, mean_s, var_s, theta_t,
-                           frozenset(regimes))

@@ -112,7 +112,7 @@ class SymplecticOp:
             raise ValueError(f"matrix shape {mat.shape}, expected ({dim}, {dim})")
         res = _symplectic_residual(mat)
         if not res < self.tol:  # a NaN residual fails too
-            raise ValueError(f"matrix is not symplectic (residual {res:.3e} >= {self.tol:.1e})")
+            raise _symplectic_error(res, self.tol)
         object.__setattr__(self, "matrix", _frozen(mat))
 
     def __matmul__(self, other: "SymplecticOp") -> "SymplecticOp":
@@ -129,6 +129,11 @@ def _symplectic_residual(mat: np.ndarray):
     """max |S Omega S^T - Omega| over the last two axes: one matrix or a stack of them."""
     omega = symplectic_form(mat.shape[-1] // 2)
     return np.abs(mat @ omega @ mat.swapaxes(-1, -2) - omega).max(axis=(-2, -1))
+
+
+def _symplectic_error(res, tol: float) -> ValueError:
+    """The error of a matrix whose symplectic residual ``res`` fails ``tol``."""
+    return ValueError(f"matrix is not symplectic (residual {float(res):.3e} >= {tol:.1e})")
 
 
 def _symplectic_inverse(mat: np.ndarray) -> np.ndarray:
@@ -195,16 +200,22 @@ def _evolve(S: np.ndarray, d: np.ndarray, sigma: np.ndarray):
     return (S @ d[..., None])[..., 0], sigma
 
 
-def reduce_to_modes(state: GaussianState, modes) -> GaussianState:
-    """Partial trace down to the given modes, kept in the order given."""
+def _checked_modes(state: GaussianState, modes) -> list:
+    """``modes`` as a list, after checking that they are distinct modes of ``state``."""
     modes = list(modes)
-    if not modes:
-        raise ValueError("must keep at least one mode")
     if len(set(modes)) != len(modes):
         raise ValueError(f"mode indices must be distinct, got {modes}")
     for m in modes:
         if not 0 <= m < state.n_modes:
             raise ValueError(f"mode index {m} out of range for {state.n_modes}-mode state")
+    return modes
+
+
+def reduce_to_modes(state: GaussianState, modes) -> GaussianState:
+    """Partial trace down to the given modes, kept in the order given."""
+    modes = _checked_modes(state, modes)
+    if not modes:
+        raise ValueError("must keep at least one mode")
     idx = np.array([2 * m + k for m in modes for k in (0, 1)])
     return GaussianState(len(modes), state.d[idx], state.sigma[np.ix_(idx, idx)], _derived=True)
 
@@ -219,10 +230,8 @@ def purity(state: GaussianState) -> float:
 
 def number_mean(state: GaussianState, modes=None) -> float:
     """Total mean particle number over ``modes`` (all modes by default)."""
-    if modes is None:
-        modes = range(state.n_modes)
     total = 0.0
-    for m in modes:
+    for m in range(state.n_modes) if modes is None else _checked_modes(state, modes):
         q, p = 2 * m, 2 * m + 1
         total += 0.25 * (state.sigma[q, q] + state.sigma[p, p]
                          + state.d[q] ** 2 + state.d[p] ** 2) - 0.5

@@ -31,8 +31,8 @@ key is an array shaped to broadcast over the grid, and each unswept key stays
 a scalar.  The grid's row checks (strength, pump depletion, angle range) run
 as masks over those arrays, and a failing row gets the error text of its
 first failing check.  The arrays then go straight to the stacked kernel
-(``metrology._evaluate_grid``), which builds an :class:`InterferometerConfig`
-only for a row whose pipeline quantities it has to redo one at a time.  A
+(``metrology._evaluate_grid``), which words each failing point's error
+itself, so no :class:`InterferometerConfig` is built for a row it evaluates.  A
 ``[gw]`` sweep evaluates its whole grid in one call of
 :func:`gw.compare_grid`.  The ``[outputs]`` section selects interferometer
 quantities only; a ``[gw]`` run always writes the comparison columns.
@@ -406,9 +406,8 @@ def _interferometer_table(spec: SweepSpec, eps0: float) -> SweepTable:
     if failed:
         valid = np.ones(size, dtype=bool)
         valid[list(failed)] = False
-    values, errors = _evaluate_grid(
-        spec.base["channel"], point, columns.get("eps0", eps0), spec.quantities, shape, valid,
-        functools.cache(lambda i: _build_config(_row_params(spec, shape, i))))
+    values, errors = _evaluate_grid(spec.base["channel"], point, columns.get("eps0", eps0),
+                                    spec.quantities, shape, valid)
     for column in INTERFEROMETER_COLUMNS[:-1]:
         cells = values.get(column) or [None] * size
         for i in failed:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import pumpedsu11
-from pumpedsu11 import ChannelSpec, InterferometerConfig
+from pumpedsu11 import ChannelSpec, InterferometerConfig, pre_measurement_state
+from pumpedsu11.metrology import _qfi, _slopes
 from pumpedsu11.sweep import GW_COLUMNS, INTERFEROMETER_COLUMNS
 
 PACKAGE_ROOT = str(pathlib.Path(pumpedsu11.__file__).resolve().parent.parent)
@@ -43,6 +44,32 @@ def random_config(rng, kind=None, nbar_range=(10.0, 1e6), r_max=2.0,
         pump_phase=rng.uniform(0.0, 2 * np.pi),
         squeeze_phase=rng.uniform(0.0, 2 * np.pi),
         tritter_phase=rng.uniform(0.0, 2 * np.pi))
+
+
+def pipeline_qfi(config):
+    """H_numeric through the object pipeline (cached states, a checked
+    SymplecticOp per element): the referee of the stacked kernel, whose value
+    and error text it must give bit for bit."""
+    state = pre_measurement_state(config, 0.0)
+    value = _qfi(config.channel.generator(), state.d, state.sigma)
+    if not np.isfinite(value):
+        raise FloatingPointError(f"QFI evaluated to {float(value)}")
+    return float(value)
+
+
+def pipeline_f0(config, eps0):
+    """F0 through the object pipeline, with its checks; see :func:`pipeline_qfi`."""
+    if eps0 == 0:
+        raise ValueError("number-sum signal is stationary at zero strain; use eps0 > 0")
+    pre = pre_measurement_state(config, eps0)
+    var, d_mean, _ = (float(v) for v in _slopes(
+        config.channel.generator(), config.reverse_half.matrix[2:], pre.d, pre.sigma))
+    if not np.isfinite(d_mean) or d_mean == 0:
+        raise FloatingPointError(
+            "vanishing signal derivative: measurement is insensitive at this point")
+    if var <= 0:
+        raise FloatingPointError(f"non-positive signal variance {var!r}")
+    return 1.0 / (var / (d_mean * d_mean))
 
 
 def richardson(f, x0, h=1e-4):

@@ -124,6 +124,16 @@ def test_gw_mode_mixing_channel_matches_generic():
     assert check_symplectic(gw_mode_mixing_channel(0.3, 1.1), tol=1e-10)
 
 
+def test_embedding_refuses_a_channel_outside_the_strict_tolerance():
+    # the second-order channel passes its own widened tolerance (2 s^4 =
+    # 1.25e-5) with a residual of 1.56e-6, but not the embedding's 1e-10
+    op = gw_squeezing_channel(0.05, 0.3, form="second_order")
+    assert op.tol == pytest.approx(1.25e-5)
+    assert check_symplectic(op, tol=op.tol) and not check_symplectic(op)
+    with pytest.raises(ValueError, match="^refusing to embed a non-symplectic operation$"):
+        embed_on_side_modes(op)
+
+
 def test_embed_on_side_modes_layout():
     assert np.allclose(embed_on_side_modes(squeezing_channel(0.0)).matrix, np.eye(6))
     op = squeezing_channel(0.4, 1.0)

@@ -1,4 +1,4 @@
-"""The batched evaluator against the single-point functions it replaces in sweeps."""
+"""The stacked kernel against the object pipeline it replaces, values and errors."""
 
 import gc
 import math
@@ -16,7 +16,7 @@ from pumpedsu11.channels import (_generator, _side_channel, _tritter_matrix, _tw
                                  _with_pump)
 from pumpedsu11.metrology import _side_moments, evaluate
 from pumpedsu11.sweep import INTERFEROMETER_COLUMNS, QUANTITIES, _build_config
-from conftest import random_config
+from conftest import pipeline_f0, pipeline_qfi, random_config
 
 ANGLE = st.floats(0.0, 2 * math.pi)
 
@@ -36,17 +36,20 @@ def rows(draw):
 
 
 def single_point(config, eps0):
-    """{column: value} and the error text of one row, from the single-point functions."""
+    """{column: value} and the error text of one row: the object pipeline's
+    H_numeric, F0 and moments, and the closed forms' scalar functions."""
     values, errors = {}, []
-    calls = (("H_numeric", ("H_numeric",), lambda: (qfi_numeric(config, 0.0),)),
+    calls = (("H_numeric", ("H_numeric",), lambda: (pipeline_qfi(config),)),
              ("H_closed", ("H_closed",), lambda: (qfi_closed_form(config, "exact"),)),
-             ("F0", ("F0",), lambda: (sensitivity_number_sum(config, eps0)[1],)),
-             ("moments", ("mean_S", "var_S"), lambda: _side_moments(config, eps0)),
+             ("F0", ("F0",), lambda: (pipeline_f0(config, eps0),)),
+             ("moments", ("mean_S", "var_S"), lambda: number_sum_moments(
+                 reduce_to_modes(run_interferometer(config, eps0), (1, 2)))),
              ("theta_t", ("theta_t",), lambda: (optimal_tritter_angle(
                  config.nbar, 2.0 * np.sinh(config.r) ** 2),)))
     for quantity, columns, call in calls:
         try:
-            values.update(zip(columns, call()))
+            with np.errstate(all="ignore"):
+                values.update(zip(columns, call()))
         except Exception as exc:
             values.update(dict.fromkeys(columns))
             errors.append(f"{quantity}: {exc}")
@@ -71,7 +74,7 @@ def test_batch_matches_single_point_functions(batch):
 
 
 def test_stacked_fills_equal_the_scalar_builders(rng):
-    # bit for bit, so a batch row and its single-point evaluation share every
+    # bit for bit, so a batch row and the object pipeline share every
     # rounding (a numpy scalar squares through pow, an array does not)
     n = 2000
     a, b, strength = rng.uniform(0.0, 1.6, n), rng.uniform(0.0, 2 * np.pi, n), rng.uniform(0, 4, n)
@@ -118,6 +121,63 @@ def test_failing_rows_keep_their_own_errors(tmp_path):
     assert errors[(0.8, 0.0)].startswith("F0: number-sum signal is stationary")
     assert errors[(0.0, 0.002)].startswith("theta_t:")
     assert errors[(10.0, 0.002)].startswith("H_numeric: matrix is not symplectic")
+
+
+# one config per reachable failure: (quantity, config, eps0, exception type,
+# exact text), as the object pipeline and the closed forms word them
+FAILURES = {
+    "residual": ("H_numeric", InterferometerConfig(1e12, 10.0, 0.4, ChannelSpec("squeezing")),
+                 1e-3, ValueError, "matrix is not symplectic (residual 1.743e-08 >= 1.0e-10)"),
+    "residual_moments": (
+        "moments", InterferometerConfig(1e12, 10.0, 0.4, ChannelSpec("mode_mixing")), 1e-3,
+        ValueError, "matrix is not symplectic (residual 1.743e-08 >= 1.0e-10)"),
+    "side_residual": (
+        "F0", InterferometerConfig(1e6, 1.0, 0.5, ChannelSpec("squeezing", 40.0)), 3.0,
+        ValueError, "matrix is not symplectic (residual 9.065e+08 >= 1.0e-10)"),
+    "non_finite_qfi": (
+        "H_numeric", InterferometerConfig(1e6, 1.0, 0.5, ChannelSpec("squeezing", 1e200)), 1e-3,
+        FloatingPointError, "QFI evaluated to nan"),
+    "stationary": ("F0", InterferometerConfig(1e6, 1.0, 0.5, ChannelSpec("squeezing")), 0.0,
+                   ValueError, "number-sum signal is stationary at zero strain; use eps0 > 0"),
+    "no_signal": ("F0", InterferometerConfig(1e6, 1.0, 0.5, ChannelSpec("squeezing", 0.0)), 1e-3,
+                  FloatingPointError,
+                  "vanishing signal derivative: measurement is insensitive at this point"),
+    "no_variance": (
+        "F0", InterferometerConfig(1e3, 0.0, 1.0, ChannelSpec("squeezing", 1e-80)), 1e-3,
+        FloatingPointError, "non-positive signal variance 0.0"),
+    "zero_ratio": (
+        "F0", InterferometerConfig(1e6, 0.0, 0.5, ChannelSpec("mode_mixing", 1e150)), 1e-3,
+        ZeroDivisionError, "float division by zero"),
+    "no_closed_form": ("H_closed", InterferometerConfig(1e6, 1.0, 0.5, ChannelSpec("phase")),
+                       1e-3, ValueError, "no closed-form QFI for channel kind 'phase'"),
+    "no_turning_point": ("theta_t", InterferometerConfig(1e6, 0.0, 0.5, ChannelSpec("squeezing")),
+                         1e-3, ValueError, "need n_side > 0, got 0.0"),
+}
+SINGLE_POINT = {
+    "H_numeric": lambda config, eps0: qfi_numeric(config),
+    "H_closed": lambda config, eps0: qfi_closed_form(config),
+    "F0": sensitivity_number_sum,
+    "moments": _side_moments,
+    "theta_t": lambda config, eps0: optimal_tritter_angle(
+        config.nbar, pump_depletion(config.nbar, config.r)[1]),
+}
+REFEREE = {"H_numeric": lambda config, eps0: pipeline_qfi(config), "F0": pipeline_f0,
+           "moments": lambda config, eps0: run_interferometer(config, eps0)}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_each_failure_kind_keeps_its_type_and_text(case):
+    quantity, config, eps0, kind, text = FAILURES[case]
+    with np.errstate(all="ignore"):
+        values, errors = evaluate([config], [eps0], (quantity,))
+        calls = [SINGLE_POINT[quantity]] + ([REFEREE[quantity]] if quantity in REFEREE else [])
+        for call in calls:
+            with pytest.raises(kind) as info:
+                call(config, eps0)
+            assert str(info.value) == text
+    ((name, exc),) = errors[0]
+    assert (name, type(exc), str(exc)) == (quantity, kind, text)
+    assert all(cells == [None] for cells in values.values())
 
 
 def test_rows_do_not_depend_on_their_neighbours():
@@ -186,14 +246,14 @@ def test_stored_errors_hold_no_reference_cycle():
 
 def reference_row(params, eps0):
     """One row of a sweep the single-point way: one _build_config, then the
-    public single-point function of each quantity; ({column: value}, error text)."""
+    object pipeline or the closed form of each quantity; ({column: value}, error text)."""
     try:
         config = _build_config(params)
     except ConfigError as exc:
         return dict.fromkeys(INTERFEROMETER_COLUMNS[:-1]), str(exc)
-    calls = (("H_numeric", ("H_numeric",), lambda: (qfi_numeric(config, 0.0),)),
+    calls = (("H_numeric", ("H_numeric",), lambda: (pipeline_qfi(config),)),
              ("H_closed", ("H_closed",), lambda: (qfi_closed_form(config, "exact"),)),
-             ("F0", ("F0",), lambda: (sensitivity_number_sum(config, eps0)[1],)),
+             ("F0", ("F0",), lambda: (pipeline_f0(config, eps0),)),
              ("moments", ("mean_S", "var_S"), lambda: number_sum_moments(
                  reduce_to_modes(run_interferometer(config, eps0), (1, 2)))),
              ("theta_t", ("theta_t",), lambda: (optimal_tritter_angle(
@@ -225,7 +285,7 @@ def _seeded_grid(rng, kind):
 @pytest.mark.parametrize("kind", ["squeezing", "mode_mixing", "phase"])
 def test_grid_sweep_equals_the_single_point_path(tmp_path, rng, kind):
     # the grid path builds no config for a row it evaluates; every cell and
-    # every error text must still be the single-point path's, bit for bit
+    # every error text must still be the object pipeline's, bit for bit
     grids = [_seeded_grid(rng, kind),
              f"channel = {kind}\nr = 2.0\ntheta = 0.5\n[sweep]\nnbar = values 1 26 27 1e6\n"]
     for k, text in enumerate(grids):
@@ -274,11 +334,11 @@ def test_the_grid_path_builds_configs_only_for_flagged_pipeline_rows(tmp_path, m
     assert sum(row["error"].startswith("theta_t: need n_side > 0") for row in rows) == 10
     assert len(built) == 1
     # r = 10 at nbar = 1e12 fails the residual check of H_numeric, F0 and the
-    # moments: its row is redone through one config, built once
+    # moments: the kernel words that error itself, so no config is built for it
     built.clear()
     path.write_text("channel = squeezing\nnbar = 1e12\ntheta = 0.4\n[sweep]\n"
                     "r = values 0 0.8 10 30\n")
     rows = run_sweep(parse_config(str(path)))
     assert [row["error"].split(":")[0] for row in rows] == [
         "theta_t", "", "H_numeric", "pump depleted"]
-    assert built == [(0.0, 0.4), (10.0, 0.4)]
+    assert built == [(0.0, 0.4)]

@@ -178,21 +178,6 @@ def test_leakage_guard_trips_on_small_cutoff():
         fock.prepare_state_fock([fock.Displace(0, 4.0)], 12, n_modes=2)
 
 
-def test_adaptive_cutoff_grows_until_converged():
-    # |alpha|^2 = 16 leaks badly at cutoff 10; the adaptive path must walk up
-    psi, leak, cutoff = fock.prepare_state_adaptive([fock.Displace(0, 4.0)], n_modes=2)
-    assert cutoff > 10
-    assert leak < 1e-6
-    mean, _ = fock.number_moments_fock(psi, cutoff, 2, modes=(0,))
-    assert mean == pytest.approx(16.0, rel=1e-6)
-
-
-def test_adaptive_cutoff_respects_dimension_guard():
-    # a displacement this large cannot converge within the 3-mode guard
-    with pytest.raises(fock.LeakageError):
-        fock.prepare_state_adaptive([fock.Displace(0, 10.0)], n_modes=3)
-
-
 def test_space_guards():
     with pytest.raises(ValueError):
         fock.FockSpace(2, 5)        # cutoff below the floor

@@ -88,6 +88,19 @@ def test_reduce_keeps_rows_in_given_order():
     assert np.allclose(flipped.sigma[:2, :2], state.sigma[4:, 4:])
 
 
+def test_number_mean_checks_its_modes():
+    # the same checks as reduce_to_modes: a negative index must not wrap
+    # around, and a repeated mode must not count twice
+    state = pumped_input_state(4.0)
+    assert number_mean(state, modes=(0,)) == pytest.approx(4.0, rel=1e-12)
+    assert number_mean(state, modes=(2, 1)) == pytest.approx(0.0, abs=1e-14)
+    for modes, message in (((-3,), "mode index -3 out of range for 3-mode state"),
+                           ((3,), "mode index 3 out of range for 3-mode state"),
+                           ((0, 0), r"mode indices must be distinct, got \[0, 0\]")):
+        with pytest.raises(ValueError, match=message):
+            number_mean(state, modes=modes)
+
+
 def test_reduce_all_modes_is_identity():
     state = apply_symplectic(vacuum_state(3), tritter(0.5, 0.1))
     sub = reduce_to_modes(state, (0, 1, 2))
