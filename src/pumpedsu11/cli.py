@@ -20,6 +20,10 @@ from .sweep import ConfigError, emit, parse_config, run_sweep
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
+# cutoffs of the validate suite's three-mode checks: fock.MIN_CUTOFF up to the
+# largest cutoff whose cube fits fock.MAX_DIMENSION (fock loads scipy, so it is
+# imported only when validate runs)
+VALIDATE_CUTOFFS = (10, 40)
 
 
 def _add_common(parser):
@@ -51,7 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gw-compare", help="original vs pumped-up detector QFI")
     _add_common(p)
     p = sub.add_parser("validate", help="run the Fock-oracle cross-check suite")
-    p.add_argument("--cutoff", type=int, default=25, help="per-mode Fock cutoff")
+    p.add_argument("--cutoff", type=int, default=25,
+                   help="per-mode Fock cutoff of the three-mode checks, %d to %d (default 25); "
+                        "the two-mode checks use cutoff 30" % VALIDATE_CUTOFFS)
     return parser
 
 
@@ -130,6 +136,9 @@ def _cmd_gw_compare(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    lo, hi = VALIDATE_CUTOFFS
+    if not lo <= args.cutoff <= hi:
+        raise ConfigError(f"--cutoff must be between {lo} and {hi}, got {args.cutoff}")
     # the Fock oracle needs scipy.sparse and scipy.special; no other command loads them
     from .validation import oracle_checks
     checks = oracle_checks(cutoff=args.cutoff)

@@ -507,9 +507,8 @@ def sensitivity_number_sum(config: InterferometerConfig,
     vanishes at zero strain; evaluate at a small nonzero ``eps0`` (the F0
     ratio is strain-independent at leading order).
     """
-    var, d_mean, _ = _number_sum_slopes(config, eps0)
-    delta_sq = var / (d_mean * d_mean)
-    return float(delta_sq), float(1.0 / delta_sq)
+    var, d_mean, _, f0 = _at_config(config, eps0, "slopes", "F0")
+    return float(var / (d_mean * d_mean)), float(f0)
 
 
 def f0_closed_form(config: InterferometerConfig, regime: str = "exact") -> float:
@@ -572,13 +571,14 @@ QUANTITY_COLUMNS = {"H_numeric": ("H_numeric",), "H_closed": ("H_closed",), "F0"
 _COLUMNS = {**QUANTITY_COLUMNS, "slopes": ("var", "d_mean", "d_var")}
 
 
-def _at_config(config: InterferometerConfig, eps0: float, quantity: str) -> tuple:
-    """``quantity``'s columns at one configuration, a one-point grid; raises its error."""
-    values, errors = _evaluate_grid(config.channel.kind, _point(config), eps0, (quantity,),
+def _at_config(config: InterferometerConfig, eps0: float, *quantities: str) -> tuple:
+    """The columns of ``quantities`` at one configuration, a one-point grid;
+    raises the first error."""
+    values, errors = _evaluate_grid(config.channel.kind, _point(config), eps0, quantities,
                                     (), True)
     if errors:
         raise errors[0][0][1]
-    return tuple(values[column][0] for column in _COLUMNS[quantity])
+    return tuple(values[column][0] for q in quantities for column in _COLUMNS[q])
 
 
 def evaluate(configs, eps0s, quantities) -> tuple[dict, list]:
@@ -770,13 +770,14 @@ def _evaluate_stack(kind: str, p: _Point, eps0, quantities) -> dict:
                 (var <= 0, lambda j: FloatingPointError(
                     f"non-positive signal variance {_item(var, j)!r}"))]
             out["slopes"] = ((var, d_mean, d_var), slopes)
-            # sensitivity_number_sum divides Python floats, which raise where
-            # a divisor is zero
+            # F0, the ratio's inverse, has no finite value where the squared
+            # slope or the ratio is zero: an underflow, or an overflowing slope
             square = d_mean * d_mean
             delta_sq = var / square
             out["F0"] = ((1.0 / delta_sq,), slopes + [(
-                (square == 0) | (delta_sq == 0),
-                lambda j: ZeroDivisionError("float division by zero"))])
+                (square == 0) | (delta_sq == 0), lambda j: ZeroDivisionError(
+                    f"degenerate ratio Var(S)/(d<S>/d eps)^2 = {_item(delta_sq, j)!r} "
+                    f"(Var(S) = {_item(var, j)!r}, (d<S>/d eps)^2 = {_item(square, j)!r})"))])
         if "moments" in quantities:
             d_out, sigma_out = _evolve(s_minus, d_pre, sigma_pre)
             out["moments"] = (_number_sum(d_out[..., 2:], sigma_out[..., 2:, 2:]), pipeline)

@@ -21,7 +21,9 @@ def oracle_checks(cutoff: int = 25) -> list:
     """Run the oracle suite; returns (name, passed, detail) triples.
 
     Each check pits a Gaussian-formalism quantity against an independent
-    truncated-Fock computation at small occupation.
+    truncated-Fock computation at small occupation.  The three-mode checks run
+    at ``cutoff``, which :class:`fock.FockSpace` bounds to 10..40; the
+    two-mode checks always run at cutoff 30.
     """
     checks = []
 
@@ -58,8 +60,8 @@ def oracle_checks(cutoff: int = 25) -> list:
     record("heterodyne variance", g_var, f_var, 1e-6)
 
     # QFI of the pipeline family vs 4 Var(G) in Fock space; one state for both channels
-    psi, _ = fock.pipeline_state_fock(2.0, 0.2, 0.4, 1.1, 0.45, 0.8, min(cutoff, 40))
-    space = fock.FockSpace(3, min(cutoff, 40))
+    psi, _ = fock.pipeline_state_fock(2.0, 0.2, 0.4, 1.1, 0.45, 0.8, cutoff)
+    space = fock.FockSpace(3, cutoff)
     for kind in ("squeezing", "mode_mixing"):
         config = InterferometerConfig(
             nbar=2.0, r=0.4, theta=0.45, pump_phase=0.2, squeeze_phase=1.1,
@@ -82,8 +84,8 @@ def oracle_checks(cutoff: int = 25) -> list:
         fock.Tritter(-0.4, 0.0),
         fock.TwoModeSqueeze((1, 2), -0.3, 0.0),
     ]
-    psi, _ = fock.prepare_state_fock(ops, min(cutoff, 40), n_modes=3)
-    f_mean, f_var = fock.number_moments_fock(psi, min(cutoff, 40), 3, modes=(1, 2))
+    psi, _ = fock.prepare_state_fock(ops, cutoff, n_modes=3)
+    f_mean, f_var = fock.number_moments_fock(psi, cutoff, 3, modes=(1, 2))
     record("pipeline output number-sum mean", g_mean, f_mean, 1e-3)
     record("pipeline output number-sum variance", g_var, f_var, 1e-3)
 

@@ -69,7 +69,12 @@ def pipeline_f0(config, eps0):
             "vanishing signal derivative: measurement is insensitive at this point")
     if var <= 0:
         raise FloatingPointError(f"non-positive signal variance {var!r}")
-    return 1.0 / (var / (d_mean * d_mean))
+    square = d_mean * d_mean
+    delta_sq = var / square if square else np.inf  # var > 0 here
+    if square == 0 or delta_sq == 0:
+        raise ZeroDivisionError(f"degenerate ratio Var(S)/(d<S>/d eps)^2 = {delta_sq!r} "
+                                f"(Var(S) = {var!r}, (d<S>/d eps)^2 = {square!r})")
+    return 1.0 / delta_sq
 
 
 def richardson(f, x0, h=1e-4):

@@ -240,3 +240,73 @@ def test_pipeline_state_matches_gaussian_population():
     gauss_mean = number_mean(pre_measurement_state(cfg, 0.0))
     assert fock_mean == pytest.approx(gauss_mean, rel=1e-6)
     assert fock_mean == pytest.approx(nbar, rel=1e-6)  # tritter conserves the total
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: fock.Displace(0, np.nan), "Displace.alpha"),
+    (lambda: fock.Displace(1, complex(0.5, np.inf)), "Displace.alpha"),
+    (lambda: fock.TwoModeSqueeze((1, 2), np.inf), "TwoModeSqueeze.r"),
+    (lambda: fock.TwoModeSqueeze((1, 2), 0.3, np.nan), "TwoModeSqueeze.phase"),
+    (lambda: fock.ModeMix((0, 1), np.nan), "ModeMix.m"),
+    (lambda: fock.ModeMix((0, 1), 0.3, -np.inf), "ModeMix.phase"),
+    (lambda: fock.Tritter(np.nan), "Tritter.theta"),
+    (lambda: fock.Tritter(0.3, np.inf), "Tritter.phase"),
+    (lambda: fock.PhaseRotate((0, 1), np.nan), "PhaseRotate.phi"),
+])
+def test_operations_reject_non_finite_parameters(make, field):
+    # these once gave a NaN state with leakage nan, or an unrelated error from the series
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got "):
+        make()
+
+
+def test_leakage_guard_trips_on_a_nan_state():
+    # a finite amplitude whose block phases overflow leaves a NaN state
+    with np.errstate(all="ignore"), pytest.raises(fock.LeakageError, match="leakage nan"):
+        fock.prepare_state_fock([fock.Displace(0, 1e308)], 12)
+
+
+@pytest.mark.parametrize("kind, n_local", [
+    (fock.Displace, 1), (fock.TwoModeSqueeze, 2), (fock.ModeMix, 2)])
+def test_block_eigensystems_are_read_only_and_cover_the_local_basis(kind, n_local):
+    entries = fock._block_eigensystems(kind, 12)
+    for index, lam, V in entries:
+        for array in (index, lam, V):
+            assert not array.flags.writeable
+        assert V.shape == index.shape + index.shape[1:] == lam.shape + lam.shape[1:]
+    covered = np.sort(np.concatenate([index.ravel() for index, _, _ in entries]))
+    assert np.array_equal(covered, np.arange(12 ** n_local))
+
+
+def test_block_eigensystem_cache_is_bounded():
+    maxsize = fock._block_eigensystems.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize < np.inf
+
+
+def test_cache_hit_prepares_the_state_of_a_miss():
+    ops = [fock.TwoModeSqueeze((2, 1), 0.4, 0.7), fock.Displace(0, 0.8 - 0.3j),
+           fock.ModeMix((0, 2), 0.5, 1.9), fock.Tritter(0.3, 0.2)]
+    fock._block_eigensystems.cache_clear()
+    miss, _ = fock.prepare_state_fock(ops, 14, n_modes=3)
+    assert fock._block_eigensystems.cache_info().misses == 3
+    hit, _ = fock.prepare_state_fock(ops, 14, n_modes=3)
+    assert fock._block_eigensystems.cache_info().hits == 3
+    assert np.array_equal(hit, miss)
+
+
+def test_two_mode_propagator_memory_at_cutoff_150():
+    # On a miss the cache entry holds V of every block: sum over the block sizes
+    # n of n^2 floats, (2/3) 150^3 * 8 B = 18 MB; one size's S, eigh output and
+    # U add under 1 MB, and the state 0.36 MB.  32 MB leaves room for numpy's
+    # temporaries; the padded (blocks, size, size) stacks this replaced peaked
+    # at 166 MB.
+    import tracemalloc
+    psi = fock.FockSpace(2, 150).vacuum()
+    fock._block_eigensystems.cache_clear()
+    tracemalloc.start()
+    try:
+        fock._apply_local(psi, fock.TwoModeSqueeze((0, 1), 0.3, 0.2), 150, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    fock._block_eigensystems.cache_clear()
+    assert peak < 32e6

@@ -355,6 +355,40 @@ def test_cli_validate(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("cutoff", ["5", "0", "-3", "9", "41", "100"])
+def test_cli_validate_rejects_a_cutoff_outside_its_range(capsys, cutoff):
+    # 41 and 100 once ran silently at cutoff 40
+    assert main(["validate", f"--cutoff={cutoff}"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: --cutoff must be between 10 and 40, got {cutoff}\n"
+
+
+def test_cli_validate_cutoffs_match_the_fock_guards(capsys):
+    from pumpedsu11 import cli, fock
+    lo, hi = cli.VALIDATE_CUTOFFS
+    assert lo == fock.MIN_CUTOFF
+    assert hi ** 3 <= fock.MAX_DIMENSION < (hi + 1) ** 3
+    assert main(["validate", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "10 to 40 (default 25); the two-mode checks use cutoff 30" in help_text
+
+
+def test_oracle_checks_refuse_a_cutoff_past_the_dimension_guard():
+    from pumpedsu11.validation import oracle_checks
+    with pytest.raises(ValueError, match="total dimension 68921 exceeds the guard 64000"):
+        oracle_checks(41)
+
+
+def test_cli_sensitivity_names_a_degenerate_ratio(tmp_path, capsys):
+    # the squared slope overflows, so Var(S)/(d<S>/d eps)^2 is 0 and F0 has no value
+    path = write(tmp_path, "channel = mode_mixing\nstrength = 1e150\nr = 0.0\nnbar = 1e6\n"
+                           "theta = 0.5\n")
+    assert main(["sensitivity", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: F0: degenerate ratio Var(S)/(d<S>/d eps)^2 = 0.0 "
+        "(Var(S) = 29598.856232234484, (d<S>/d eps)^2 = inf)\n")
+
+
 def test_output_directory_override(tmp_path, monkeypatch, capsys):
     path = write(tmp_path, "channel = squeezing\nr = 0.5\nnbar = 100\n")
     outdir = tmp_path / "redirected"
