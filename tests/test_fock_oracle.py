@@ -272,7 +272,8 @@ def test_block_eigensystems_are_read_only_and_cover_the_local_basis(kind, n_loca
     for index, lam, V in entries:
         for array in (index, lam, V):
             assert not array.flags.writeable
-        assert V.shape == index.shape + index.shape[1:] == lam.shape + lam.shape[1:]
+        blocks, n = index.shape
+        assert lam.shape == (blocks, n) and V.shape == (blocks, n, n)
     covered = np.sort(np.concatenate([index.ravel() for index, _, _ in entries]))
     assert np.array_equal(covered, np.arange(12 ** n_local))
 
@@ -295,10 +296,10 @@ def test_cache_hit_prepares_the_state_of_a_miss():
 
 def test_two_mode_propagator_memory_at_cutoff_150():
     # On a miss the cache entry holds V of every block: sum over the block sizes
-    # n of n^2 floats, (2/3) 150^3 * 8 B = 18 MB; one size's S, eigh output and
-    # U add under 1 MB, and the state 0.36 MB.  32 MB leaves room for numpy's
-    # temporaries; the padded (blocks, size, size) stacks this replaced peaked
-    # at 166 MB.
+    # n of n^2 floats, about (2/3) 150^3 * 8 B = 18 MB.  The largest size's S,
+    # eigh output and U, the state and its block copies add about 3 MB (21.6 MB
+    # measured); 32 MB leaves room for numpy's temporaries.  The padded
+    # (blocks, size, size) stacks this replaced peaked at 166 MB.
     import tracemalloc
     psi = fock.FockSpace(2, 150).vacuum()
     fock._block_eigensystems.cache_clear()
