@@ -6,8 +6,11 @@ three-mode space with :func:`embed_on_side_modes`.
 
 Each element's entries are written once, in a private fill function whose
 arguments broadcast over leading axes: the public builders wrap the scalar case
-in one checked :class:`SymplecticOp`, and ``metrology.evaluate`` fills a whole
-sweep's elements as (N, 6, 6) stacks with the same functions.
+in one checked :class:`SymplecticOp`, and ``metrology._evaluate_grid`` fills a
+whole sweep's elements as (N, 6, 6) stacks with the same functions.  A
+channel's fill is its step C - I, written without cancellation (cosh x - 1 =
+2 sinh^2(x/2), cos x - 1 = -2 sin^2(x/2)); the channel itself is I plus that
+step.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from .states import SymplecticOp, check_symplectic, symplectic_form
 
 __all__ = [
     "ChannelSpec",
-    "reflection_phase_matrix",
-    "rotation_matrix",
     "pumped_two_mode_squeezer",
     "tritter",
     "tritter_from_generator",
@@ -35,18 +36,6 @@ __all__ = [
 ]
 
 CHANNEL_KINDS = ("squeezing", "mode_mixing", "phase")
-
-
-def reflection_phase_matrix(phi: float) -> np.ndarray:
-    """2x2 reflection [[cos, sin], [sin, -cos]] carrying a squeezing phase."""
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, s], [s, -c]])
-
-
-def rotation_matrix(phi: float) -> np.ndarray:
-    """2x2 rotation [[cos, sin], [-sin, cos]] carrying a mode-mixing phase."""
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, s], [-s, c]])
 
 
 def _side_pair(diag, upper, lower) -> np.ndarray:
@@ -74,13 +63,13 @@ def _with_pump(side: np.ndarray, pump=1.0) -> np.ndarray:
 
 
 def _squeeze_block(sh, phi):
-    # sh times reflection_phase_matrix(phi)
+    # sh times the reflection [[cos phi, sin phi], [sin phi, -cos phi]]
     a, b = sh * np.cos(phi), sh * np.sin(phi)
     return ((a, b), (b, -a))
 
 
 def _mixing_blocks(s, phi):
-    # s times rotation_matrix(phi), and -s times its transpose
+    # s times the rotation R = [[cos phi, sin phi], [-sin phi, cos phi]], and -s R^T
     a, b = s * np.cos(phi), s * np.sin(phi)
     return ((a, b), (-b, a)), ((-a, b), (-b, -a))
 
@@ -92,19 +81,6 @@ def _rotation_pair(c, s) -> np.ndarray:
     mat[..., 0, 1] = mat[..., 2, 3] = s
     mat[..., 1, 0] = mat[..., 3, 2] = -s
     return mat
-
-
-def _two_mode_squeeze(s, phase) -> np.ndarray:
-    block = _squeeze_block(np.sinh(s), phase)
-    return _side_pair(np.cosh(s), block, block)
-
-
-def _mode_mix(m, phase) -> np.ndarray:
-    return _side_pair(np.cos(m), *_mixing_blocks(np.sin(m), phase))
-
-
-def _phase_rotation(phi) -> np.ndarray:
-    return _rotation_pair(np.cos(phi / 2.0), np.sin(phi / 2.0))
 
 
 def _tritter_matrix(theta, phase) -> np.ndarray:
@@ -132,7 +108,7 @@ def pumped_two_mode_squeezer(r: float, squeeze_phase: float = 0.0) -> Symplectic
         r: squeezing parameter (signed; the inverse element is r -> -r).
         squeeze_phase: squeezing phase, radians.
     """
-    return SymplecticOp(3, _with_pump(_two_mode_squeeze(r, squeeze_phase)))
+    return SymplecticOp(3, _with_pump(_side_channel("squeezing", r, squeeze_phase)))
 
 
 def tritter(theta: float, phase: float = 0.0) -> SymplecticOp:
@@ -174,7 +150,7 @@ def tritter_from_generator(theta: float, phase: float = 0.0) -> SymplecticOp:
 
 def squeezing_channel(s: float, phase: float = 0.0) -> SymplecticOp:
     """Two-mode squeezing channel on the side modes (4x4)."""
-    return SymplecticOp(2, _two_mode_squeeze(s, phase))
+    return SymplecticOp(2, _side_channel("squeezing", s, phase))
 
 
 def mode_mixing_channel(m: float, phase: float = 0.0) -> SymplecticOp:
@@ -183,12 +159,12 @@ def mode_mixing_channel(m: float, phase: float = 0.0) -> SymplecticOp:
     Passive: orthogonal as well as symplectic, so it preserves total particle
     number.
     """
-    return SymplecticOp(2, _mode_mix(m, phase))
+    return SymplecticOp(2, _side_channel("mode_mixing", m, phase))
 
 
 def phase_channel(phi: float) -> SymplecticOp:
     """Phase evolution exp(-i phi N/2) of the side modes; identity on the pump (6x6)."""
-    return SymplecticOp(3, _with_pump(_phase_rotation(phi)))
+    return SymplecticOp(3, _with_pump(_side_channel("phase", phi, 0.0)))
 
 
 def gw_squeezing_channel(s_nm: float, phase: float = 0.0, form: str = "exact") -> SymplecticOp:
@@ -272,7 +248,7 @@ class ChannelSpec:
         return _generator(self.kind, self.strength, self.phase)
 
 
-# The three functions below take ``kind`` plus arrays that broadcast over a
+# The functions below take ``kind`` plus arrays that broadcast over a
 # leading axis, so a batch of channels of one kind is filled in one call.
 
 def _channel_argument(kind: str, epsilon, strength):
@@ -282,13 +258,27 @@ def _channel_argument(kind: str, epsilon, strength):
     return 0.25 * epsilon * strength
 
 
-def _side_channel(kind: str, arg, phase) -> np.ndarray:
-    """The channel's side-mode block (4x4) at channel argument ``arg``."""
+def _side_step(kind: str, arg, phase) -> np.ndarray:
+    """C - I for the channel's side-mode block C (4x4) at channel argument ``arg``.
+
+    The diagonal is filled as cosh x - 1 = 2 sinh^2(x/2) (squeezing) or
+    cos x - 1 = -2 sin^2(x/2) (mode mixing, and the phase rotation by arg/2),
+    so a small step keeps its relative precision.
+    """
+    if kind == "phase":
+        h = np.sin(0.25 * arg)
+        return _rotation_pair(-2.0 * (h * h), np.sin(0.5 * arg))
     if kind == "squeezing":
-        return _two_mode_squeeze(arg, phase)
-    if kind == "mode_mixing":
-        return _mode_mix(arg, phase)
-    return _phase_rotation(arg)
+        h = np.sinh(0.5 * arg)
+        block = _squeeze_block(np.sinh(arg), phase)
+        return _side_pair(2.0 * (h * h), block, block)
+    h = np.sin(0.5 * arg)
+    return _side_pair(-2.0 * (h * h), *_mixing_blocks(np.sin(arg), phase))
+
+
+def _side_channel(kind: str, arg, phase) -> np.ndarray:
+    """The channel's side-mode block (4x4) at channel argument ``arg``: I + its step."""
+    return _side_step(kind, arg, phase) + np.eye(4)
 
 
 def _generator(kind: str, strength, phase) -> np.ndarray:

@@ -20,10 +20,11 @@ from .sweep import ConfigError, emit, parse_config, run_sweep
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
-# cutoffs of the validate suite's three-mode checks: fock.MIN_CUTOFF up to the
-# largest cutoff whose cube fits fock.MAX_DIMENSION (fock loads scipy, so it is
-# imported only when validate runs)
-VALIDATE_CUTOFFS = (10, 40)
+# cutoffs of the validate suite's three-mode checks: from the smallest at which
+# its states stay within the leakage guard (at 13 the truncation leakage is
+# 1.9e-6) up to the largest whose cube fits fock.MAX_DIMENSION (fock loads
+# scipy, so it is imported only when validate runs)
+VALIDATE_CUTOFFS = (14, 40)
 
 
 def _add_common(parser):

@@ -1,25 +1,30 @@
 """Quantum and classical Fisher information for the probed Gaussian channel.
 
 ``qfi_numeric`` evaluates the pure-state Gaussian quantum Fisher information
+(Safranek, Lee & Fuentes, New J. Phys. 17, 073016 (2015))
 
     H = (1/4) Tr[(sigma^-1 sigma')^2] + d'^T sigma^-1 d'
 
-on the pre-measurement family (state after source, tritter and channel).  The
-primes are exact strain derivatives, d' = K d and sigma' = K sigma + sigma K^T,
-for the channel generator K (:meth:`ChannelSpec.generator`).  ``qfi_closed_form``
-evaluates the matching scalar expressions, either exactly or in a named
-asymptotic regime; regimes are never auto-detected.
+of the pre-measurement family (state after source, tritter and channel),
+with the exact strain derivatives of the channel generator K
+(:meth:`ChannelSpec.generator`).  It is evaluated in one frame, the input
+state's: the coherent pump d with sigma = I, on which the generator acts as
+A = S^-1 K S for the forward half S, so that H = (1/4)|A + A^T|_F^2 + |A d|^2
+and no squeezed covariance is inverted.  ``qfi_closed_form`` evaluates the
+matching scalar expressions, either exactly or in a named asymptotic regime;
+regimes are never auto-detected.
 
 ``_evaluate_grid`` is the one implementation of H_numeric, F0 and the
 side-mode moments.  It takes a grid's parameters as a ``_Point`` of scalars
 and arrays that broadcast over the grid, fills the source squeezer, tritter,
-channel and generator each at the shape of its own parameters (a (6, 6)
-matrix for a scalar, a stack for an axis), pushes the states through the
-pipeline's steps, and computes each quantity with formulas that broadcast
-over the leading axes.  It applies every check in the order the quantity
-needs it and words each failing point's error itself.  Sweeps call it on
-their grids, ``evaluate`` on a list of configs, and the single-point
-functions (``qfi_numeric``, ``sensitivity_number_sum``,
+channel step and generator each at the shape of its own parameters (a (6, 6)
+matrix for a scalar, a stack for an axis), and computes each quantity in the
+input frame with formulas that broadcast over the leading axes: the output
+map is I + E with E = S^-1 (C - I) S, so the number-sum moments and their
+strain slopes are read off E and A without the identity ever cancelling.
+It applies every check in the order the quantity needs it and words each
+failing point's error itself.  Sweeps call it on their grids, and the
+single-point functions (``qfi_numeric``, ``sensitivity_number_sum``,
 ``fisher_from_moments``) on a one-point grid, raising the point's error.
 The exact closed-form QFI and the turning point are written once, as
 formulas over arrays of parameters; a grid point where they fail takes its
@@ -29,17 +34,16 @@ error from their scalar functions.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from typing import Any, NamedTuple
 
 import numpy as np
 
-from .channels import (_channel_argument, _generator, _side_channel, _tritter_matrix,
-                       _two_mode_squeeze, _with_pump)
-from .pipeline import InterferometerConfig, _side_population, max_tritter_angle, pump_depletion
-from .states import (SYMPLECTIC_TOL, GaussianState, _evolve, _pump_displacement,
-                     _symplectic_error, _symplectic_inverse, _symplectic_residual,
-                     symplectic_form)
+from .channels import (_channel_argument, _generator, _side_channel, _side_step,
+                       _tritter_matrix, _with_pump)
+from .pipeline import InterferometerConfig, max_tritter_angle, pump_depletion
+from .states import GaussianState, _pump_displacement, _symplectic_inverse
 
 __all__ = [
     "RegimeError",
@@ -73,8 +77,8 @@ def qfi_numeric(config: InterferometerConfig) -> float:
     """Quantum Fisher information of the strain, from the exact state tangent.
 
     The QFI of this family does not depend on the strain (the channel
-    generator is fixed), so it is evaluated at zero strain.  Every state of
-    the family is pure, so sigma^-1 = Omega^T sigma Omega.
+    generator is fixed), so it is evaluated at zero strain, in the input
+    frame (see :func:`_evaluate_stack`).
     """
     return _at_config(config, 0.0, "H_numeric")[0]
 
@@ -103,14 +107,9 @@ def _trace(mat):
     return mat.trace(axis1=-2, axis2=-1)
 
 
-def _qfi(K, d, sigma):
-    # (1/4) Tr[(sigma^-1 sigma')^2] + d'^T sigma^-1 d', with sigma^-1 = Omega^T sigma Omega
-    k_sigma = K @ sigma
-    d_dot = _matvec(K, d)
-    omega = symplectic_form(3)
-    inv = omega.T @ sigma @ omega
-    ratio = inv @ (k_sigma + _t(k_sigma))
-    return 0.25 * _trace(ratio @ ratio) + _quad(d_dot, inv, d_dot)
+def _inner(a, b):
+    # Tr(a^T b): Tr(a b) when a is symmetric, |a|_F^2 when b is a
+    return (a * b).sum(axis=(-2, -1))
 
 
 # ----------------------------------------------------------------------------
@@ -140,13 +139,6 @@ def _point(config: InterferometerConfig) -> _Point:
     return _Point(*_FIELDS(config), *pump_depletion(config.nbar, config.r))
 
 
-def _points(configs) -> _Point:
-    """The rows' parameters as arrays; row i equals ``_point(configs[i])`` bit for bit."""
-    fields = np.array(list(map(_FIELDS, configs))).T
-    n_side = _side_population(fields[1])
-    return _Point(*fields, fields[0] - n_side, n_side)  # n0 = nbar - n_side
-
-
 def _flat(value, shape) -> np.ndarray:
     """``value``, a scalar or an array that broadcasts to ``shape``, with one entry per grid point."""
     value = np.asarray(value)
@@ -160,19 +152,27 @@ def _phase_args(config: InterferometerConfig):
 
 
 # The closed forms below broadcast over a _Point of arrays of one channel kind,
-# so the single-point functions and ``evaluate`` share them.  Every square is a
+# so the single-point functions and the grids share them.  Every square is a
 # product: a numpy scalar squares through ``pow`` and an array through a
 # product, and the two can differ in the last bit.
 
 def _phase_terms(kind: str, p: _Point):
-    """(eta1, eta2) of the squeezing channel, (eta3, Phi1) of the mode-mixing channel."""
-    sh2r, ch2r = np.sinh(2 * p.r), np.cosh(2 * p.r)
+    """(eta1, eta2) of the squeezing channel, (eta3, Phi1) of the mode-mixing channel.
+
+    eta1 = cosh 2r + sinh 2r cos x and eta3 = sinh 2r cos y - cosh 2r are
+    written as 2 cosh 2r cos^2(x/2) - e^-2r cos x and -(2 cosh 2r sin^2(y/2)
+    + e^-2r cos y): terms of one sign, so a phase near the dark direction keeps
+    its digits instead of cancelling two terms of size e^2r.
+    """
+    ch2r, small = np.cosh(2 * p.r), np.exp(-2 * p.r)
     if kind == "squeezing":
-        eta1 = sh2r * np.cos(2 * p.tritter_phase - 2 * p.pump_phase - p.squeeze_phase
-                             + 2 * p.channel_phase) + ch2r
+        x = 2 * p.tritter_phase - 2 * p.pump_phase - p.squeeze_phase + 2 * p.channel_phase
+        c = np.cos(0.5 * x)
         s = np.sin(p.squeeze_phase - p.channel_phase)
-        return eta1, s * s
-    eta3 = sh2r * np.cos(2 * p.tritter_phase - 2 * p.pump_phase + p.squeeze_phase) - ch2r
+        return 2.0 * ch2r * (c * c) - small * np.cos(x), s * s
+    y = 2 * p.tritter_phase - 2 * p.pump_phase + p.squeeze_phase
+    h = np.sin(0.5 * y)
+    eta3 = -(2.0 * ch2r * (h * h) + small * np.cos(y))
     s, sp = np.sin(p.theta), np.sin(p.channel_phase)
     return eta3, (s * s) * (sp * sp) - 1.0
 
@@ -448,24 +448,11 @@ def _side_moments(config: InterferometerConfig, eps: float) -> tuple[float, floa
 def _number_sum_slopes(config: InterferometerConfig, eps0: float) -> tuple[float, float, float]:
     """Var(S) and the exact strain slopes of <S> and Var(S) at the output.
 
-    The pre-measurement state and its tangent (K d, K sigma + sigma K^T) are
-    pushed through the side-mode rows of the reverse half S_minus, the only
-    rows the number sum reads.
+    The output state I + E and its tangent A (I + E), in the input frame (see
+    :func:`_evaluate_stack`), read on the side modes, the only ones the number
+    sum reads.
     """
     return _at_config(config, eps0, "slopes")
-
-
-def _slopes(K, rows, d_pre, sigma_pre):
-    # push the state and its tangent (K d, K sigma + sigma K^T) through ``rows``
-    k_sigma = K @ sigma_pre
-    d, d_dot = _matvec(rows, d_pre), _matvec(rows, _matvec(K, d_pre))
-    sigma = rows @ sigma_pre @ _t(rows)
-    sigma_dot = rows @ (k_sigma + _t(k_sigma)) @ _t(rows)
-    _, var = _number_sum(d, sigma)
-    d_mean = 0.25 * (_trace(sigma_dot) + 2.0 * _dot(d, d_dot))
-    d_var = 0.25 * (_trace(sigma @ sigma_dot) + 2.0 * _quad(d_dot, sigma, d)
-                    + _quad(d, sigma_dot, d))
-    return var, d_mean, d_var
 
 
 def number_sum_quadratic_response(config: InterferometerConfig) -> tuple[float, float]:
@@ -555,9 +542,17 @@ def fisher_from_moments(config: InterferometerConfig, eps0: float = 1e-3) -> flo
     there the Gaussian model, and with it the bound F <= H, breaks down.
     """
     var, d_mean, d_var = _number_sum_slopes(config, eps0)
-    f0 = d_mean ** 2 / var
-    d_sigma = d_var / (2.0 * np.sqrt(var))
-    return float(f0 + 2.0 * d_sigma ** 2 / var)
+    d_sigma = d_var / (2.0 * math.sqrt(var))
+    return _squared(d_mean, "d<S>/d eps") / var \
+        + 2.0 * _squared(d_sigma, "d sqrt(Var(S))/d eps") / var
+
+
+def _squared(slope: float, name: str) -> float:
+    try:
+        return slope ** 2
+    except OverflowError:  # a Python float's power raises instead of returning inf
+        raise FloatingPointError(f"the square of the slope {name} = {slope!r} "
+                                 "overflows") from None
 
 
 # ----------------------------------------------------------------------------
@@ -579,36 +574,6 @@ def _at_config(config: InterferometerConfig, eps0: float, *quantities: str) -> t
     if errors:
         raise errors[0][0][1]
     return tuple(values[column][0] for q in quantities for column in _COLUMNS[q])
-
-
-def evaluate(configs, eps0s, quantities) -> tuple[dict, list]:
-    """Evaluate ``quantities`` for every row (config, eps0) in one stacked pass.
-
-    The list-of-configs entry point of :func:`_evaluate_grid`: the rows of
-    each channel kind go to it as one batch of parameter arrays.  Returns
-    ``(values, errors)``: ``values`` maps each output column of the quantities
-    (``QUANTITY_COLUMNS``) to a list with one entry per row, None where the
-    quantity failed; ``errors[i]`` lists the (quantity, exception) pairs of
-    row i in the order of ``quantities``, each exception without its
-    traceback.
-    """
-    unknown = set(quantities) - set(QUANTITY_COLUMNS)
-    if unknown:
-        raise ValueError(f"unknown quantities {sorted(unknown)}")
-    values = {c: [None] * len(configs) for q in quantities for c in QUANTITY_COLUMNS[q]}
-    errors = [[] for _ in configs]
-    kinds = [c.channel.kind for c in configs]
-    for kind in dict.fromkeys(kinds):
-        rows = [i for i, k in enumerate(kinds) if k == kind]
-        eps0 = np.array([eps0s[i] for i in rows], dtype=float)
-        cells, failures = _evaluate_grid(kind, _points([configs[i] for i in rows]), eps0,
-                                         quantities, (len(rows),), True)
-        for column, column_cells in cells.items():
-            for i, value in zip(rows, column_cells):
-                values[column][i] = value
-        for j, failure in failures.items():
-            errors[rows[j]] = failure
-    return values, errors
 
 
 def _evaluate_grid(kind: str, p: _Point, eps0, quantities, shape, valid):
@@ -657,11 +622,6 @@ def _evaluate_grid(kind: str, p: _Point, eps0, quantities, shape, valid):
 # a flat index into that shape that builds the point's exception (or returns
 # None where the point passes after all).
 
-def _residual_check(res):
-    # a NaN residual fails too
-    return ~(res < SYMPLECTIC_TOL), lambda j: _symplectic_error(_item(res, j), SYMPLECTIC_TOL)
-
-
 def _scalar_check(failed, call, *fields):
     """A closed form's check: where ``failed``, the point's outcome is that of
     the scalar function ``call`` on the point's ``fields``, as Python floats."""
@@ -684,21 +644,6 @@ def _item(values, j) -> float:
     return np.asarray(values).flat[j].item()
 
 
-def _residuals(*mats) -> list:
-    """The symplectic residual of each of ``mats``, at its own shape; the
-    matrices of one size are checked in one call."""
-    res = [None] * len(mats)
-    for n in dict.fromkeys(mat.shape[-1] for mat in mats):
-        group = [k for k, mat in enumerate(mats) if mat.shape[-1] == n]
-        flat = _symplectic_residual(np.concatenate([mats[k].reshape(-1, n, n) for k in group]))
-        start = 0
-        for k in group:
-            stop = start + mats[k].size // (n * n)
-            res[k] = flat[start:stop].reshape(mats[k].shape[:-2])
-            start = stop
-    return res
-
-
 def _common(first, *rest):
     # a fill takes its shape from its first argument, so the others may be
     # scalars; any other mix is broadcast to one shape
@@ -710,15 +655,23 @@ def _common(first, *rest):
 def _evaluate_stack(kind: str, p: _Point, eps0, quantities) -> dict:
     """{quantity: (column arrays, checks)} for every quantity in ``quantities``.
 
-    H_numeric, F0 and the moments follow the pipeline step by step: source
-    squeezer, tritter, channel at eps0, and the reverse half S_minus = Omega^T
-    S_plus^T Omega.  Each element is filled at the broadcast shape of its own
+    H_numeric, F0 and the moments are evaluated in the input frame: the
+    coherent pump d with sigma = I.  S = S_plus (source squeezer, then
+    tritter) carries it to the channel, so the channel's generator K acts on
+    the input as A = S^-1 K S, with S^-1 = Omega^T S^T Omega exact, and the
+    pure-state QFI is H = (1/4) |A + A^T|_F^2 + |A d|^2.  The whole
+    interferometer at eps0 maps the input by M = S^-1 C S = I + E, with
+    E = S^-1 (C - I) S built from the channel's step C - I, so the output
+    state is d + E d and sigma - I = E + E^T + E E^T, and its strain tangents
+    are dM/deps = A M.  The number sum reads the side-mode slice of these;
+    neither the identity nor the squeezed covariance is ever formed and
+    subtracted.  Each element is filled at the broadcast shape of its own
     arguments (the squeezer over r and the squeeze phase, the tritter over
     theta and its phase, the channel over eps0, the strength and the channel
     phase), so a one-point grid runs on single matrices, and the returned
-    arrays and masks broadcast to the grid.  A quantity's checks come in the
-    order the object pipeline applies them, among them the symplectic residual
-    (below 1e-10) of each element it builds.
+    arrays and masks broadcast to the grid.  Every element is symplectic by
+    construction, so no residual is taken; each quantity checks that its own
+    values are finite and well defined.
     """
     out = {}
     with np.errstate(all="ignore"):  # the checks report non-finite values
@@ -738,47 +691,63 @@ def _evaluate_stack(kind: str, p: _Point, eps0, quantities) -> dict:
         strained = not {"F0", "slopes", "moments"}.isdisjoint(quantities)
         if not strained and "H_numeric" not in quantities:
             return out
-        squeezer = _with_pump(_two_mode_squeeze(*_common(p.r, p.squeeze_phase)))
-        mixer = _tritter_matrix(*_common(p.theta, p.tritter_phase))
-        s_plus = mixer @ squeezer
-        mats = [squeezer, mixer, s_plus]
-        if strained:
-            # where the channel argument is zero the channel is the identity,
-            # whose application is exact
-            side = _side_channel(kind, *_common(_channel_argument(kind, eps0, p.strength),
-                                                p.channel_phase))
-            s_minus = _symplectic_inverse(s_plus)
-            mats += [side, s_minus]
-        pipeline = [_residual_check(res) for res in _residuals(*mats)]
+        s_plus = _tritter_matrix(*_common(p.theta, p.tritter_phase)) @ _with_pump(
+            _side_channel("squeezing", *_common(p.r, p.squeeze_phase)))
+        # K and C - I vanish on the pump, so they meet only the side rows of S
+        # and the side columns of S^-1
+        rows, cols = s_plus[..., 2:, :], _symplectic_inverse(s_plus)[..., 2:]
+        K = _generator(kind, *_common(p.strength, p.channel_phase))[..., 2:, 2:]
         d = _pump_displacement(*_common(p.n0, p.pump_phase))
-        d, sigma = _evolve(squeezer, d, np.eye(6))
-        d, sigma = _evolve(mixer, d, sigma)
-        K = _generator(kind, *_common(p.strength, p.channel_phase))
         if "H_numeric" in quantities:
-            h = _qfi(K, d, sigma)
-            out["H_numeric"] = ((h,), pipeline[:3] + [(
+            A = cols @ K @ rows
+            a_d = _matvec(A, d)
+            sym = A + _t(A)
+            h = 0.25 * _inner(sym, sym) + _dot(a_d, a_d)
+            out["H_numeric"] = ((h,), [(
                 ~np.isfinite(h), lambda j: FloatingPointError(f"QFI evaluated to {_item(h, j)}"))])
         if not strained:
             return out
-        d_pre, sigma_pre = _evolve(_with_pump(side), d, sigma)  # the strained state
-        if not {"F0", "slopes"}.isdisjoint(quantities):
-            var, d_mean, d_var = _slopes(K, s_minus[..., 2:, :], d_pre, sigma_pre)
-            slopes = [(eps0 == 0, lambda j: ValueError(
-                "number-sum signal is stationary at zero strain; use eps0 > 0"))] + pipeline + [
-                (~np.isfinite(d_mean) | (d_mean == 0), lambda j: FloatingPointError(
-                    "vanishing signal derivative: measurement is insensitive at this point")),
-                (var <= 0, lambda j: FloatingPointError(
-                    f"non-positive signal variance {_item(var, j)!r}"))]
-            out["slopes"] = ((var, d_mean, d_var), slopes)
-            # F0, the ratio's inverse, has no finite value where the squared
-            # slope or the ratio is zero: an underflow, or an overflowing slope
-            square = d_mean * d_mean
-            delta_sq = var / square
-            out["F0"] = ((1.0 / delta_sq,), slopes + [(
-                (square == 0) | (delta_sq == 0), lambda j: ZeroDivisionError(
-                    f"degenerate ratio Var(S)/(d<S>/d eps)^2 = {_item(delta_sq, j)!r} "
-                    f"(Var(S) = {_item(var, j)!r}, (d<S>/d eps)^2 = {_item(square, j)!r})"))])
+        step = _side_step(kind, *_common(_channel_argument(kind, eps0, p.strength),
+                                         p.channel_phase))
+        E = cols @ step @ rows
+        delta = E + _t(E) + E @ _t(E)  # sigma_out - I
+        e_d = _matvec(E, d)  # d_out - d; d is zero on the side modes
+        side, d_side = delta[..., 2:, 2:], e_d[..., 2:]
+        # <S> = [Tr sigma + |d|^2 - 4]/4 and Var S = [Tr sigma^2 + 2 d^T sigma d - 4]/8
+        # on the side modes, with sigma = I + side
+        mean = 0.25 * (_trace(side) + _dot(d_side, d_side))
+        var = mean + 0.125 * (_inner(side, side) + 2.0 * _quad(d_side, side, d_side))
         if "moments" in quantities:
-            d_out, sigma_out = _evolve(s_minus, d_pre, sigma_pre)
-            out["moments"] = (_number_sum(d_out[..., 2:], sigma_out[..., 2:, 2:]), pipeline)
+            out["moments"] = ((mean, var), [(
+                ~(np.isfinite(mean) & np.isfinite(var)), lambda j: FloatingPointError(
+                    f"number-sum moments evaluated to <S> = {_item(mean, j)}, "
+                    f"Var(S) = {_item(var, j)}"))])
+        if {"F0", "slopes"}.isdisjoint(quantities):
+            return out
+        # the tangent dM/deps = A M = S^-1 K C S, conjugated as one product: its
+        # side trace is then as well conditioned as that of E (a product A E
+        # would cancel large terms); sigma' = M' M^T + M M'^T and d' = M' d
+        tangent = cols[..., 2:, :] @ (K @ step + K) @ rows
+        half = tangent[..., 2:] + tangent @ _t(E[..., 2:, :])
+        side_dot = half + _t(half)
+        d_dot = _matvec(tangent, d)
+        d_mean = 0.25 * (_trace(side_dot) + 2.0 * _dot(d_side, d_dot))
+        d_var = d_mean + 0.25 * (_inner(side, side_dot)
+                                 + 2.0 * _quad(d_dot, side, d_side)
+                                 + _quad(d_side, side_dot, d_side))
+        slopes = [(eps0 == 0, lambda j: ValueError(
+            "number-sum signal is stationary at zero strain; use eps0 > 0")), (
+            ~np.isfinite(d_mean) | (d_mean == 0), lambda j: FloatingPointError(
+                "vanishing signal derivative: measurement is insensitive at this point")), (
+            var <= 0, lambda j: FloatingPointError(
+                f"non-positive signal variance {_item(var, j)!r}"))]
+        out["slopes"] = ((var, d_mean, d_var), slopes)
+        # F0, the ratio's inverse, has no finite value where the squared
+        # slope or the ratio is zero: an underflow, or an overflowing slope
+        square = d_mean * d_mean
+        delta_sq = var / square
+        out["F0"] = ((1.0 / delta_sq,), slopes + [(
+            (square == 0) | (delta_sq == 0), lambda j: ZeroDivisionError(
+                f"degenerate ratio Var(S)/(d<S>/d eps)^2 = {_item(delta_sq, j)!r} "
+                f"(Var(S) = {_item(var, j)!r}, (d<S>/d eps)^2 = {_item(square, j)!r})"))])
     return out

@@ -4,12 +4,12 @@ import json
 import os
 import pathlib
 
+import mpmath
 import numpy as np
 import pytest
 
 import pumpedsu11
-from pumpedsu11 import ChannelSpec, InterferometerConfig, pre_measurement_state
-from pumpedsu11.metrology import _qfi, _slopes
+from pumpedsu11 import ChannelSpec, InterferometerConfig
 from pumpedsu11.sweep import GW_COLUMNS, INTERFEROMETER_COLUMNS
 
 PACKAGE_ROOT = str(pathlib.Path(pumpedsu11.__file__).resolve().parent.parent)
@@ -46,35 +46,103 @@ def random_config(rng, kind=None, nbar_range=(10.0, 1e6), r_max=2.0,
         tritter_phase=rng.uniform(0.0, 2 * np.pi))
 
 
-def pipeline_qfi(config):
-    """H_numeric through the object pipeline (cached states, a checked
-    SymplecticOp per element): the referee of the stacked kernel, whose value
-    and error text it must give bit for bit."""
-    state = pre_measurement_state(config, 0.0)
-    value = _qfi(config.channel.generator(), state.d, state.sigma)
-    if not np.isfinite(value):
-        raise FloatingPointError(f"QFI evaluated to {float(value)}")
-    return float(value)
+def _mp_matrix(pump, diag, upper, lower):
+    """6x6: ``pump`` I on the pump, [[diag I, upper], [lower, diag I]] on the side modes."""
+    m = mpmath.zeros(6)
+    m[0, 0] = m[1, 1] = pump
+    for i in range(2, 6):
+        m[i, i] = diag
+    for i in (0, 1):
+        for j in (0, 1):
+            m[2 + i, 4 + j], m[4 + i, 2 + j] = upper[i][j], lower[i][j]
+    return m
 
 
-def pipeline_f0(config, eps0):
-    """F0 through the object pipeline, with its checks; see :func:`pipeline_qfi`."""
-    if eps0 == 0:
-        raise ValueError("number-sum signal is stationary at zero strain; use eps0 > 0")
-    pre = pre_measurement_state(config, eps0)
-    var, d_mean, _ = (float(v) for v in _slopes(
-        config.channel.generator(), config.reverse_half.matrix[2:], pre.d, pre.sigma))
-    if not np.isfinite(d_mean) or d_mean == 0:
-        raise FloatingPointError(
-            "vanishing signal derivative: measurement is insensitive at this point")
-    if var <= 0:
-        raise FloatingPointError(f"non-positive signal variance {var!r}")
-    square = d_mean * d_mean
-    delta_sq = var / square if square else np.inf  # var > 0 here
-    if square == 0 or delta_sq == 0:
-        raise ZeroDivisionError(f"degenerate ratio Var(S)/(d<S>/d eps)^2 = {delta_sq!r} "
-                                f"(Var(S) = {var!r}, (d<S>/d eps)^2 = {square!r})")
-    return 1.0 / delta_sq
+def _mp_channel(kind, x, phase, diag):
+    """The side-mode element of ``kind`` at argument ``x``, with diagonal entry ``diag``."""
+    c, s = mpmath.cos(phase), mpmath.sin(phase)
+    if kind == "squeezing":  # x times the reflection of the squeezing phase
+        block = ((x * c, x * s), (x * s, -x * c))
+        return _mp_matrix(1, diag, block, block)
+    if kind == "mode_mixing":  # x R and -x R^T for the rotation R of the phase
+        return _mp_matrix(1, diag, ((x * c, x * s), (-x * s, x * c)),
+                          ((-x * c, x * s), (-x * s, -x * c)))
+    m = _mp_matrix(1, diag, ((0, 0), (0, 0)), ((0, 0), (0, 0)))  # phase: a rotation by x
+    m[2, 3] = m[4, 5] = x
+    m[3, 2] = m[5, 4] = -x
+    return m
+
+
+def mp_referee(config, eps0, dps=60):
+    """H, F0, <S>, Var(S) and the slopes of <S> and Var(S) at strain ``eps0``, in
+    ``dps``-digit arithmetic through the output-frame pipeline; a dict of floats.
+
+    The independent referee of the metrology kernel.  Every element is filled
+    from its formula in mpmath: the source squeezer, the tritter, the channel
+    and its generator K.  H is taken on the pre-measurement state at zero
+    strain from its exact tangent (K d, K sigma + sigma K^T), with sigma^-1 by
+    an LU inverse, so it referees the phase channel too, which has no closed form.
+    The moments are those of the side modes of the output state S^-1 C S
+    (d, sigma) of the input (d, sigma = I), and their slopes come from the
+    tangent pushed through S^-1.
+    """
+    with mpmath.workdps(dps):
+        mpf = mpmath.mpf
+        ch = config.channel
+        r, theta, tp = mpf(config.r), mpf(config.theta), mpf(config.tritter_phase)
+        n0 = mpf(config.nbar) - 2 * mpmath.sinh(r) ** 2
+        amp = 2 * mpmath.sqrt(n0)
+        d_in = mpmath.matrix([amp * mpmath.cos(config.pump_phase),
+                              amp * mpmath.sin(config.pump_phase), 0, 0, 0, 0])
+        squeezer = _mp_channel("squeezing", mpmath.sinh(r), mpf(config.squeeze_phase),
+                               mpmath.cosh(r))
+        mm = (mpmath.cos(theta) - 1) / 2
+        mixer = _mp_matrix(mpmath.cos(theta), mpmath.cos(theta / 2) ** 2,
+                           ((mm, 0), (0, mm)), ((mm, 0), (0, mm)))
+        f = mpmath.sin(theta) / mpmath.sqrt(2)
+        a, b = f * mpmath.sin(tp), f * mpmath.cos(tp)
+        for j in (2, 4):
+            mixer[0, j], mixer[0, j + 1], mixer[1, j], mixer[1, j + 1] = a, b, -b, a
+            mixer[j, 0], mixer[j, 1], mixer[j + 1, 0], mixer[j + 1, 1] = -a, b, -b, -a
+        S = mixer * squeezer
+        strength, phase = mpf(ch.strength), mpf(ch.phase)
+        if ch.kind == "phase":
+            x = mpf(eps0) * strength
+            C = _mp_channel("phase", mpmath.sin(x / 2), 0, mpmath.cos(x / 2))
+            K = _mp_channel("phase", strength / 2, 0, 0)
+        else:
+            x = mpf(eps0) * strength / 4
+            diag = mpmath.cosh(x) if ch.kind == "squeezing" else mpmath.cos(x)
+            odd = mpmath.sinh(x) if ch.kind == "squeezing" else mpmath.sin(x)
+            C = _mp_channel(ch.kind, odd, phase, diag)
+            K = _mp_channel(ch.kind, strength / 4, phase, 0)
+        K[0, 0] = K[1, 1] = 0
+
+        d, sigma = S * d_in, S * S.T
+        k_sigma = K * sigma
+        sigma_dot, d_dot = k_sigma + k_sigma.T, K * d
+        inv = mpmath.inverse(sigma)
+        ratio = inv * sigma_dot
+        h = sum((ratio * ratio)[i, i] for i in range(6)) / 4 + (d_dot.T * inv * d_dot)[0]
+
+        s_inv = mpmath.inverse(S)
+        d, sigma = C * d, C * sigma * C.T
+        k_sigma = K * sigma
+        d_dot, sigma_dot = s_inv * (K * d), s_inv * (k_sigma + k_sigma.T) * s_inv.T
+        d, sigma = s_inv * d, s_inv * sigma * s_inv.T
+        # the side modes' number sum: <S> = [Tr sigma + |d|^2 - 4]/4,
+        # Var S = [Tr sigma^2 + 2 d^T sigma d - 4]/8, and their strain slopes
+        d, d_dot = d[2:6], d_dot[2:6]
+        sigma, sigma_dot = sigma[2:6, 2:6], sigma_dot[2:6, 2:6]
+        tr = lambda m: sum(m[i, i] for i in range(4))  # noqa: E731
+        dot = lambda u, v: (u.T * v)[0]  # noqa: E731
+        mean = (tr(sigma) + dot(d, d) - 4) / 4
+        var = (tr(sigma * sigma) + 2 * dot(d, sigma * d) - 4) / 8
+        d_mean = (tr(sigma_dot) + 2 * dot(d, d_dot)) / 4
+        d_var = (tr(sigma * sigma_dot) + 2 * dot(d_dot, sigma * d)
+                 + dot(d, sigma_dot * d)) / 4
+        return {"H": float(h), "F0": float(d_mean ** 2 / var), "mean_S": float(mean),
+                "var_S": float(var), "d_mean": float(d_mean), "d_var": float(d_var)}
 
 
 def richardson(f, x0, h=1e-4):

@@ -1,4 +1,5 @@
-"""The stacked kernel against the object pipeline it replaces, values and errors."""
+"""The stacked kernel on grids against its one-point calls and the scalar
+functions, values and errors, and against the 60-digit referee."""
 
 import gc
 import math
@@ -8,15 +9,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pumpedsu11 import (ChannelSpec, ConfigError, InterferometerConfig, mode_mixing_channel,
-                        number_sum_moments, optimal_tritter_angle, parse_config, phase_channel,
-                        pump_depletion, pumped_two_mode_squeezer, qfi_closed_form, qfi_numeric,
-                        reduce_to_modes, run_interferometer, run_sweep, sensitivity_number_sum,
-                        squeezing_channel, tritter)
-from pumpedsu11.channels import (_generator, _side_channel, _tritter_matrix, _two_mode_squeeze,
-                                 _with_pump)
-from pumpedsu11.metrology import _side_moments, evaluate
+                        optimal_tritter_angle, parse_config, phase_channel, pump_depletion,
+                        pumped_two_mode_squeezer, qfi_closed_form, qfi_numeric, run_sweep,
+                        sensitivity_number_sum, squeezing_channel, tritter)
+from pumpedsu11.channels import _generator, _side_channel, _tritter_matrix, _with_pump
+from pumpedsu11.metrology import (QUANTITY_COLUMNS, _evaluate_grid, _point, _Point,
+                                  _side_moments)
 from pumpedsu11.sweep import INTERFEROMETER_COLUMNS, QUANTITIES, _build_config
-from conftest import pipeline_f0, pipeline_qfi, random_config
+from conftest import mp_referee, random_config
 
 ANGLE = st.floats(0.0, 2 * math.pi)
 
@@ -35,17 +35,35 @@ def rows(draw):
     return config, draw(st.floats(1e-4, 1e-2))
 
 
+def evaluate_rows(configs, eps0s, quantities):
+    """``_evaluate_grid`` on a list of rows, one call per channel kind on the
+    rows' parameters as arrays; ({column: one cell per row}, errors of each row)."""
+    values = {c: [None] * len(configs) for q in quantities for c in QUANTITY_COLUMNS[q]}
+    errors = [[] for _ in configs]
+    kinds = [c.channel.kind for c in configs]
+    for kind in dict.fromkeys(kinds):
+        rows = [i for i, k in enumerate(kinds) if k == kind]
+        point = _Point(*np.array([_point(configs[i]) for i in rows]).T)
+        cells, failures = _evaluate_grid(kind, point, np.array([eps0s[i] for i in rows]),
+                                         quantities, (len(rows),), True)
+        for column, column_cells in cells.items():
+            for i, value in zip(rows, column_cells):
+                values[column][i] = value
+        for j, failure in failures.items():
+            errors[rows[j]] = failure
+    return values, errors
+
+
 def single_point(config, eps0):
-    """{column: value} and the error text of one row: the object pipeline's
-    H_numeric, F0 and moments, and the closed forms' scalar functions."""
+    """{column: value} and the error text of one row: the single-point
+    functions, each a one-point call of the kernel or a scalar closed form."""
     values, errors = {}, []
-    calls = (("H_numeric", ("H_numeric",), lambda: (pipeline_qfi(config),)),
+    calls = (("H_numeric", ("H_numeric",), lambda: (qfi_numeric(config),)),
              ("H_closed", ("H_closed",), lambda: (qfi_closed_form(config, "exact"),)),
-             ("F0", ("F0",), lambda: (pipeline_f0(config, eps0),)),
-             ("moments", ("mean_S", "var_S"), lambda: number_sum_moments(
-                 reduce_to_modes(run_interferometer(config, eps0), (1, 2)))),
+             ("F0", ("F0",), lambda: (sensitivity_number_sum(config, eps0)[1],)),
+             ("moments", ("mean_S", "var_S"), lambda: _side_moments(config, eps0)),
              ("theta_t", ("theta_t",), lambda: (optimal_tritter_angle(
-                 config.nbar, 2.0 * np.sinh(config.r) ** 2),)))
+                 config.nbar, pump_depletion(config.nbar, config.r)[1]),)))
     for quantity, columns, call in calls:
         try:
             with np.errstate(all="ignore"):
@@ -60,7 +78,7 @@ def single_point(config, eps0):
 @given(st.lists(rows(), min_size=1, max_size=6))
 def test_batch_matches_single_point_functions(batch):
     configs, eps0s = zip(*batch)
-    values, errors = evaluate(configs, eps0s, QUANTITIES)
+    values, errors = evaluate_rows(configs, eps0s, QUANTITIES)
     for i, (config, eps0) in enumerate(batch):
         expected, error = single_point(config, eps0)
         assert "; ".join(f"{q}: {exc}" for q, exc in errors[i]) == error
@@ -75,7 +93,8 @@ def test_batch_matches_single_point_functions(batch):
 
 def test_stacked_fills_equal_the_scalar_builders(rng):
     # bit for bit, so a batch row and the object pipeline share every
-    # rounding (a numpy scalar squares through pow, an array does not)
+    # rounding (a numpy scalar squares through pow, an array does not); the
+    # squeezer is the squeezing channel's fill on the side modes
     n = 2000
     a, b, strength = rng.uniform(0.0, 1.6, n), rng.uniform(0.0, 2 * np.pi, n), rng.uniform(0, 4, n)
     builders = {"squeezing": lambda i: squeezing_channel(a[i], b[i]).matrix,
@@ -83,7 +102,7 @@ def test_stacked_fills_equal_the_scalar_builders(rng):
                 "phase": lambda i: phase_channel(a[i]).matrix[2:, 2:]}
     stacks = {kind: (_side_channel(kind, a, b), _generator(kind, strength, b))
               for kind in builders}
-    squeezers = _with_pump(_two_mode_squeeze(a, b))
+    squeezers = _with_pump(_side_channel("squeezing", a, b))
     for i in range(n):
         assert np.array_equal(squeezers[i], pumped_two_mode_squeezer(a[i], b[i]).matrix)
         for kind, build in builders.items():
@@ -97,9 +116,9 @@ def test_stacked_fills_equal_the_scalar_builders(rng):
 
 
 def test_failing_rows_keep_their_own_errors(tmp_path):
-    # r = 20 depletes the pump; at r = 10 the squeezer's symplectic residual
-    # (~2e-8) fails the 1e-10 check; r = 0 has no turning point; eps0 = 0 has
-    # no number-sum slope
+    # r = 20 depletes the pump; r = 0 has no turning point; eps0 = 0 has no
+    # number-sum slope; r = 10, which once failed an absolute 1e-10 symplectic
+    # residual, is a valid row
     path = tmp_path / "grid.conf"
     path.write_text("channel = squeezing\nnbar = 1e12\ntheta = 0.4\n"
                     "[sweep]\nr = values 0.0 0.8 10.0 20.0 1.3\neps0 = values 0.0 0.002\n")
@@ -120,35 +139,38 @@ def test_failing_rows_keep_their_own_errors(tmp_path):
     assert errors[(0.8, 0.002)] == errors[(1.3, 0.002)] == ""
     assert errors[(0.8, 0.0)].startswith("F0: number-sum signal is stationary")
     assert errors[(0.0, 0.002)].startswith("theta_t:")
-    assert errors[(10.0, 0.002)].startswith("H_numeric: matrix is not symplectic")
+    assert errors[(10.0, 0.002)] == ""
+    row = next(row for row in table if (row["r"], row["eps0"]) == (10.0, 0.002))
+    config = InterferometerConfig(1e12, 10.0, 0.4, ChannelSpec("squeezing"))
+    reference = mp_referee(config, 0.002)
+    assert row["H_numeric"] == pytest.approx(qfi_closed_form(config), rel=1e-12)
+    assert row["H_numeric"] == pytest.approx(reference["H"], rel=1e-12)
+    for column in ("F0", "mean_S", "var_S"):  # the r <= 10 tolerance, see test_metrology
+        assert row[column] == pytest.approx(reference[column], rel=1e-10), column
 
 
 # one config per reachable failure: (quantity, config, eps0, exception type,
-# exact text), as the object pipeline and the closed forms word them
+# exact text), as the kernel and the closed forms word them
 FAILURES = {
-    "residual": ("H_numeric", InterferometerConfig(1e12, 10.0, 0.4, ChannelSpec("squeezing")),
-                 1e-3, ValueError, "matrix is not symplectic (residual 1.743e-08 >= 1.0e-10)"),
-    "residual_moments": (
-        "moments", InterferometerConfig(1e12, 10.0, 0.4, ChannelSpec("mode_mixing")), 1e-3,
-        ValueError, "matrix is not symplectic (residual 1.743e-08 >= 1.0e-10)"),
-    "side_residual": (
-        "F0", InterferometerConfig(1e6, 1.0, 0.5, ChannelSpec("squeezing", 40.0)), 3.0,
-        ValueError, "matrix is not symplectic (residual 9.065e+08 >= 1.0e-10)"),
     "non_finite_qfi": (
         "H_numeric", InterferometerConfig(1e6, 1.0, 0.5, ChannelSpec("squeezing", 1e200)), 1e-3,
-        FloatingPointError, "QFI evaluated to nan"),
+        FloatingPointError, "QFI evaluated to inf"),
+    "non_finite_moments": (
+        "moments", InterferometerConfig(1e6, 1.0, 0.5, ChannelSpec("squeezing", 1e200)), 1e-3,
+        FloatingPointError, "number-sum moments evaluated to <S> = nan, Var(S) = nan"),
     "stationary": ("F0", InterferometerConfig(1e6, 1.0, 0.5, ChannelSpec("squeezing")), 0.0,
                    ValueError, "number-sum signal is stationary at zero strain; use eps0 > 0"),
     "no_signal": ("F0", InterferometerConfig(1e6, 1.0, 0.5, ChannelSpec("squeezing", 0.0)), 1e-3,
                   FloatingPointError,
                   "vanishing signal derivative: measurement is insensitive at this point"),
+    # the variance (of order eps0^2) underflows, the slope (of order eps0) does not
     "no_variance": (
-        "F0", InterferometerConfig(1e3, 0.0, 1.0, ChannelSpec("squeezing", 1e-80)), 1e-3,
+        "F0", InterferometerConfig(1e3, 0.0, 1.0, ChannelSpec("squeezing")), 1e-200,
         FloatingPointError, "non-positive signal variance 0.0"),
     "zero_ratio": (
         "F0", InterferometerConfig(1e6, 0.0, 0.5, ChannelSpec("mode_mixing", 1e150)), 1e-3,
         ZeroDivisionError, "degenerate ratio Var(S)/(d<S>/d eps)^2 = 0.0 "
-        "(Var(S) = 29598.856232234484, (d<S>/d eps)^2 = inf)"),
+        "(Var(S) = 29598.85623223449, (d<S>/d eps)^2 = inf)"),
     "no_closed_form": ("H_closed", InterferometerConfig(1e6, 1.0, 0.5, ChannelSpec("phase")),
                        1e-3, ValueError, "no closed-form QFI for channel kind 'phase'"),
     "no_turning_point": ("theta_t", InterferometerConfig(1e6, 0.0, 0.5, ChannelSpec("squeezing")),
@@ -162,45 +184,70 @@ SINGLE_POINT = {
     "theta_t": lambda config, eps0: optimal_tritter_angle(
         config.nbar, pump_depletion(config.nbar, config.r)[1]),
 }
-REFEREE = {"H_numeric": lambda config, eps0: pipeline_qfi(config), "F0": pipeline_f0,
-           "moments": lambda config, eps0: run_interferometer(config, eps0)}
 
 
 @pytest.mark.parametrize("case", FAILURES)
 def test_each_failure_kind_keeps_its_type_and_text(case):
     quantity, config, eps0, kind, text = FAILURES[case]
     with np.errstate(all="ignore"):
-        values, errors = evaluate([config], [eps0], (quantity,))
-        calls = [SINGLE_POINT[quantity]] + ([REFEREE[quantity]] if quantity in REFEREE else [])
-        for call in calls:
-            with pytest.raises(kind) as info:
-                call(config, eps0)
-            assert str(info.value) == text
+        values, errors = _evaluate_grid(config.channel.kind, _point(config), eps0,
+                                        (quantity,), (), True)
+        with pytest.raises(kind) as info:
+            SINGLE_POINT[quantity](config, eps0)
+        assert str(info.value) == text
     ((name, exc),) = errors[0]
     assert (name, type(exc), str(exc)) == (quantity, kind, text)
     assert all(cells == [None] for cells in values.values())
+
+
+# points that failed an absolute 1e-10 symplectic residual in the output
+# frame: the roundoff of a large squeezer (r = 10) or channel (argument 30)
+FORMER_RESIDUALS = {
+    "residual": ("H_numeric", InterferometerConfig(1e12, 10.0, 0.4, ChannelSpec("squeezing")),
+                 1e-3),
+    "residual_moments": (
+        "moments", InterferometerConfig(1e12, 10.0, 0.4, ChannelSpec("mode_mixing")), 1e-3),
+    "side_residual": (
+        "F0", InterferometerConfig(1e6, 1.0, 0.5, ChannelSpec("squeezing", 40.0)), 3.0),
+}
+
+
+@pytest.mark.parametrize("case", FORMER_RESIDUALS)
+def test_former_residual_failures_have_values(case):
+    quantity, config, eps0 = FORMER_RESIDUALS[case]
+    values, errors = _evaluate_grid(config.channel.kind, _point(config), eps0, (quantity,),
+                                    (), True)
+    assert errors == {}
+    reference = mp_referee(config, eps0)
+    for column in QUANTITY_COLUMNS[quantity]:
+        assert values[column][0] == pytest.approx(
+            reference["H" if column == "H_numeric" else column], rel=1e-12), column
+    if quantity == "H_numeric":
+        assert values["H_numeric"][0] == pytest.approx(qfi_closed_form(config), rel=1e-12)
 
 
 def test_rows_do_not_depend_on_their_neighbours():
     good = [InterferometerConfig(1e4, 0.7, 0.5, ChannelSpec(kind, 1.3, 0.4),
                                  squeeze_phase=0.2, tritter_phase=1.1)
             for kind in ("squeezing", "mode_mixing", "phase")]
-    bad = [InterferometerConfig(1e12, 10.0, 0.3, ChannelSpec("squeezing")),
+    bad = [InterferometerConfig(1e6, 1.0, 0.3, ChannelSpec("squeezing", 1e200)),
            InterferometerConfig(1e4, 0.0, 0.3, ChannelSpec("mode_mixing"))]
     batch = [(good[0], 1e-3), (bad[0], 1e-3), (good[1], 2e-3), (good[0], 0.0),
              (bad[1], 1e-3), (good[2], 5e-3)]
-    values, errors = evaluate(*zip(*batch), QUANTITIES)
+    values, errors = evaluate_rows(*zip(*batch), QUANTITIES)
     for i, (config, eps0) in enumerate(batch):
-        alone, alone_errors = evaluate([config], [eps0], QUANTITIES)
+        alone, alone_errors = evaluate_rows([config], [eps0], QUANTITIES)
         assert {c: v[i] for c, v in values.items()} == {c: v[0] for c, v in alone.items()}
         assert [(q, str(e)) for q, e in errors[i]] == [(q, str(e)) for q, e in alone_errors[0]]
     assert [q for q, _ in errors[5]] == ["H_closed"]  # the phase channel has no closed form
     assert errors[0] == errors[2] == []
 
 
-def test_evaluate_rejects_unknown_quantities():
-    with pytest.raises(ValueError, match="unknown"):
-        evaluate([], [], ("H_numeric", "comparison"))
+def test_parse_config_rejects_unknown_quantities(tmp_path):
+    path = tmp_path / "run.conf"
+    path.write_text("channel = squeezing\n[outputs]\nquantities = H_numeric comparsion\n")
+    with pytest.raises(ConfigError, match="unknown quantity 'comparsion'"):
+        parse_config(str(path))
 
 
 def test_batched_closed_forms_equal_the_scalar_functions(rng):
@@ -211,7 +258,7 @@ def test_batched_closed_forms_equal_the_scalar_functions(rng):
                for kind in ("squeezing", "mode_mixing", "phase")
                for r_max in (0.5, 2.0, 5.0) for _ in range(300)]
     configs.append(InterferometerConfig(1e4, 0.0, 0.3, ChannelSpec("squeezing")))
-    values, errors = evaluate(configs, [1e-3] * len(configs), ("H_closed", "theta_t"))
+    values, errors = evaluate_rows(configs, [1e-3] * len(configs), ("H_closed", "theta_t"))
     calls = {"H_closed": lambda c: qfi_closed_form(c, "exact"),
              "theta_t": lambda c: optimal_tritter_angle(c.nbar, pump_depletion(c.nbar, c.r)[1])}
     valid = dict.fromkeys(calls, 0)
@@ -231,13 +278,13 @@ def test_batched_closed_forms_equal_the_scalar_functions(rng):
 
 
 def test_stored_errors_hold_no_reference_cycle():
-    # a stored traceback leads back to evaluate's frame, whose locals hold the
-    # errors; that cycle would keep the whole batch alive until a collection
+    # a stored traceback leads back to the kernel's frame, whose locals hold
+    # the errors; that cycle would keep the whole batch alive until a collection
     config = InterferometerConfig(1e4, 0.0, 0.3, ChannelSpec("phase"))
     gc.collect()
     gc.disable()
     try:
-        values, errors = evaluate([config] * 3, [0.0] * 3, QUANTITIES)
+        values, errors = evaluate_rows([config] * 3, [0.0] * 3, QUANTITIES)
         assert [q for q, _ in errors[0]] == ["H_closed", "F0", "theta_t"]
         del values, errors
         assert gc.collect() == 0
@@ -247,34 +294,18 @@ def test_stored_errors_hold_no_reference_cycle():
 
 def reference_row(params, eps0):
     """One row of a sweep the single-point way: one _build_config, then the
-    object pipeline or the closed form of each quantity; ({column: value}, error text)."""
+    single-point function of each quantity; ({column: value}, error text)."""
     try:
         config = _build_config(params)
     except ConfigError as exc:
         return dict.fromkeys(INTERFEROMETER_COLUMNS[:-1]), str(exc)
-    calls = (("H_numeric", ("H_numeric",), lambda: (pipeline_qfi(config),)),
-             ("H_closed", ("H_closed",), lambda: (qfi_closed_form(config, "exact"),)),
-             ("F0", ("F0",), lambda: (pipeline_f0(config, eps0),)),
-             ("moments", ("mean_S", "var_S"), lambda: number_sum_moments(
-                 reduce_to_modes(run_interferometer(config, eps0), (1, 2)))),
-             ("theta_t", ("theta_t",), lambda: (optimal_tritter_angle(
-                 config.nbar, pump_depletion(config.nbar, config.r)[1]),)))
-    values, errors = {}, []
-    for quantity, columns, call in calls:
-        try:
-            with np.errstate(all="ignore"):
-                values.update(zip(columns, call()))
-        except Exception as exc:
-            values.update(dict.fromkeys(columns))
-            errors.append(f"{quantity}: {exc}")
-    return values, "; ".join(errors)
+    return single_point(config, eps0)
 
 
 def _seeded_grid(rng, kind):
     phases = "".join(f"{name} = {rng.uniform(0.0, 2 * np.pi)!r}\n" for name in
                      ("pump_phase", "squeeze_phase", "tritter_phase", "channel_phase"))
-    # nbar = 5 depletes every r > 0.9 and r = 10 every pump but 1e12; at
-    # nbar = 1e12, r = 10 fails the 1e-10 symplectic residual check
+    # nbar = 5 depletes every r > 0.9 and r = 10 every pump but 1e12
     return (f"channel = {kind}\n{phases}[sweep]\n"
             f"nbar = values 5 {10 ** rng.uniform(2.0, 6.0)!r} 1e12\n"
             f"r = values 0 {rng.uniform(0.2, 2.5)!r} 10\n"
@@ -286,7 +317,7 @@ def _seeded_grid(rng, kind):
 @pytest.mark.parametrize("kind", ["squeezing", "mode_mixing", "phase"])
 def test_grid_sweep_equals_the_single_point_path(tmp_path, rng, kind):
     # the grid path builds no config for a row it evaluates; every cell and
-    # every error text must still be the object pipeline's, bit for bit
+    # every error text must still be the single-point functions', bit for bit
     grids = [_seeded_grid(rng, kind),
              f"channel = {kind}\nr = 2.0\ntheta = 0.5\n[sweep]\nnbar = values 1 26 27 1e6\n"]
     for k, text in enumerate(grids):
@@ -310,7 +341,7 @@ def test_grid_sweep_equals_the_single_point_path(tmp_path, rng, kind):
         # the phase channel has no closed form, so none of its rows is clean
         expected = {"H_closed" if kind == "phase" else "", "pump depleted"} | (
             {"tritter angle must lie in [0, pi/2], got -0.1",
-             "strength constant must be nonnegative, got -0.5", "H_numeric"} if k == 0
+             "strength constant must be nonnegative, got -0.5"} if k == 0
             else {"theta_t"})
         assert expected <= errors, errors
 
@@ -334,12 +365,11 @@ def test_the_grid_path_builds_configs_only_for_flagged_pipeline_rows(tmp_path, m
     assert sum(row["error"].startswith("pump depleted") for row in rows) == 10
     assert sum(row["error"].startswith("theta_t: need n_side > 0") for row in rows) == 10
     assert len(built) == 1
-    # r = 10 at nbar = 1e12 fails the residual check of H_numeric, F0 and the
-    # moments: the kernel words that error itself, so no config is built for it
+    # r = 10 at nbar = 1e12 is a valid row, evaluated without a config too
     built.clear()
     path.write_text("channel = squeezing\nnbar = 1e12\ntheta = 0.4\n[sweep]\n"
                     "r = values 0 0.8 10 30\n")
     rows = run_sweep(parse_config(str(path)))
     assert [row["error"].split(":")[0] for row in rows] == [
-        "theta_t", "", "H_numeric", "pump depleted"]
+        "theta_t", "", "", "pump depleted"]
     assert built == [(0.0, 0.4)]

@@ -11,7 +11,7 @@ from pumpedsu11 import (ChannelSpec, GaussianState, InterferometerConfig, Regime
 from pumpedsu11 import fock
 from pumpedsu11.metrology import _number_sum_slopes, _side_moments
 from pumpedsu11.pipeline import pre_measurement_state
-from conftest import random_config, richardson
+from conftest import mp_referee, random_config, richardson
 
 
 def _config(kind, nbar, r, theta, channel_phase=0.0, optimal=True, strength=1.0, **kw):
@@ -109,22 +109,45 @@ def test_tangents_match_finite_differences(rng):
                 richardson(lambda e: _side_moments(cfg, e)[1], eps0), rel=1e-6)
 
 
+@pytest.mark.parametrize("kind", ["squeezing", "mode_mixing"])
+def test_numeric_qfi_matches_the_closed_form_at_any_squeezing(rng, kind):
+    # the input frame inverts no squeezed covariance, so H keeps its digits at
+    # large r (measured: 3.8e-13 at most over 2,800 draws)
+    for r in (0.5, 2.0, 4.0, 6.0, 8.0, 10.0, 14.0):
+        for _ in range(20):
+            cfg = InterferometerConfig(
+                nbar=10.0 ** rng.uniform(13.0, 15.0), r=r, theta=rng.uniform(0.0, np.pi / 2),
+                channel=ChannelSpec(kind, rng.uniform(0.25, 4.0), rng.uniform(0.0, 2 * np.pi)),
+                pump_phase=rng.uniform(0.0, 2 * np.pi),
+                squeeze_phase=rng.uniform(0.0, 2 * np.pi),
+                tritter_phase=rng.uniform(0.0, 2 * np.pi))
+            assert qfi_numeric(cfg) == pytest.approx(qfi_closed_form(cfg), rel=1e-12), cfg
+
+
+def test_kernel_matches_the_60_digit_referee(rng):
+    # H of all three kinds, F0 and the side moments against the output-frame
+    # pipeline in 60 digits; measured on random phases: 3e-14 at r <= 2 and
+    # 1e-13 at r <= 10, and 7e-11 at r = 10 on a lattice of phases that are
+    # multiples of pi/2, where the signal is far below its e^4r scale
+    for r_max, nbar_range, rtol in ((2.0, (10.0, 1e6), 1e-12), (10.0, (1e9, 1e12), 1e-10)):
+        for kind in ("squeezing", "mode_mixing", "phase"):
+            for _ in range(15):
+                cfg = random_config(rng, kind=kind, r_max=r_max, nbar_range=nbar_range)
+                eps0 = rng.uniform(1e-4, 1e-2)
+                ref = mp_referee(cfg, eps0)
+                got = (qfi_numeric(cfg), sensitivity_number_sum(cfg, eps0)[1],
+                       *_side_moments(cfg, eps0))
+                assert got == pytest.approx(
+                    (ref["H"], ref["F0"], ref["mean_S"], ref["var_S"]), rel=rtol), cfg
+
+
 def test_number_sum_slopes_match_output_generator(rng):
-    # referee: the output state with K pushed through both halves, K_out = S_minus K S_plus
-    for _ in range(200):
-        cfg = random_config(rng)
-        out = run_interferometer(cfg, 1e-3)
-        s_plus, s_minus = cfg.forward_half, cfg.reverse_half
-        k_out = s_minus.matrix @ cfg.channel.generator() @ s_plus.matrix
-        k_sigma = k_out @ out.sigma
-        side = slice(2, 6)
-        d, sigma = out.d[side], out.sigma[side, side]
-        d_dot, sigma_dot = (k_out @ out.d)[side], (k_sigma + k_sigma.T)[side, side]
-        d_mean = 0.25 * (np.trace(sigma_dot) + 2.0 * d @ d_dot)
-        d_var = 0.25 * (np.trace(sigma @ sigma_dot) + 2.0 * d_dot @ sigma @ d
-                        + d @ sigma_dot @ d)
-        _, var = number_sum_moments(reduce_to_modes(out, (1, 2)))
-        assert _number_sum_slopes(cfg, 1e-3) == pytest.approx((var, d_mean, d_var), rel=1e-12)
+    # referee: the output state with K pushed through S^-1, in 60 digits
+    for _ in range(100):
+        cfg = random_config(rng, kind=rng.choice(["squeezing", "mode_mixing", "phase"]))
+        ref = mp_referee(cfg, 1e-3)
+        assert _number_sum_slopes(cfg, 1e-3) == pytest.approx(
+            (ref["var_S"], ref["d_mean"], ref["d_var"]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -407,3 +430,12 @@ def test_fisher_variance_term_is_kinematic_at_small_strain():
     f = fisher_from_moments(cfg, eps0=eps0)
     _, f0 = sensitivity_number_sum(cfg, eps0=eps0)
     assert f - f0 == pytest.approx(2.0 / eps0 ** 2, rel=1e-3)
+
+
+def test_fisher_names_an_overflowing_slope():
+    # the squared slope of <S> overflows a float (d<S>/d eps ~ 4e154); the
+    # error says so, where a Python float's power raised a bare OverflowError
+    cfg = _config("mode_mixing", nbar=1e6, r=0.0, theta=0.5, optimal=False, strength=1e150)
+    with pytest.raises(FloatingPointError,
+                       match=r"^the square of the slope d<S>/d eps = 4\.0\d*e\+154 overflows$"):
+        fisher_from_moments(cfg, eps0=1e-3)

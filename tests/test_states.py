@@ -146,6 +146,30 @@ def test_check_symplectic_accepts_and_rejects():
         check_symplectic(np.eye(3))
 
 
+def test_symplectic_residual_scales_with_the_matrix():
+    # the roundoff of S Omega S^T grows as max|S|^2: at r = 8 the forward half
+    # (entries near 1.5e3) leaves an absolute residual near 2e-10, but a
+    # residual relative to that scale near 1e-16
+    from pumpedsu11 import (ChannelSpec, InterferometerConfig, SymplecticOp,
+                            embed_on_side_modes, gw_squeezing_channel)
+    config = InterferometerConfig(1e12, 8.0, 0.7, ChannelSpec("squeezing"))
+    forward = config.forward_half.matrix
+    omega = symplectic_form(3)
+    assert np.abs(forward @ omega @ forward.T - omega).max() > 1e-10
+    assert check_symplectic(forward, tol=1e-14)
+    assert np.allclose(config.reverse_half.matrix @ forward, np.eye(6), atol=1e-8)
+    # a relative perturbation of 1e-8 is refused at any scale
+    for r in (0.5, 8.0):
+        bent = pumped_two_mode_squeezer(r, 0.3).matrix.copy()
+        bent[2, 2] *= 1.0 + 1e-8
+        assert not check_symplectic(bent)
+        with pytest.raises(ValueError, match="not symplectic"):
+            SymplecticOp(3, bent)
+    # a channel symplectic only to O(s^4) still cannot enter the pipeline
+    with pytest.raises(ValueError, match="refusing to embed"):
+        embed_on_side_modes(gw_squeezing_channel(0.05, 0.3, form="second_order"))
+
+
 def test_symplectic_form_blocks():
     omega = symplectic_form(2)
     assert np.array_equal(omega[:2, :2], [[0, 1], [-1, 0]])

@@ -272,21 +272,36 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
-    # at r = 10 the squeezer's entries (~1e4) leave a symplectic residual of
-    # ~2e-8 in double precision, far past the 1e-10 check
+    # r = 10 once failed an absolute symplectic residual check; in the input
+    # frame it is a valid point, whose numeric QFI equals the closed form
     path = write(tmp_path, "channel = squeezing\nr = 10.0\nnbar = 1e12\ntheta = 0.3\n")
-    assert main(["qfi", "--config", path]) == 2
-    assert "error" in capsys.readouterr().err
+    assert main(["qfi", "--config", path]) == 0
+    printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert float(printed["H_numeric"]) == pytest.approx(float(printed["H_closed"]), rel=1e-12)
+    # the number-sum signal is stationary at zero strain: a numerical failure
+    assert main(["sensitivity", "--config", path, "--eps0", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: F0: number-sum signal is stationary at zero strain; use eps0 > 0\n")
+
+
+@pytest.mark.parametrize("command", ["qfi", "sensitivity"])
+def test_cli_strong_squeezing_is_a_valid_point(tmp_path, capsys, command):
+    path = write(tmp_path, "channel = squeezing\nr = 8\nnbar = 1e12\ntheta = 0.7\n")
+    assert main([command, "--config", path]) == 0
+    out = capsys.readouterr().out
+    assert "H_numeric = 5.393352209592e+17\n" in out
+    if command == "qfi":
+        assert "H_closed = 5.393352209592e+17\n" in out
 
 
 def test_cli_non_finite_qfi_is_one_error_line(tmp_path):
-    # the strength overflows the QFI's products to inf - inf; the row's error is
-    # the only line on stderr, without numpy's RuntimeWarnings
+    # the strength overflows the QFI's squares to inf; the row's error is the
+    # only line on stderr, without numpy's RuntimeWarnings
     path = write(tmp_path, "channel = squeezing\nstrength = 1e200\nr = 1\ntheta = 0.3\n")
     proc = subprocess.run([sys.executable, "-m", "pumpedsu11.cli", "qfi", "--config", path],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 2
-    assert proc.stderr == "error: H_numeric: QFI evaluated to nan\n"
+    assert proc.stderr == "error: H_numeric: QFI evaluated to inf\n"
 
 
 @pytest.mark.parametrize("line", ["nbar = nan", "nbar = inf", "strength = nan"])
@@ -355,22 +370,29 @@ def test_cli_validate(capsys):
     assert "FAIL" not in out
 
 
-@pytest.mark.parametrize("cutoff", ["5", "0", "-3", "9", "41", "100"])
+@pytest.mark.parametrize("cutoff", ["5", "0", "-3", "9", "13", "41", "100"])
 def test_cli_validate_rejects_a_cutoff_outside_its_range(capsys, cutoff):
-    # 41 and 100 once ran silently at cutoff 40
+    # 41 and 100 once ran silently at cutoff 40; 10 to 13 always failed the
+    # leakage guard
     assert main(["validate", f"--cutoff={cutoff}"]) == 1
     err = capsys.readouterr().err
-    assert err == f"config error: --cutoff must be between 10 and 40, got {cutoff}\n"
+    assert err == f"config error: --cutoff must be between 14 and 40, got {cutoff}\n"
 
 
 def test_cli_validate_cutoffs_match_the_fock_guards(capsys):
     from pumpedsu11 import cli, fock
     lo, hi = cli.VALIDATE_CUTOFFS
-    assert lo == fock.MIN_CUTOFF
+    assert lo >= fock.MIN_CUTOFF
     assert hi ** 3 <= fock.MAX_DIMENSION < (hi + 1) ** 3
     assert main(["validate", "--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())
-    assert "10 to 40 (default 25); the two-mode checks use cutoff 30" in help_text
+    assert "14 to 40 (default 25); the two-mode checks use cutoff 30" in help_text
+    # the smallest accepted cutoff passes the suite; one below it leaks
+    assert main(["validate", f"--cutoff={lo}"]) == 0
+    from pumpedsu11.validation import oracle_checks
+    with pytest.raises(fock.LeakageError, match=f"at cutoff {lo - 1}"):
+        oracle_checks(lo - 1)
+    capsys.readouterr()
 
 
 def test_oracle_checks_refuse_a_cutoff_past_the_dimension_guard():
@@ -386,7 +408,7 @@ def test_cli_sensitivity_names_a_degenerate_ratio(tmp_path, capsys):
     assert main(["sensitivity", "--config", path]) == 2
     assert capsys.readouterr().err == (
         "error: F0: degenerate ratio Var(S)/(d<S>/d eps)^2 = 0.0 "
-        "(Var(S) = 29598.856232234484, (d<S>/d eps)^2 = inf)\n")
+        "(Var(S) = 29598.85623223449, (d<S>/d eps)^2 = inf)\n")
 
 
 def test_output_directory_override(tmp_path, monkeypatch, capsys):
