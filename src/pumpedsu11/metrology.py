@@ -737,7 +737,10 @@ def _evaluate_stack(kind: str, p: _Point, eps0, quantities) -> dict:
                                  + _quad(d_side, side_dot, d_side))
         slopes = [(eps0 == 0, lambda j: ValueError(
             "number-sum signal is stationary at zero strain; use eps0 > 0")), (
-            ~np.isfinite(d_mean) | (d_mean == 0), lambda j: FloatingPointError(
+            ~(np.isfinite(d_mean) & np.isfinite(var)), lambda j: FloatingPointError(
+                f"number-sum signal evaluated to d<S>/d eps = {_item(d_mean, j)}, "
+                f"Var(S) = {_item(var, j)}")), (
+            d_mean == 0, lambda j: FloatingPointError(
                 "vanishing signal derivative: measurement is insensitive at this point")), (
             var <= 0, lambda j: FloatingPointError(
                 f"non-positive signal variance {_item(var, j)!r}"))]

@@ -23,12 +23,17 @@ ANGLE = st.floats(0.0, 2 * math.pi)
 
 @st.composite
 def rows(draw):
-    """A random_config-style draw of any channel kind, with eps0 in [1e-4, 1e-2]."""
+    """1 to 6 random_config-style draws of one channel kind, each with eps0 in [1e-4, 1e-2]."""
+    kind = draw(st.sampled_from(["squeezing", "mode_mixing", "phase"]))
+    return draw(st.lists(row(kind), min_size=1, max_size=6))
+
+
+@st.composite
+def row(draw, kind):
     r = draw(st.floats(0.0, 2.0))
     nbar = 10.0 ** draw(st.floats(1.0, 6.0))
     assume(nbar > 2.0 * math.sinh(r) ** 2 * 1.05 + 0.5)
-    channel = ChannelSpec(draw(st.sampled_from(["squeezing", "mode_mixing", "phase"])),
-                          draw(st.floats(0.25, 4.0)), draw(ANGLE))
+    channel = ChannelSpec(kind, draw(st.floats(0.25, 4.0)), draw(ANGLE))
     config = InterferometerConfig(nbar=nbar, r=r, theta=draw(st.floats(0.0, math.pi / 2)),
                                   channel=channel, pump_phase=draw(ANGLE),
                                   squeeze_phase=draw(ANGLE), tritter_phase=draw(ANGLE))
@@ -36,22 +41,13 @@ def rows(draw):
 
 
 def evaluate_rows(configs, eps0s, quantities):
-    """``_evaluate_grid`` on a list of rows, one call per channel kind on the
-    rows' parameters as arrays; ({column: one cell per row}, errors of each row)."""
-    values = {c: [None] * len(configs) for q in quantities for c in QUANTITY_COLUMNS[q]}
-    errors = [[] for _ in configs]
-    kinds = [c.channel.kind for c in configs]
-    for kind in dict.fromkeys(kinds):
-        rows = [i for i, k in enumerate(kinds) if k == kind]
-        point = _Point(*np.array([_point(configs[i]) for i in rows]).T)
-        cells, failures = _evaluate_grid(kind, point, np.array([eps0s[i] for i in rows]),
-                                         quantities, (len(rows),), True)
-        for column, column_cells in cells.items():
-            for i, value in zip(rows, column_cells):
-                values[column][i] = value
-        for j, failure in failures.items():
-            errors[rows[j]] = failure
-    return values, errors
+    """``_evaluate_grid`` on rows of one channel kind, their parameters as
+    arrays; ({column: one cell per row}, the errors of each row)."""
+    (kind,) = {config.channel.kind for config in configs}
+    point = _Point(*np.array([_point(config) for config in configs]).T)
+    values, errors = _evaluate_grid(kind, point, np.array(eps0s), quantities,
+                                    (len(configs),), True)
+    return values, [errors.get(i, []) for i in range(len(configs))]
 
 
 def single_point(config, eps0):
@@ -75,7 +71,7 @@ def single_point(config, eps0):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.lists(rows(), min_size=1, max_size=6))
+@given(rows())
 def test_batch_matches_single_point_functions(batch):
     configs, eps0s = zip(*batch)
     values, errors = evaluate_rows(configs, eps0s, QUANTITIES)
@@ -158,6 +154,9 @@ FAILURES = {
     "non_finite_moments": (
         "moments", InterferometerConfig(1e6, 1.0, 0.5, ChannelSpec("squeezing", 1e200)), 1e-3,
         FloatingPointError, "number-sum moments evaluated to <S> = nan, Var(S) = nan"),
+    "non_finite_slope": (
+        "F0", InterferometerConfig(1e6, 1.0, 0.5, ChannelSpec("squeezing", 1e200)), 1e-3,
+        FloatingPointError, "number-sum signal evaluated to d<S>/d eps = nan, Var(S) = nan"),
     "stationary": ("F0", InterferometerConfig(1e6, 1.0, 0.5, ChannelSpec("squeezing")), 0.0,
                    ValueError, "number-sum signal is stationary at zero strain; use eps0 > 0"),
     "no_signal": ("F0", InterferometerConfig(1e6, 1.0, 0.5, ChannelSpec("squeezing", 0.0)), 1e-3,
@@ -232,15 +231,20 @@ def test_rows_do_not_depend_on_their_neighbours():
             for kind in ("squeezing", "mode_mixing", "phase")]
     bad = [InterferometerConfig(1e6, 1.0, 0.3, ChannelSpec("squeezing", 1e200)),
            InterferometerConfig(1e4, 0.0, 0.3, ChannelSpec("mode_mixing"))]
-    batch = [(good[0], 1e-3), (bad[0], 1e-3), (good[1], 2e-3), (good[0], 0.0),
-             (bad[1], 1e-3), (good[2], 5e-3)]
-    values, errors = evaluate_rows(*zip(*batch), QUANTITIES)
-    for i, (config, eps0) in enumerate(batch):
-        alone, alone_errors = evaluate_rows([config], [eps0], QUANTITIES)
-        assert {c: v[i] for c, v in values.items()} == {c: v[0] for c, v in alone.items()}
-        assert [(q, str(e)) for q, e in errors[i]] == [(q, str(e)) for q, e in alone_errors[0]]
-    assert [q for q, _ in errors[5]] == ["H_closed"]  # the phase channel has no closed form
-    assert errors[0] == errors[2] == []
+    batches = ([(good[0], 1e-3), (bad[0], 1e-3), (good[0], 0.0)],
+               [(good[1], 2e-3), (bad[1], 1e-3)], [(good[2], 5e-3)])
+    errors = []
+    for batch in batches:  # one channel kind each
+        values, batch_errors = evaluate_rows(*zip(*batch), QUANTITIES)
+        for i, (config, eps0) in enumerate(batch):
+            alone, alone_errors = evaluate_rows([config], [eps0], QUANTITIES)
+            assert {c: v[i] for c, v in values.items()} == {c: v[0] for c, v in alone.items()}
+            assert ([(q, str(e)) for q, e in batch_errors[i]]
+                    == [(q, str(e)) for q, e in alone_errors[0]])
+        errors.append(batch_errors)
+    assert [q for q, _ in errors[2][0]] == ["H_closed"]  # the phase channel has no closed form
+    assert errors[0][0] == errors[1][0] == []
+    assert errors[0][1] and errors[1][1]
 
 
 def test_parse_config_rejects_unknown_quantities(tmp_path):
@@ -254,26 +258,27 @@ def test_batched_closed_forms_equal_the_scalar_functions(rng):
     # the batch applies the formulas of qfi_closed_form and optimal_tritter_angle
     # to arrays, so a valid row is equal bit for bit, and a failing row (phase
     # channel, r = 0, no turning point) carries the scalar function's error
-    configs = [random_config(rng, kind=kind, r_max=r_max)
-               for kind in ("squeezing", "mode_mixing", "phase")
-               for r_max in (0.5, 2.0, 5.0) for _ in range(300)]
-    configs.append(InterferometerConfig(1e4, 0.0, 0.3, ChannelSpec("squeezing")))
-    values, errors = evaluate_rows(configs, [1e-3] * len(configs), ("H_closed", "theta_t"))
     calls = {"H_closed": lambda c: qfi_closed_form(c, "exact"),
              "theta_t": lambda c: optimal_tritter_angle(c.nbar, pump_depletion(c.nbar, c.r)[1])}
     valid = dict.fromkeys(calls, 0)
-    for i, config in enumerate(configs):
-        expected_errors = []
-        for quantity, call in calls.items():
-            try:
-                expected = call(config)
-            except ValueError as exc:
-                expected_errors.append((quantity, str(exc)))
-                assert values[quantity][i] is None
-            else:
-                valid[quantity] += 1
-                assert values[quantity][i] == expected, (quantity, config)
-        assert [(q, str(e)) for q, e in errors[i]] == expected_errors
+    for kind in ("squeezing", "mode_mixing", "phase"):
+        configs = [random_config(rng, kind=kind, r_max=r_max)
+                   for r_max in (0.5, 2.0, 5.0) for _ in range(300)]
+        if kind == "squeezing":
+            configs.append(InterferometerConfig(1e4, 0.0, 0.3, ChannelSpec("squeezing")))
+        values, errors = evaluate_rows(configs, [1e-3] * len(configs), ("H_closed", "theta_t"))
+        for i, config in enumerate(configs):
+            expected_errors = []
+            for quantity, call in calls.items():
+                try:
+                    expected = call(config)
+                except ValueError as exc:
+                    expected_errors.append((quantity, str(exc)))
+                    assert values[quantity][i] is None
+                else:
+                    valid[quantity] += 1
+                    assert values[quantity][i] == expected, (quantity, config)
+            assert [(q, str(e)) for q, e in errors[i]] == expected_errors
     assert valid["H_closed"] == 1801 and valid["theta_t"] > 1500, valid
 
 
