@@ -724,9 +724,10 @@ def _evaluate_stack(kind: str, p: _Point, eps0, quantities) -> dict:
                     f"Var(S) = {_item(var, j)}"))])
         if {"F0", "slopes"}.isdisjoint(quantities):
             return out
-        # the tangent dM/deps = A M = S^-1 K C S, conjugated as one product: its
-        # side trace is then as well conditioned as that of E (a product A E
-        # would cancel large terms); sigma' = M' M^T + M M'^T and d' = M' d
+        # the side rows of the tangent M' = dM/deps = A M = S^-1 K C S, conjugated
+        # as one product: its side trace is then as well conditioned as that of
+        # E (a product A E would cancel large terms); sigma' = M' M^T + M M'^T
+        # and d' = M' d
         tangent = cols[..., 2:, :] @ (K @ step + K) @ rows
         half = tangent[..., 2:] + tangent @ _t(E[..., 2:, :])
         side_dot = half + _t(half)
