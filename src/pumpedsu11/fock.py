@@ -363,12 +363,11 @@ def _propagate(space: FockSpace, op, psi: np.ndarray) -> np.ndarray:
     return expm_multiply(K, psi)
 
 
-def prepare_state_fock(ops, cutoff: int, n_modes: int = 2,
-                       leakage_limit: float = LEAKAGE_LIMIT) -> tuple[np.ndarray, float]:
+def prepare_state_fock(ops, cutoff: int, n_modes: int = 2) -> tuple[np.ndarray, float]:
     """Apply a sequence of operations to the Fock vacuum.
 
     Returns (state, leakage).  Raises LeakageError when more than
-    ``leakage_limit`` of the population reaches the truncation boundary, which
+    ``LEAKAGE_LIMIT`` of the population reaches the truncation boundary, which
     means the cutoff is too small for the requested parameters.
     """
     space = FockSpace(n_modes, cutoff)
@@ -376,9 +375,9 @@ def prepare_state_fock(ops, cutoff: int, n_modes: int = 2,
     for op in ops:
         psi = _propagate(space, op, psi)
     leak = space.leakage(psi)
-    if not leak < leakage_limit:  # a NaN leakage fails too
+    if not leak < LEAKAGE_LIMIT:  # a NaN leakage fails too
         raise LeakageError(
-            f"truncation leakage {leak:.3e} exceeds {leakage_limit:.1e} at cutoff {cutoff}")
+            f"truncation leakage {leak:.3e} exceeds {LEAKAGE_LIMIT:.1e} at cutoff {cutoff}")
     return psi / np.linalg.norm(psi), leak
 
 
@@ -434,8 +433,8 @@ def generator_variance(psi: np.ndarray, generator: sparse.spmatrix) -> float:
 
 
 def pipeline_state_fock(nbar: float, pump_phase: float, r: float, squeeze_phase: float,
-                        theta: float, tritter_phase: float, cutoff: int,
-                        leakage_limit: float = LEAKAGE_LIMIT) -> tuple[np.ndarray, float]:
+                        theta: float, tritter_phase: float,
+                        cutoff: int) -> tuple[np.ndarray, float]:
     """Fock-space twin of the Gaussian pre-channel pipeline state.
 
     Squeezes the side modes, displaces the pump by the depleted amplitude
@@ -450,4 +449,4 @@ def pipeline_state_fock(nbar: float, pump_phase: float, r: float, squeeze_phase:
         Displace(0, alpha0),
         Tritter(theta, tritter_phase),
     ]
-    return prepare_state_fock(ops, cutoff, n_modes=3, leakage_limit=leakage_limit)
+    return prepare_state_fock(ops, cutoff, n_modes=3)

@@ -9,7 +9,8 @@ unit boundary: everything here is SI, everything upstream is dimensionless.
 The scheme formulas broadcast over arrays, with squares written as products
 (a numpy scalar squares through ``pow``, an array through a product, and the
 two can differ in the last bit), so :func:`compare_grid` evaluates a whole
-grid bit-identically to :func:`compare_schemes` row by row.
+grid in one pass, and a row's values and error are those of the one-point
+grid of its own parameters, :func:`compare_schemes`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSpec
-from .pipeline import _angle_bound_argument, _side_population, max_tritter_angle
+from .pipeline import (_angle_bound_argument, _item, _row_errors, _scalar_check,
+                       _side_population, max_tritter_angle)
 
 __all__ = [
     "HBAR",
@@ -186,6 +188,8 @@ def compare_schemes(n0: float, r_original: float, r_pumped: float | None = None,
                     theta_sq: float | None = None) -> SchemeComparison:
     """Compare the original squeezed-probe detector with the pumped-up scheme.
 
+    A one-point :func:`compare_grid`, which raises the point's error.
+
     Args:
         n0: condensate (pump) particle number for the pumped scheme.
         r_original: phonon squeezing of the original scheme.
@@ -195,92 +199,78 @@ def compare_schemes(n0: float, r_original: float, r_pumped: float | None = None,
         theta_sq: squared tritter angle, nonnegative; defaults to the
             undepleted-pump bound, and may not exceed it.
     """
-    if theta_sq is not None and not theta_sq >= 0.0:
-        raise ValueError(f"theta^2 must be nonnegative, got {theta_sq:.4g}")
-    if r_pumped is None:
-        r_pumped = r_original
-    n_side = _side_population(r_pumped)
-    gamma = n_side / n0
-    theta_max = max_tritter_angle(gamma, delta)
-    bound = theta_max * theta_max
-    if theta_sq is None:
-        theta_sq = bound
-    elif theta_sq > bound * 1.02:
-        # 2% headroom on theta^2 accepts bounds quoted at two significant digits
-        raise ValueError(f"theta^2 = {theta_sq:.4g} exceeds the undepleted-pump bound "
-                         f"{bound:.4g}")
-    theta = np.sqrt(theta_sq)
-    h_orig = original_scheme_qfi(r_original, strength=strength)
-    h_pump = pumped_scheme_qfi(n0, r_pumped, theta, strength=strength)
-    return SchemeComparison(h_orig, h_pump, h_pump / h_orig, r_original, r_pumped,
-                            theta, theta_max, n0, n_side)
+    columns, errors = compare_grid(n0, r_original, r_pumped, strength, delta, theta_sq)
+    if errors:
+        raise errors[0]
+    r_pumped = r_original if r_pumped is None else r_pumped
+    return SchemeComparison(**{name: values[()] for name, values in columns.items()},
+                            r_original=r_original, r_pumped=r_pumped, n0=n0,
+                            n_side_pumped=_side_population(r_pumped))
 
 
 def compare_grid(n0, r_original, r_pumped=None, strength=1.0, delta=0.1, theta_sq=None):
-    """:func:`compare_schemes` over arrays that broadcast to one grid shape.
+    """The scheme comparison over arrays that broadcast to one grid shape.
 
-    Every check of the scalar function is one mask over the grid: n0 > 0,
-    0 <= gamma <= delta, delta < 1, an arccos argument in [-1, 1], a
-    nonnegative theta_sq within 2% of the bound, and a finite value in every
-    column (a NaN always fails).  The rows that pass go through the same
-    formulas as the scalar function, so they are bit-identical to it.  A
-    flagged row is evaluated again by :func:`compare_schemes`, which raises its
-    own error or returns its value, so each row carries exactly its scalar
-    outcome and never affects another row.
+    The checks run as masks over the grid, in this order: a nonnegative
+    theta_sq; those of :func:`max_tritter_angle` on gamma = n_side / n0 and
+    delta (0 <= gamma <= delta, delta < 1, an arccos argument in [-1, 1]);
+    theta_sq within 2% of the bound theta_max^2; n0 > 0.  A failing row
+    carries the error of its first failing check (:func:`pipeline._row_errors`),
+    and a row that passes them all keeps its values, finite or not (an
+    overflowing sinh gives inf).  A row depends only on its own parameters, so
+    it is bit-identical to :func:`compare_schemes` on them.
 
     Returns ``(columns, errors)``: ``columns`` maps qfi_original, qfi_pumped,
     ratio, theta and theta_max to an array that broadcasts to the grid shape
-    (unflagged qfi_original keeps the shape of its own arguments) and holds
-    NaN on failed rows; ``errors`` maps the flat index of each failed row to
-    its exception, stored without its traceback.
+    (without failed rows, qfi_original keeps the shape of its own arguments)
+    and holds NaN on failed rows; ``errors`` maps the flat index of each
+    failed row to its exception, stored without its traceback.
     """
-    args = (n0, r_original, r_pumped, strength, delta, theta_sq)
-    shape = np.broadcast_shapes(*map(np.shape, args))
+    if r_pumped is None:
+        r_pumped = r_original
+    n0, r_original, r_pumped, strength, delta = (
+        np.asarray(a, dtype=float) for a in (n0, r_original, r_pumped, strength, delta))
+    shape = np.broadcast_shapes(*map(np.shape, (n0, r_original, r_pumped, strength, delta,
+                                                theta_sq)))
 
     def full(value):
-        return np.broadcast_to(np.asarray(value, dtype=float), shape)
+        return np.broadcast_to(value, shape)
 
-    n0_, r_p, b, delta_ = map(full, (n0, r_original if r_pumped is None else r_pumped,
-                                     strength, delta))
-    with np.errstate(all="ignore"):  # flagged rows are redone one at a time
-        gamma = _side_population(r_p) / n0_
-        z = _angle_bound_argument(gamma, delta_)
-        ok = (n0_ > 0.0) & (0.0 <= gamma) & (gamma <= delta_) & (delta_ < 1.0) \
-            & (-1.0 <= z) & (z <= 1.0)
+    with np.errstate(all="ignore"):  # a failed row reports its own error
+        gamma = _side_population(r_pumped) / n0
+        z = _angle_bound_argument(gamma, delta)
+        outside = ~((0.0 <= gamma) & (gamma <= delta)) | (delta >= 1.0) \
+            | ~((-1.0 <= z) & (z <= 1.0))
+        angle = _scalar_check(outside, max_tritter_angle, gamma, delta)
+        ok = ~full(outside)
         theta_max = np.full(shape, np.nan)
-        theta_max[ok] = max_tritter_angle(gamma[ok], delta_[ok])
+        theta_max[ok] = max_tritter_angle(full(gamma)[ok], full(delta)[ok])
         bound = theta_max * theta_max
+        checks = [angle]
         if theta_sq is None:
-            theta_sq_ = bound
+            theta_sq = bound
         else:
-            theta_sq_ = full(theta_sq)
-            ok &= (theta_sq_ >= 0.0) & ~(theta_sq_ > bound * 1.02)
-        theta = np.sqrt(theta_sq_)
+            theta_sq = np.asarray(theta_sq, dtype=float)
+            given = full(theta_sq)
+            # 2% headroom on theta^2 accepts bounds quoted at two significant digits
+            checks = [(~(theta_sq >= 0.0), lambda j: ValueError(
+                f"theta^2 must be nonnegative, got {_item(theta_sq, j):.4g}")), angle, (
+                given > bound * 1.02, lambda j: ValueError(
+                    f"theta^2 = {_item(given, j):.4g} exceeds the undepleted-pump bound "
+                    f"{_item(bound, j):.4g}"))]
+        theta = np.sqrt(theta_sq)
+        checks.append(_scalar_check(n0 <= 0.0, pumped_scheme_qfi, n0, r_pumped, theta, strength))
+        errors = _row_errors(checks, shape)
+        ok = np.ones(shape, dtype=bool)
+        ok.flat[list(errors)] = False
         h_orig = original_scheme_qfi(r_original, strength=strength)
         h_pump = np.full(shape, np.nan)
-        h_pump[ok] = pumped_scheme_qfi(n0_[ok], r_p[ok], theta[ok], b[ok])
-        # a 0-d result comes back as a numpy scalar
-        columns = {name: np.asarray(values) for name, values in (
-            ("qfi_original", h_orig), ("qfi_pumped", h_pump), ("ratio", h_pump / h_orig),
-            ("theta", theta), ("theta_max", theta_max))}
+        h_pump[ok] = pumped_scheme_qfi(*(full(a)[ok] for a in (n0, r_pumped, theta, strength)))
+        columns = {"qfi_original": h_orig, "qfi_pumped": h_pump, "ratio": h_pump / h_orig,
+                   "theta": theta, "theta_max": theta_max}
+    if errors:
+        columns = {name: full(values).copy() for name, values in columns.items()}
         for values in columns.values():
-            ok &= np.isfinite(values)
-    errors = {}
-    redo = np.flatnonzero(~ok).tolist()
-    if redo:
-        columns = {name: np.broadcast_to(values, shape).copy()
-                   for name, values in columns.items()}
-        args = [None if a is None else full(a) for a in args]
-        for i in redo:
-            try:
-                # the row's error reports the failure; numpy's warning would only repeat it
-                with np.errstate(all="ignore"):
-                    cmp = compare_schemes(*(None if a is None else float(a.flat[i])
-                                            for a in args))
-            except Exception as exc:
-                # a stored traceback would lead back to this frame and its errors
-                errors[i] = exc.with_traceback(None)
-                cmp = None
-            for name, values in columns.items():
-                values.flat[i] = np.nan if cmp is None else getattr(cmp, name)
-    return columns, errors
+            values.flat[list(errors)] = np.nan
+    # a 0-d result comes back as a numpy scalar
+    return {name: np.asarray(values) for name, values in columns.items()}, errors

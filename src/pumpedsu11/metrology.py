@@ -22,8 +22,9 @@ matrix for a scalar, a stack for an axis), and computes each quantity in the
 input frame with formulas that broadcast over the leading axes: the output
 map is I + E with E = S^-1 (C - I) S, so the number-sum moments and their
 strain slopes are read off E and A without the identity ever cancelling.
-It applies every check in the order the quantity needs it and words each
-failing point's error itself.  Sweeps call it on their grids, and the
+It lists every check in the order the quantity needs it, each with the
+words of a failing point's error, and hands them to the grids' one failure
+protocol, ``pipeline._row_errors``.  Sweeps call it on their grids, and the
 single-point functions (``qfi_numeric``, ``sensitivity_number_sum``,
 ``fisher_from_moments``) on a one-point grid, raising the point's error.
 The exact closed-form QFI and the turning point are written once, as
@@ -33,7 +34,6 @@ error from their scalar functions.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import Any, NamedTuple
@@ -42,7 +42,8 @@ import numpy as np
 
 from .channels import (_channel_argument, _generator, _side_channel, _side_step,
                        _tritter_matrix, _with_pump)
-from .pipeline import InterferometerConfig, max_tritter_angle, pump_depletion
+from .pipeline import (InterferometerConfig, _flat, _item, _row_errors, _scalar_check,
+                       max_tritter_angle, pump_depletion)
 from .states import GaussianState, _pump_displacement, _symplectic_inverse
 
 __all__ = [
@@ -137,14 +138,6 @@ _FIELDS = operator.attrgetter("nbar", "r", "theta", "pump_phase", "squeeze_phase
 
 def _point(config: InterferometerConfig) -> _Point:
     return _Point(*_FIELDS(config), *pump_depletion(config.nbar, config.r))
-
-
-def _flat(value, shape) -> np.ndarray:
-    """``value``, a scalar or an array that broadcasts to ``shape``, with one entry per grid point."""
-    value = np.asarray(value)
-    if value.shape != shape:
-        value = np.broadcast_to(value, shape)
-    return value.ravel()
 
 
 def _phase_args(config: InterferometerConfig):
@@ -582,11 +575,10 @@ def _evaluate_grid(kind: str, p: _Point, eps0, quantities, shape, valid):
     ``p`` and ``eps0`` hold scalars or arrays that broadcast to ``shape``, and
     :func:`_evaluate_stack` computes every grid point at once, with the checks
     of each quantity in the order they apply.  A grid point among those
-    ``valid`` marks (a flat mask, or True) fails at its first failing check,
-    whose error it carries; the other points carry their values.  A check
-    depends only on the parameters its mask varies over, so its error is built
-    once per point of the mask's own shape and shared by the grid rows over
-    that point.  ``values`` maps each output column to a list with one cell per
+    ``valid`` marks (a flat mask, or True) carries, for each quantity, the
+    error of that quantity's first failing check (:func:`pipeline._row_errors`
+    words it, once per point of the check's own shape); the other points carry
+    their values.  ``values`` maps each output column to a list with one cell per
     grid point in C order, None where the quantity failed; ``errors`` maps the
     flat index of each row with a failure to its (quantity, exception) pairs,
     each exception without a traceback.
@@ -597,51 +589,11 @@ def _evaluate_grid(kind: str, p: _Point, eps0, quantities, shape, valid):
         columns = _COLUMNS[quantity]
         arrays, checks = stacked[quantity]
         values.update(zip(columns, (_flat(a, shape).tolist() for a in arrays)))
-        pending = _flat(functools.reduce(operator.or_, (failed for failed, _ in checks), False),
-                        shape) & valid
-        if not pending.any():
-            continue
-        for failed, error in checks:
-            rows = np.flatnonzero(pending & _flat(failed, shape))
-            if not rows.size:
-                continue
-            pending[rows] = False
-            points = _flat(np.arange(np.size(failed)).reshape(np.shape(failed)), shape)[rows]
-            built = {}
-            for i, point in zip(rows.tolist(), points.tolist()):
-                if point not in built:
-                    built[point] = error(point)
-                if built[point] is not None:
-                    errors.setdefault(i, []).append((quantity, built[point]))
-                    for column in columns:
-                        values[column][i] = None
+        for i, exc in _row_errors(checks, shape, valid).items():
+            errors.setdefault(i, []).append((quantity, exc))
+            for column in columns:
+                values[column][i] = None
     return values, errors
-
-
-# A check is a pair (failed, error): a mask at its own shape, and a function of
-# a flat index into that shape that builds the point's exception (or returns
-# None where the point passes after all).
-
-def _scalar_check(failed, call, *fields):
-    """A closed form's check: where ``failed``, the point's outcome is that of
-    the scalar function ``call`` on the point's ``fields``, as Python floats."""
-    own = np.broadcast_shapes(np.shape(failed), *map(np.shape, fields))
-
-    def error(j):
-        try:
-            with np.errstate(all="ignore"):  # its own checks report a non-finite value
-                call(*(_item(np.broadcast_to(field, own), j) for field in fields))
-        except Exception as exc:
-            # a traceback's frames lead back to the caller, whose locals hold the
-            # errors: that cycle would keep the whole grid alive until the garbage
-            # collector runs
-            return exc.with_traceback(None)
-    return np.broadcast_to(failed, own), error
-
-
-def _item(values, j) -> float:
-    # entry j of an array, or of a numpy scalar, as a Python float
-    return np.asarray(values).flat[j].item()
 
 
 def _common(first, *rest):

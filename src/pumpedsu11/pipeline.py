@@ -17,11 +17,19 @@ safe because the config is frozen, so its parameters cannot drift away from
 its cache, and the cached states and operations hold read-only arrays.  The
 cache lives exactly as long as its config: ``dataclasses.replace`` builds a
 new config with an empty cache, and nothing is kept at module level.
+
+Grids of parameters share one failure protocol, :func:`_row_errors`: each
+check is a mask over the grid and a function that words a failing point's
+error, and each failing row carries the error of its first failing check.
+The metrology kernel's quantities, the sweep's row checks and the ``[gw]``
+comparison all report their failures through it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,8 +80,7 @@ class InterferometerConfig:
                                         self.squeeze_phase, self.tritter_phase))):
             raise ValueError(f"interferometer parameters must be finite, got {self}")
         pump_depletion(self.nbar, self.r)  # raises if the pump cannot dominate
-        if not 0.0 <= self.theta <= np.pi / 2:
-            raise ValueError(f"tritter angle must lie in [0, pi/2], got {self.theta}")
+        _check_tritter_angle(self.theta)
 
     @cached_property
     def _forward(self) -> tuple[GaussianState, SymplecticOp]:
@@ -128,6 +135,11 @@ def pump_depletion(nbar: float, r: float) -> tuple[float, float]:
             f"pump depleted: source squeezing needs {n_side:.6g} particles "
             f"but only {nbar:.6g} are available")
     return n0, n_side
+
+
+def _check_tritter_angle(theta: float) -> None:
+    if not 0.0 <= theta <= np.pi / 2:
+        raise ValueError(f"tritter angle must lie in [0, pi/2], got {theta}")
 
 
 def pre_measurement_state(config: InterferometerConfig,
@@ -186,3 +198,67 @@ def _angle_bound_argument(gamma, delta):
     """cos(2 theta_max): the arccos argument of :func:`max_tritter_angle`, unchecked."""
     return (delta * gamma + 2.0 * delta - 3.0 * gamma - 2.0) \
         / (delta * gamma - 2.0 * delta + gamma - 2.0)
+
+
+# A check is a pair (failed, error): a mask at its own shape, and a function of
+# a flat index into that shape that builds the point's exception (or returns
+# None where the point passes after all).
+
+def _row_errors(checks, shape, valid=True) -> dict:
+    """{flat row: exception} for the rows of a grid of ``shape`` that fail ``checks``.
+
+    The masks broadcast to ``shape``, and ``checks`` lists them in the order
+    they apply.  A row among those ``valid`` marks (a flat mask, or True)
+    carries the error of its first failing check.  A check depends only on the
+    parameters its mask varies over, so its error is built once per point of
+    the mask's own shape and shared by the grid rows over that point.  Rows
+    are flat indices in C order; each exception is stored without a traceback.
+    """
+    errors = {}
+    pending = _flat(functools.reduce(operator.or_, (failed for failed, _ in checks), False),
+                    shape) & valid
+    if not pending.any():
+        return errors
+    for failed, error in checks:
+        rows = np.flatnonzero(pending & _flat(failed, shape))
+        if not rows.size:
+            continue
+        pending[rows] = False
+        points = _flat(np.arange(np.size(failed)).reshape(np.shape(failed)), shape)[rows]
+        built = {}
+        for i, point in zip(rows.tolist(), points.tolist()):
+            if point not in built:
+                built[point] = error(point)
+            if built[point] is not None:
+                errors[i] = built[point]
+    return errors
+
+
+def _scalar_check(failed, call, *fields):
+    """A check whose error comes from a scalar function: where ``failed``, the
+    point's outcome is that of ``call`` on the point's ``fields``, as Python floats."""
+    own = np.broadcast_shapes(np.shape(failed), *map(np.shape, fields))
+
+    def error(j):
+        try:
+            with np.errstate(all="ignore"):  # its own checks report a non-finite value
+                call(*(_item(np.broadcast_to(field, own), j) for field in fields))
+        except Exception as exc:
+            # a traceback's frames lead back to the caller, whose locals hold the
+            # errors: that cycle would keep the whole grid alive until the garbage
+            # collector runs
+            return exc.with_traceback(None)
+    return np.broadcast_to(failed, own), error
+
+
+def _flat(value, shape) -> np.ndarray:
+    """``value``, a scalar or an array that broadcasts to ``shape``, with one entry per grid point."""
+    value = np.asarray(value)
+    if value.shape != shape:
+        value = np.broadcast_to(value, shape)
+    return value.ravel()
+
+
+def _item(values, j) -> float:
+    # entry j of an array, or of a numpy scalar, as a Python float
+    return np.asarray(values).flat[j].item()

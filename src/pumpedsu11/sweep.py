@@ -28,12 +28,16 @@ of a ``[gw]`` file without a ``[sweep]`` section, are validated when the file
 is read, so a point outside the formulas' domain is a :class:`ConfigError`
 with the file's name.  An interferometer sweep is held as arrays: each swept
 key is an array shaped to broadcast over the grid, and each unswept key stays
-a scalar.  The grid's row checks (strength, pump depletion, angle range) run
-as masks over those arrays, and a failing row gets the error text of its
-first failing check.  The arrays then go straight to the stacked kernel
-(``metrology._evaluate_grid``), which words each failing point's error
-itself, so no :class:`InterferometerConfig` is built for a row it evaluates.  A
-``[gw]`` sweep evaluates its whole grid in one call of
+a scalar.  Every grid reports its failures through one protocol,
+``pipeline._row_errors``: each check is a mask over the arrays, and a failing
+row carries the error of its first failing check, worded once per point of
+the check's own shape.  An interferometer grid's row checks (strength, pump
+depletion, angle range) take their texts from the scalar checks of
+:class:`ChannelSpec`, :func:`pump_depletion` and :class:`InterferometerConfig`;
+the rows that pass go straight to the stacked kernel
+(``metrology._evaluate_grid``), whose checks go through the same protocol, so
+no :class:`InterferometerConfig` is built for any row.  A ``[gw]`` sweep
+evaluates its whole grid, checks included, in one call of
 :func:`gw.compare_grid`.  The ``[outputs]`` section selects interferometer
 quantities only; a ``[gw]`` run always writes the comparison columns.
 Results are held column by column (:class:`SweepTable`), and :func:`emit`
@@ -54,10 +58,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSpec
-from .gw import compare_grid, compare_schemes
+from .gw import compare_grid
 from .metrology import QUANTITY_COLUMNS, _evaluate_grid, _Point
-from .pipeline import (InterferometerConfig, PumpDepletedError, _side_population,
-                       pump_depletion)
+from .pipeline import (InterferometerConfig, _check_tritter_angle, _row_errors, _scalar_check,
+                       _side_population, pump_depletion)
 
 __all__ = [
     "ConfigError",
@@ -79,7 +83,6 @@ class ConfigError(ValueError):
 DEFAULTS = {
     "strength": 1.0,
     "channel_phase": 0.0,
-    "epsilon": 0.0,
     "nbar": 1e6,
     "pump_phase": 0.0,
     "r": 0.0,
@@ -142,10 +145,20 @@ def _parse_sweep_values(value: str, where: str) -> tuple:
             raise ConfigError(f"{where}: linspace takes 'linspace <min> <max> <count>'")
         lo = _parse_number(tokens[1], where)
         hi = _parse_number(tokens[2], where)
-        count = int(_parse_number(tokens[3], where))
+        count = _parse_number(tokens[3], where)
+        if not count.is_integer():
+            raise ConfigError(f"{where}: linspace count must be a whole number, got {tokens[3]}")
         if count < 1:
-            raise ConfigError(f"{where}: sweep count must be >= 1, got {count}")
-        return tuple(float(v) for v in np.linspace(lo, hi, count))
+            raise ConfigError(f"{where}: sweep count must be >= 1, got {int(count)}")
+        if count > GRID_CAP:  # refused before the values are made
+            raise ConfigError(f"{where}: linspace count {tokens[3]} exceeds the grid cap "
+                              f"{GRID_CAP}")
+        with np.errstate(all="ignore"):  # a span hi - lo that overflows is refused below
+            values = np.linspace(lo, hi, int(count))
+        if not np.isfinite(values).all():
+            raise ConfigError(f"{where}: linspace from {tokens[1]} to {tokens[2]} gives a "
+                              "non-finite value")
+        return tuple(values.tolist())
     if tokens[0] == "values":
         tokens = tokens[1:]
         if not tokens:
@@ -261,7 +274,7 @@ def _unswept_point(params: dict, sweeps) -> dict:
 def _build_config(params: dict) -> InterferometerConfig:
     try:
         channel = ChannelSpec(kind=params["channel"], strength=params["strength"],
-                              phase=params["channel_phase"], epsilon=params["epsilon"])
+                              phase=params["channel_phase"])
         return InterferometerConfig(
             nbar=params["nbar"], r=params["r"], theta=params["theta"], channel=channel,
             pump_phase=params["pump_phase"], squeeze_phase=params["squeeze_phase"],
@@ -271,13 +284,11 @@ def _build_config(params: dict) -> InterferometerConfig:
 
 
 def _check_gw_point(params: dict, path) -> None:
-    """Put an unswept [gw] point through compare_schemes' checks, and require finite results."""
-    with np.errstate(all="ignore"):  # a point outside the domain is reported below
-        try:
-            cmp = compare_schemes(**params)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [gw] base point: {exc}") from None
-    bad = [name for name in GW_COLUMNS[:-1] if not np.isfinite(getattr(cmp, name))]
+    """Put an unswept [gw] point through compare_grid's checks, and require finite results."""
+    columns, errors = compare_grid(**params)
+    if errors:
+        raise ConfigError(f"{path}: [gw] base point: {errors[0]}")
+    bad = [name for name, values in columns.items() if not np.isfinite(values)]
     if bad:
         raise ConfigError(f"{path}: [gw] base point gives a non-finite {', '.join(bad)}")
 
@@ -341,67 +352,23 @@ def _gw_table(spec: SweepSpec) -> SweepTable:
     return SweepTable(columns, shape)
 
 
-def _row_params(spec: SweepSpec, shape, i) -> dict:
-    """The parameters of flat grid row ``i``: the base point and the row's swept values."""
-    index = np.unravel_index(i, shape)
-    return {**spec.base, **{name: values[j] for (name, values), j in zip(spec.sweeps, index)}}
-
-
-def _depletion_error(nbar: float, r: float) -> str:
-    try:
-        pump_depletion(nbar, r)
-    except PumpDepletedError as exc:
-        return str(exc)
-
-
-def _config_error(params: dict) -> str:
-    try:
-        _build_config(params)
-    except ConfigError as exc:
-        return str(exc)
-
-
-def _grid_errors(spec: SweepSpec, shape, params: dict, n0) -> dict:
-    """{flat row: configuration error} for the grid rows :func:`_build_config` rejects.
-
-    The checks of :class:`ChannelSpec` and :class:`InterferometerConfig` run
-    as masks, in their order, and only on what a sweep sets: strength >= 0,
-    the pump depletion (nbar or r swept) and the angle range; the keys no
-    sweep sets were checked by :func:`parse_config`.  A row's error is the
-    text of its first failing check: from :func:`pump_depletion` on the row's
-    nbar and r when that is the depletion (once per distinct pair), else from
-    :func:`_build_config` on the row.
-    """
-    swept = set(sweeps_names(spec.sweeps))
-    checks = []  # (failing points, is the depletion check)
-    if "strength" in swept:
-        checks.append((params["strength"] < 0.0, False))
-    if swept & {"nbar", "r"}:
-        checks.append((n0 <= 0.0, True))
-    if "theta" in swept:
-        theta = params["theta"]
-        checks.append((~((0.0 <= theta) & (theta <= np.pi / 2)), False))
-    if not checks:
-        return {}
-    masks = np.stack([np.broadcast_to(mask, shape).ravel() for mask, _ in checks])
-    rows = np.flatnonzero(masks.any(axis=0))
-    first = masks[:, rows].argmax(axis=0).tolist()
-    nbar, r = (np.broadcast_to(params[key], shape).ravel()[rows].tolist()
-               for key in ("nbar", "r"))
-    depletion_error = functools.cache(_depletion_error)
-    return {i: depletion_error(nbar_i, r_i) if checks[k][1]
-            else _config_error(_row_params(spec, shape, i))
-            for i, k, nbar_i, r_i in zip(rows.tolist(), first, nbar, r)}
-
-
 def _interferometer_table(spec: SweepSpec, eps0: float) -> SweepTable:
     shape, columns = _axes(spec)
     size = math.prod(shape)
     params = {key: columns.get(key, spec.base[key]) for key in DEFAULTS}
-    n_side = _side_population(params["r"])
-    n0 = params["nbar"] - n_side
+    nbar, r, theta, strength = (params[key] for key in ("nbar", "r", "theta", "strength"))
+    n_side = _side_population(r)
+    n0 = nbar - n_side
     point = _Point(*(params[name] for name in _Point._fields[:-2]), n0, n_side)
-    failed = _grid_errors(spec, shape, params, n0)
+    # the checks of ChannelSpec and InterferometerConfig that a swept value can
+    # fail, in their order (parse_config checked the keys no sweep sets)
+    failed = _row_errors([
+        _scalar_check(strength < 0.0, functools.partial(ChannelSpec, spec.base["channel"]),
+                      strength),
+        _scalar_check(n0 <= 0.0, pump_depletion, nbar, r),
+        _scalar_check(np.logical_not((0.0 <= theta) & (theta <= np.pi / 2)),
+                      _check_tritter_angle, theta),
+    ], shape)
     valid = True
     if failed:
         valid = np.ones(size, dtype=bool)
@@ -414,8 +381,8 @@ def _interferometer_table(spec: SweepSpec, eps0: float) -> SweepTable:
             cells[i] = None
         columns[column] = cells
     error_cells = [""] * size
-    for i, text in failed.items():
-        error_cells[i] = text
+    for i, exc in failed.items():
+        error_cells[i] = str(exc)
     for i, row_errors in errors.items():
         error_cells[i] = "; ".join(f"{quantity}: {exc}" for quantity, exc in row_errors)
     columns["error"] = error_cells

@@ -378,3 +378,14 @@ def test_the_grid_path_builds_configs_only_for_flagged_pipeline_rows(tmp_path, m
     assert [row["error"].split(":")[0] for row in rows] == [
         "theta_t", "", "", "pump depleted"]
     assert built == [(0.0, 0.4)]
+    # negative strengths and out-of-range angles take their errors from the
+    # scalar checks of ChannelSpec and InterferometerConfig, with no config
+    built.clear()
+    path.write_text("channel = mode_mixing\nnbar = 1e6\nr = 1\n[sweep]\n"
+                    "strength = values -1 2 -0.5\ntheta = values -0.1 0.3 1.6 2\n")
+    rows = run_sweep(parse_config(str(path)))
+    assert [row["error"] for row in rows[:4]] == [
+        "strength constant must be nonnegative, got -1.0"] * 4
+    angle = "tritter angle must lie in [0, pi/2], got "
+    assert [row["error"] for row in rows[4:8]] == [angle + "-0.1", "", angle + "1.6", angle + "2.0"]
+    assert built == [(1.0, 0.0)]

@@ -2,7 +2,7 @@ import gc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pumpedsu11 import (ChannelSpec, GwDetectorParams, InterferometerConfig,
                         channel_strength, compare_schemes, coupling_constant,
@@ -136,6 +136,11 @@ def test_compare_schemes_defaults_to_angle_bound():
 def test_compare_schemes_rejects_excessive_angle():
     with pytest.raises(ValueError):
         compare_schemes(1e6, r_original=4.2, r_pumped=2.0, theta_sq=0.2)
+    # theta^2 may exceed the bound by 2%, no more
+    bound = compare_schemes(1e6, r_original=4.2, r_pumped=2.0).theta_max ** 2
+    compare_schemes(1e6, r_original=4.2, r_pumped=2.0, theta_sq=1.019 * bound)
+    with pytest.raises(ValueError, match="exceeds the undepleted-pump bound"):
+        compare_schemes(1e6, r_original=4.2, r_pumped=2.0, theta_sq=1.021 * bound)
 
 
 def test_compare_schemes_never_worse(rng):
@@ -164,12 +169,72 @@ def test_compare_schemes_rejects_negative_theta_sq():
 
 
 def _scalar_row(params):
-    """The cells of one gw row, from the scalar compare_schemes."""
+    """The cells of one gw row, from the one-point grid of compare_schemes."""
     try:
         cmp = compare_schemes(**params)
     except Exception as exc:
         return dict.fromkeys(GW_COLUMNS[:-1]), str(exc)
     return {c: float(getattr(cmp, c)) for c in GW_COLUMNS[:-1]}, ""
+
+
+def _referee(params):
+    """The failing check of one gw row, or None, from the scheme's definitions.
+
+    The checks in compare_grid's documented order: theta_sq >= 0; 0 <= gamma
+    <= delta, delta < 1 and cos 2 theta_max in [-1, 1], where theta_max solves
+    "side/pump = delta after the tritter" (see _post_tritter_ratio), which is
+    linear in x = cos 2 theta; theta_sq <= 1.02 theta_max^2; n0 > 0.  Returns
+    the start of the error text the row must carry.
+    """
+    n0, delta, theta_sq = np.float64(params["n0"]), params["delta"], params["theta_sq"]
+    gamma = _side(params) / n0
+    # n0 (s^2 + gamma (3 + x) / 4) = delta n0 (c^2 + gamma (1 - x) / 4), with
+    # c^2 = (1 + x)/2 and s^2 = (1 - x)/2, solved for x
+    x = (2 * delta + delta * gamma - 2 - 3 * gamma) / (gamma - 2 - 2 * delta + delta * gamma)
+    if theta_sq is not None and not theta_sq >= 0:
+        return "theta^2 must be nonnegative"
+    if not 0 <= gamma <= delta:
+        return "need 0 <= gamma <= delta"
+    if delta >= 1:
+        return "delta must be small"
+    if not -1 <= x <= 1:
+        return "angle bound undefined"
+    if theta_sq is not None and theta_sq > 1.02 * (0.5 * np.arccos(x)) ** 2:
+        return "theta^2 = "
+    if not n0 > 0:
+        return "pump population must be positive"
+    return None
+
+
+def _side(params):
+    r = params["r_original"] if params["r_pumped"] is None else params["r_pumped"]
+    return 2.0 * np.sinh(np.float64(r)) ** 2
+
+
+def _post_tritter_ratio(n0, n_side, theta):
+    # side/pump populations after the tritter: n0 s^2 + n/2 (1 + c^2) over n0 c^2 + n/2 s^2
+    c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
+    return (n0 * s2 + 0.5 * n_side * (1.0 + c2)) / (n0 * c2 + 0.5 * n_side * s2)
+
+
+def _check_formulas(row, params):
+    """A passing row against H_orig = B^2/4 (1 + sinh^2 2r), H_pump = B^2/4
+    (1 + sinh^2 2r_p) + B^2/2 theta^2 n0 n_side, and theta_max's definition."""
+    b, n0, n_side = params["strength"], params["n0"], _side(params)
+    r_p = params["r_original"] if params["r_pumped"] is None else params["r_pumped"]
+    theta = row["theta"]
+    h_orig = 0.25 * b ** 2 * (1.0 + np.sinh(2.0 * np.float64(params["r_original"])) ** 2)
+    h_pump = 0.25 * b ** 2 * (1.0 + np.sinh(2.0 * r_p) ** 2) \
+        + 0.5 * b ** 2 * theta ** 2 * n0 * n_side
+    assert row["qfi_original"] == pytest.approx(h_orig, rel=1e-12)
+    assert row["qfi_pumped"] == pytest.approx(h_pump, rel=1e-12)
+    # B = 0, or an overflowing H_orig, leaves the ratio undefined
+    assert row["ratio"] == pytest.approx(h_pump / h_orig, rel=1e-12, nan_ok=True)
+    assert row["theta"] == pytest.approx(
+        row["theta_max"] if params["theta_sq"] is None else np.sqrt(params["theta_sq"]),
+        rel=1e-12)
+    assert _post_tritter_ratio(n0, n_side, row["theta_max"]) == pytest.approx(
+        params["delta"], rel=1e-9, abs=1e-15)
 
 
 def _bits(value):
@@ -196,7 +261,15 @@ BASE = st.fixed_dictionaries({
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(BASE, st.lists(N0, min_size=1, max_size=5), st.lists(R, min_size=1, max_size=4),
        st.one_of(st.none(), st.none(), st.lists(THETA_SQ, min_size=1, max_size=3)))
+# n0 < 0 at r_pumped = 0 gives gamma = -0.0, which passes the angle checks and
+# fails only n0 > 0
+@example(base={"n0": 1e6, "r_original": 1.0, "r_pumped": None, "strength": 1.0,
+               "delta": 0.1, "theta_sq": None},
+         n0s=[-5.0, 1e6], rs=[0.0, 1.0], theta_sqs=[0.0, 0.01])
 def test_batched_gw_rows_equal_scalar_rows(base, n0s, rs, theta_sqs):
+    # each row is the one-point call on its own parameters, bit for bit, so it
+    # never depends on its neighbours; the referee names its failing check, and
+    # a passing row meets the scheme formulas
     sweeps = [("n0", tuple(n0s)), ("r_pumped", tuple(rs))]
     if theta_sqs is not None:
         sweeps.append(("theta_sq", tuple(theta_sqs)))
@@ -208,9 +281,15 @@ def test_batched_gw_rows_equal_scalar_rows(base, n0s, rs, theta_sqs):
         params.update((name, row[name]) for name, _ in sweeps)
         with np.errstate(all="ignore"):
             expected, error = _scalar_row(params)
-        assert row["error"] == error
-        for column, value in expected.items():
-            assert _bits(row[column]) == _bits(value), (column, row, expected)
+            failing = _referee(params)
+            assert row["error"] == error
+            for column, value in expected.items():
+                assert _bits(row[column]) == _bits(value), (column, row, expected)
+            if failing is None:
+                assert error == ""
+                _check_formulas(row, params)
+            else:
+                assert error.startswith(failing), (error, failing)
 
 
 def test_compare_grid_keeps_reduced_shapes():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pumpedsu11 import (ConfigError, emit, optimal_phases, optimal_tritter_angle,
                         parse_config, qfi_numeric, run_sweep)
 from pumpedsu11.cli import main
-from pumpedsu11.sweep import DEFAULTS, SweepTable, _build_config
+from pumpedsu11.sweep import DEFAULTS, GRID_CAP, SweepTable, _build_config
 from conftest import child_env, emit_rowwise
 
 
@@ -227,6 +227,45 @@ nbar = linspace 10 1000 1001
         parse_config(write(tmp_path, text))
 
 
+@pytest.mark.parametrize("count, message", [
+    (str(GRID_CAP + 1), f"linspace count {GRID_CAP + 1} exceeds the grid cap {GRID_CAP}"),
+    ("1e30", f"linspace count 1e30 exceeds the grid cap {GRID_CAP}"),
+    ("2.9", "linspace count must be a whole number, got 2.9"),
+    ("0.5", "linspace count must be a whole number, got 0.5"),
+    ("0", "sweep count must be >= 1, got 0"),
+])
+def test_linspace_count_is_checked_before_its_values_are_made(tmp_path, count, message):
+    # a count above the cap was once materialised before the grid check (1e30
+    # failed inside numpy), and 2.9 silently became 2 rows
+    path = write(tmp_path, f"channel = squeezing\n[sweep]\ntheta = linspace 0 1 {count}\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config(path)
+    assert str(info.value) == f"{path}:3: {message}"
+
+
+def test_linspace_refuses_a_span_that_overflows(tmp_path):
+    # hi - lo overflows, and numpy's values would be nan and inf
+    path = write(tmp_path, "channel = squeezing\n[sweep]\nr = linspace -1e308 1e308 3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="non-finite value"):
+            parse_config(path)
+
+
+def test_linspace_accepts_a_whole_count_in_any_notation(tmp_path):
+    path = write(tmp_path, "channel = squeezing\n[sweep]\ntheta = linspace 0 1 3.0\n"
+                           "r = linspace 0 1 1e0\n")
+    assert parse_config(path).sweeps == (("theta", (0.0, 0.5, 1.0)), ("r", (0.0,)))
+
+
+@pytest.mark.parametrize("text", ["channel = phase\nepsilon = 0.3\n",
+                                  "channel = phase\n[sweep]\nepsilon = values 0 0.01 0.3\n"])
+def test_config_refuses_the_epsilon_key(tmp_path, text):
+    # epsilon was accepted and then ignored: the strain point is eps0
+    with pytest.raises(ConfigError, match="'epsilon'"):
+        parse_config(write(tmp_path, text))
+
+
 def test_gw_and_interferometer_keys_conflict(tmp_path):
     text = "channel = squeezing\n[gw]\nn0 = 1e6\nr_original = 1.0\n"
     with pytest.raises(ConfigError, match="either"):
@@ -349,8 +388,7 @@ def test_large_squeezing_rows_are_valid(tmp_path, kind):
 
 
 def test_cli_qfi_phase_channel_numeric_only(tmp_path, capsys):
-    path = write(tmp_path, "channel = phase\nr = 1.0\nnbar = 1e4\ntheta = 0.4\n"
-                           "epsilon = 0.0\n")
+    path = write(tmp_path, "channel = phase\nr = 1.0\nnbar = 1e4\ntheta = 0.4\n")
     assert main(["qfi", "--config", path]) == 0
     out = capsys.readouterr().out
     assert "H_numeric" in out and "H_closed" not in out
@@ -450,7 +488,7 @@ def test_cli_cold_start_loads_no_scipy(tmp_path):
 
 
 def test_cli_gw_sweep_reports_a_failed_row_without_warnings(tmp_path):
-    # n0 = 0 divides by zero when compare_grid redoes the flagged row on its own
+    # n0 = 0 divides by zero in gamma = n_side / n0, and the row's error words it
     path = write(tmp_path, "[gw]\nn0 = 1e6\nr_original = 4.2\n[sweep]\nn0 = values 0 1e6\n")
     proc = subprocess.run([sys.executable, "-m", "pumpedsu11.cli", "sweep", "--config", path],
                           capture_output=True, text=True, env=child_env())
