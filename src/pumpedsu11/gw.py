@@ -242,9 +242,9 @@ def compare_grid(n0, r_original, r_pumped=None, strength=1.0, delta=0.1, theta_s
         outside = ~((0.0 <= gamma) & (gamma <= delta)) | (delta >= 1.0) \
             | ~((-1.0 <= z) & (z <= 1.0))
         angle = _scalar_check(outside, max_tritter_angle, gamma, delta)
-        ok = ~full(outside)
+        inside = ~full(outside)
         theta_max = np.full(shape, np.nan)
-        theta_max[ok] = max_tritter_angle(full(gamma)[ok], full(delta)[ok])
+        theta_max[inside] = max_tritter_angle(full(gamma)[inside], full(delta)[inside])
         bound = theta_max * theta_max
         checks = [angle]
         if theta_sq is None:
