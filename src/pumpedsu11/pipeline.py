@@ -237,7 +237,7 @@ def _row_errors(checks, shape, valid=True) -> dict:
 def _scalar_check(failed, call, *fields):
     """A check whose error comes from a scalar function: where ``failed``, the
     point's outcome is that of ``call`` on the point's ``fields``, as Python floats."""
-    own = np.broadcast_shapes(np.shape(failed), *map(np.shape, fields))
+    own = np.broadcast(failed, *fields).shape
 
     def error(j):
         try:
@@ -248,7 +248,7 @@ def _scalar_check(failed, call, *fields):
             # errors: that cycle would keep the whole grid alive until the garbage
             # collector runs
             return exc.with_traceback(None)
-    return np.broadcast_to(failed, own), error
+    return (failed if np.shape(failed) == own else np.broadcast_to(failed, own)), error
 
 
 def _flat(value, shape) -> np.ndarray:
