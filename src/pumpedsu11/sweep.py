@@ -361,14 +361,15 @@ def _interferometer_table(spec: SweepSpec, eps0: float) -> SweepTable:
     n0 = nbar - n_side
     point = _Point(*(params[name] for name in _Point._fields[:-2]), n0, n_side)
     # the checks of ChannelSpec and InterferometerConfig that a swept value can
-    # fail, in their order (parse_config checked the keys no sweep sets)
+    # fail, in their order (parse_config checked the base point, and the keys
+    # no sweep sets)
     failed = _row_errors([
         _scalar_check(strength < 0.0, functools.partial(ChannelSpec, spec.base["channel"]),
                       strength),
         _scalar_check(n0 <= 0.0, pump_depletion, nbar, r),
         _scalar_check(np.logical_not((0.0 <= theta) & (theta <= np.pi / 2)),
                       _check_tritter_angle, theta),
-    ], shape)
+    ], shape) if spec.sweeps else {}
     valid = True
     if failed:
         valid = np.ones(size, dtype=bool)
