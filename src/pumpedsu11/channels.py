@@ -231,17 +231,10 @@ class ChannelSpec:
         return _channel_argument(self.kind, self.epsilon if epsilon is None else epsilon,
                                  self.strength)
 
-    def symplectic(self, epsilon: float | None = None) -> SymplecticOp:
-        """The channel's symplectic matrix at the given strain (native size)."""
-        side = _side_channel(self.kind, self.channel_argument(epsilon), self.phase)
-        if self.kind == "phase":
-            return SymplecticOp(3, _with_pump(side))
-        return SymplecticOp(2, side)
-
     def three_mode(self, epsilon: float | None = None) -> SymplecticOp:
-        """The channel lifted into the three-mode pipeline (identity on the pump)."""
-        op = self.symplectic(epsilon)
-        return op if op.n_modes == 3 else embed_on_side_modes(op)
+        """The channel in the three-mode pipeline at the given strain (identity on the pump)."""
+        return SymplecticOp(3, _with_pump(_side_channel(self.kind, self.channel_argument(epsilon),
+                                                        self.phase)))
 
     def generator(self) -> np.ndarray:
         """The 6x6 strain generator K, zero on the pump: three_mode(eps) = expm(eps K)."""

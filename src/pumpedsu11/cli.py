@@ -78,8 +78,8 @@ def _single_point(args, spec, quantities) -> int:
         raise ConfigError(f"{args.config}: single-point command, but [sweep] is present; "
                           "use the sweep subcommand")
     spec = type(spec)(base=spec.base, sweeps=(), quantities=quantities, kind=spec.kind)
-    rows = run_sweep(spec, eps0=args.eps0)
-    row = rows[0]
+    table = run_sweep(spec, eps0=args.eps0, table=True)
+    row = table.rows()[0]
     if row["error"]:
         print(f"error: {row['error']}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -88,7 +88,7 @@ def _single_point(args, spec, quantities) -> int:
             print(f"{key} = {row[key]:.12e}")
     path = _out_path(args)
     if path:
-        emit(rows, args.format, path, spec=spec)
+        emit(table, args.format, path)
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -121,7 +121,8 @@ def _cmd_gw_compare(args) -> int:
     spec = parse_config(args.config)
     if spec.kind != "gw":
         raise ConfigError(f"{args.config}: gw-compare needs a [gw] section")
-    rows = run_sweep(spec, eps0=args.eps0)
+    table = run_sweep(spec, eps0=args.eps0, table=True)
+    rows = table.rows()
     if len(rows) == 1 and rows[0]["error"]:
         print(f"error: {rows[0]['error']}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -131,7 +132,7 @@ def _cmd_gw_compare(args) -> int:
             print(f"{key} = {row[key]:.12e}")
     path = _out_path(args)
     if path:
-        emit(rows, args.format, path, spec=spec)
+        emit(table, args.format, path)
         print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 

@@ -214,11 +214,12 @@ def compare_grid(n0, r_original, r_pumped=None, strength=1.0, delta=0.1, theta_s
     The checks run as masks over the grid, in this order: a nonnegative
     theta_sq; those of :func:`max_tritter_angle` on gamma = n_side / n0 and
     delta (0 <= gamma <= delta, delta < 1, an arccos argument in [-1, 1]);
-    theta_sq within 2% of the bound theta_max^2; n0 > 0.  A failing row
-    carries the error of its first failing check (:func:`pipeline._row_errors`),
-    and a row that passes them all keeps its values, finite or not (an
-    overflowing sinh gives inf).  A row depends only on its own parameters, so
-    it is bit-identical to :func:`compare_schemes` on them.
+    theta_sq within 2% of the bound theta_max^2; n0 > 0; and last, finite
+    qfi_original, qfi_pumped and ratio (an overflowing sinh gives inf, and
+    strength 0 an undefined ratio).  A failing row carries the error of its
+    first failing check (:func:`pipeline._row_errors`).  A row depends only on
+    its own parameters, so it is bit-identical to :func:`compare_schemes` on
+    them.
 
     Returns ``(columns, errors)``: ``columns`` maps qfi_original, qfi_pumped,
     ratio, theta and theta_max to an array that broadcasts to the grid shape
@@ -268,6 +269,12 @@ def compare_grid(n0, r_original, r_pumped=None, strength=1.0, delta=0.1, theta_s
         h_pump[ok] = pumped_scheme_qfi(*(full(a)[ok] for a in (n0, r_pumped, theta, strength)))
         columns = {"qfi_original": h_orig, "qfi_pumped": h_pump, "ratio": h_pump / h_orig,
                    "theta": theta, "theta_max": theta_max}
+        # the last check, on the rows that pass all the others: finite results
+        results = {name: full(columns[name]) for name in ("qfi_original", "qfi_pumped", "ratio")}
+        nonfinite = ~(np.isfinite(h_orig) & np.isfinite(h_pump) & np.isfinite(columns["ratio"]))
+        errors.update(_row_errors([(nonfinite, lambda j: ValueError("non-finite " + ", ".join(
+            name for name, values in results.items() if not np.isfinite(_item(values, j)))))],
+            shape, ok.ravel()))
     if errors:
         columns = {name: full(values).copy() for name, values in columns.items()}
         for values in columns.values():

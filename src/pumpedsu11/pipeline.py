@@ -7,16 +7,9 @@ n0 = nbar - 2 sinh^2 r, so that total particle number is conserved.  That
 replacement is a modeling step, not a symplectic map, which is why it lives
 here and not in :mod:`channels`.
 
-Everything that does not depend on the strain is built once per
-:class:`InterferometerConfig` and cached on it (``functools.cached_property``):
-the state after the source squeezer and the tritter, the forward half S_plus
-and the reverse half S_minus.  A strain evaluation then costs one channel
-application (none at zero strain, where the channel is the identity), plus
-one application of S_minus for the output state.  This is
-safe because the config is frozen, so its parameters cannot drift away from
-its cache, and the cached states and operations hold read-only arrays.  The
-cache lives exactly as long as its config: ``dataclasses.replace`` builds a
-new config with an empty cache, and nothing is kept at module level.
+Nothing is cached on a config: a strain evaluation builds the squeezer, the
+tritter and the channel (and S_minus for the output state).  Each config the
+package builds is evaluated once; a grid goes to the kernel of :mod:`metrology`.
 
 Grids of parameters share one failure protocol, :func:`_row_errors`: each
 check is a mask over the grid and a function that words a failing point's
@@ -31,7 +24,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -82,28 +74,13 @@ class InterferometerConfig:
         pump_depletion(self.nbar, self.r)  # raises if the pump cannot dominate
         _check_tritter_angle(self.theta)
 
-    @cached_property
-    def _forward(self) -> tuple[GaussianState, SymplecticOp]:
-        # sigma carries the source squeezer and d the depleted amplitude sqrt(n0);
-        # the state takes the squeezer and the tritter one at a time, as S_plus
-        # applied in one step rounds differently
-        squeezer = pumped_two_mode_squeezer(self.r, self.squeeze_phase)
-        mixer = tritter(self.theta, self.tritter_phase)
-        n0, _ = pump_depletion(self.nbar, self.r)
-        state = apply_symplectic(pumped_input_state(n0, self.pump_phase), squeezer)
-        return apply_symplectic(state, mixer), mixer @ squeezer
-
-    @property
-    def after_tritter(self) -> GaussianState:
-        """State after the source squeezer and the tritter (cached)."""
-        return self._forward[0]
-
     @property
     def forward_half(self) -> SymplecticOp:
-        """S_plus: the source squeezer followed by the tritter (cached)."""
-        return self._forward[1]
+        """S_plus: the source squeezer followed by the tritter."""
+        return tritter(self.theta, self.tritter_phase) \
+            @ pumped_two_mode_squeezer(self.r, self.squeeze_phase)
 
-    @cached_property
+    @property
     def reverse_half(self) -> SymplecticOp:
         """S_minus = S_plus^-1: the reverse tritter followed by the reverse squeezer."""
         return self.forward_half.inverse()
@@ -147,12 +124,17 @@ def pre_measurement_state(config: InterferometerConfig,
     """State after source, tritter and probed channel (no return path).
 
     This is the family whose quantum Fisher information bounds the estimation
-    of the channel strain.  At zero strain it is the config's cached state
-    after the tritter.
+    of the channel strain.  The input state takes the source squeezer, the
+    tritter and the channel one at a time (S_plus in one step rounds
+    differently); at zero strain the channel is the exact identity.
     """
-    if config.channel.channel_argument(epsilon) == 0:
-        return config.after_tritter  # the channel at zero strain is the identity
-    return apply_symplectic(config.after_tritter, config.channel.three_mode(epsilon))
+    n0, _ = pump_depletion(config.nbar, config.r)
+    state = pumped_input_state(n0, config.pump_phase)
+    for op in (pumped_two_mode_squeezer(config.r, config.squeeze_phase),
+               tritter(config.theta, config.tritter_phase),
+               config.channel.three_mode(epsilon)):
+        state = apply_symplectic(state, op)
+    return state
 
 
 def run_interferometer(config: InterferometerConfig,

@@ -7,11 +7,11 @@ and <a^dag a> = (sigma_qq + sigma_pp + d_q^2 + d_p^2)/4 - 1/2 per mode.
 ``symplectic_form(n)`` is built once per mode count and then returned as the
 same read-only array on every call, since the residual check of every
 ``SymplecticOp`` reads it.  Sharing it is safe because no caller can write to
-it; states and operations likewise store their arrays read-only, so the
-pipeline can cache them per configuration.  The residual is measured relative
-to the matrix's scale (see :func:`_symplectic_residual`), so a strongly
-squeezing element, symplectic by construction, passes the same tolerance as
-a passive one.
+it; states and operations likewise store their arrays read-only, so they
+can be shared without a copy.  The residual is measured relative to the
+matrix's scale (see :func:`_symplectic_residual`), so a strongly squeezing
+element, symplectic by construction, passes the same tolerance as a passive
+one.
 
 These objects are the public state API (the object pipeline, the demos and
 ``validation``).  The metrology kernel uses only the exact symplectic

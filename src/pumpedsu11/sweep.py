@@ -40,8 +40,8 @@ no :class:`InterferometerConfig` is built for any row.  A ``[gw]`` sweep
 evaluates its whole grid, checks included, in one call of
 :func:`gw.compare_grid`.  The ``[outputs]`` section selects interferometer
 quantities only; a ``[gw]`` run always writes the comparison columns.
-Results are held column by column (:class:`SweepTable`), and :func:`emit`
-formats each column in one pass.
+Results are held column by column (:class:`SweepTable`), the one form
+:func:`emit` writes, formatting each column in one pass.
 """
 
 from __future__ import annotations
@@ -213,8 +213,6 @@ def parse_config(path) -> SweepSpec:
             if key not in GW_DEFAULTS:
                 raise ConfigError(f"{where}: unknown key {key!r} in [gw]")
             gw[key] = _parse_number(value, where)
-            if key == "theta_sq" and gw[key] < 0.0:
-                raise ConfigError(f"{where}: theta_sq must be nonnegative, got {value!r}")
 
     if gw:
         if base:
@@ -284,13 +282,10 @@ def _build_config(params: dict) -> InterferometerConfig:
 
 
 def _check_gw_point(params: dict, path) -> None:
-    """Put an unswept [gw] point through compare_grid's checks, and require finite results."""
-    columns, errors = compare_grid(**params)
+    """Put an unswept [gw] point through compare_grid's checks; raise its first error."""
+    _, errors = compare_grid(**params)
     if errors:
         raise ConfigError(f"{path}: [gw] base point: {errors[0]}")
-    bad = [name for name, values in columns.items() if not np.isfinite(values)]
-    if bad:
-        raise ConfigError(f"{path}: [gw] base point gives a non-finite {', '.join(bad)}")
 
 
 @dataclass(frozen=True)
@@ -391,33 +386,23 @@ def _interferometer_table(spec: SweepSpec, eps0: float) -> SweepTable:
 
 
 def run_sweep(spec: SweepSpec, eps0: float = 1e-3, *, table: bool = False):
-    """Evaluate the run configuration over its full grid; one row dict per point.
+    """Evaluate the run configuration over its full grid.
 
-    Rows come back in lexicographic grid order (first swept name outermost).
-    Each interferometer point is validated on its own, so a depleted or
-    out-of-range point gets its configuration error; the grid's parameter
-    arrays then go to the stacked kernel as one batch.  A ``[gw]`` grid goes to
+    With ``table=True`` the result is the grid's :class:`SweepTable`, the one
+    input :func:`emit` takes; otherwise it is that table's rows, one dict per
+    point.  Rows run in lexicographic grid order (first swept name outermost).
+    An interferometer grid's row checks (strength, pump depletion, angle
+    range) run as masks over its parameter arrays, and the rows that pass go
+    to the stacked kernel as one batch.  A ``[gw]`` grid goes to
     :func:`gw.compare_grid` as one batch.  Failures are recorded in the row's
-    ``error`` cell and never abort the sweep.  With ``table=True`` the result
-    is returned as a :class:`SweepTable`, which :func:`emit` formats without a
-    dict per row.
+    ``error`` cell and never abort the sweep.
     """
     result = _gw_table(spec) if spec.kind == "gw" else _interferometer_table(spec, eps0)
     return result if table else result.rows()
 
 
-def _columns(spec_or_rows) -> list:
-    if isinstance(spec_or_rows, SweepSpec):
-        names = list(sweeps_names(spec_or_rows.sweeps))
-        tail = GW_COLUMNS if spec_or_rows.kind == "gw" else INTERFEROMETER_COLUMNS
-        return names + [c for c in tail if c not in names]
-    # infer from the first row, preserving insertion order
-    return list(spec_or_rows[0].keys())
-
-
 # json writes the non-finite floats this way, not as Python's repr
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_NUMBER_TYPES = {float, int, np.float64}
 _SMALLEST_NORMAL = 2.2250738585072014e-308
 
 
@@ -475,56 +460,41 @@ def _number_text(values, fmt: str) -> list:
     return text
 
 
-def _cell_text(value, fmt: str) -> str:
-    if isinstance(value, (int, float)):
-        return f"{value:.12e}" if fmt == "csv" else _json_number(value)
-    if fmt == "csv":
-        return "" if value is None else _csv_cell(value) if isinstance(value, str) \
-            else f"{value:.12e}"
-    return json.dumps(value) if value else "null"
-
-
 def _column_text(column, shape, fmt: str) -> list:
-    """One column's cells as text, in grid order (a CSV text cell quoted as csv.writer would)."""
+    """One column's cells as text, in grid order: numbers (None where a row
+    failed) or strings (a CSV text cell quoted as csv.writer would)."""
     if isinstance(column, np.ndarray):
         text = np.array(_number_text(column.ravel(), fmt), dtype=object)
         return np.broadcast_to(text.reshape(column.shape), shape).ravel().tolist()
     kinds = set(map(type, column))
-    if kinds <= _NUMBER_TYPES:
-        return _number_text(column, fmt)
-    if kinds <= _NUMBER_TYPES | {type(None)}:  # a numeric column with failed rows
-        if fmt == "csv":
-            number = "{:.12e}".format
-            return ["" if v is None else number(v) for v in column]
-        numbers = iter(_number_text([v for v in column if v is not None], fmt))
-        return ["null" if v is None else next(numbers) for v in column]
     if kinds == {str}:
         if fmt == "csv":
             return list(map(_csv_cell, column))
         return [json.dumps(v) if v else "null" for v in column]
-    return [_cell_text(value, fmt) for value in column]
+    if type(None) not in kinds:
+        return _number_text(column, fmt)
+    if fmt == "csv":
+        number = "{:.12e}".format
+        return ["" if v is None else number(v) for v in column]
+    numbers = iter(_number_text([v for v in column if v is not None], fmt))
+    return ["null" if v is None else next(numbers) for v in column]
 
 
-def emit(table, fmt: str = "csv", path=None, spec: SweepSpec | None = None) -> str:
-    """Serialize a result table to CSV or JSON; returns the text, writes ``path``.
+def emit(table: SweepTable, fmt: str = "csv", path=None) -> str:
+    """Serialize a :class:`SweepTable` to CSV or JSON; returns the text, writes ``path``.
 
-    ``table`` is a list of row dicts, whose columns come from ``spec`` or else
-    from the first row, or a :class:`SweepTable` (``spec`` is then unused).
-    Cells are numbers, strings or None.  Numeric cells carry 13 significant
-    digits in both formats, so a CSV/JSON pair of the same table parses to
-    identical values and a written table round-trips bit-for-bit at that
-    precision: a CSV number is its ``.12e`` text, a JSON number the shortest
-    repr of the float that text parses to.  Each column is formatted in one
-    pass (a JSON column in one ``.13g`` pass, see :func:`_number_text` for the
-    cells that take the repr rule instead) and the rows are joined through one
-    template.  The CSV text is ``csv.writer``'s with ``"\n"`` line ends: only a
-    text cell can need quotes, so only text cells go through its quoting rule
-    (:func:`_csv_cell`).  The JSON text is the layout of
-    ``json.dumps(records, indent=1)``.
+    A column holds numbers (None where a row failed) or strings.  Numeric
+    cells carry 13 significant digits in both formats, so a CSV/JSON pair of
+    the same table parses to identical values and a written table round-trips
+    bit-for-bit at that precision: a CSV number is its ``.12e`` text, a JSON
+    number the shortest repr of the float that text parses to.  Each column is
+    formatted in one pass (a JSON column in one ``.13g`` pass, see
+    :func:`_number_text` for the cells that take the repr rule instead) and the
+    rows are joined through one template.  The CSV text is ``csv.writer``'s
+    with ``"\n"`` line ends: only a text cell can need quotes, so only text
+    cells go through its quoting rule (:func:`_csv_cell`).  The JSON text is
+    the layout of ``json.dumps(records, indent=1)``.
     """
-    if not isinstance(table, SweepTable):
-        names = _columns(spec if spec is not None else table) if table else ()
-        table = SweepTable({c: [row.get(c) for row in table] for c in names}, (len(table),))
     columns, shape, size = table.columns, table.shape, table.size
     if not size:
         raise ValueError("refusing to emit an empty table")

@@ -183,8 +183,9 @@ def _referee(params):
     The checks in compare_grid's documented order: theta_sq >= 0; 0 <= gamma
     <= delta, delta < 1 and cos 2 theta_max in [-1, 1], where theta_max solves
     "side/pump = delta after the tritter" (see _post_tritter_ratio), which is
-    linear in x = cos 2 theta; theta_sq <= 1.02 theta_max^2; n0 > 0.  Returns
-    the start of the error text the row must carry.
+    linear in x = cos 2 theta; theta_sq <= 1.02 theta_max^2; n0 > 0; and last,
+    finite H_orig, H_pump and ratio (see _scheme_qfis).  Returns the start of
+    the error text the row must carry.
     """
     n0, delta, theta_sq = np.float64(params["n0"]), params["delta"], params["theta_sq"]
     gamma = _side(params) / n0
@@ -203,7 +204,21 @@ def _referee(params):
         return "theta^2 = "
     if not n0 > 0:
         return "pump population must be positive"
+    theta = np.sqrt(theta_sq) if theta_sq is not None else 0.5 * np.arccos(x)
+    if not np.isfinite(_scheme_qfis(params, theta)).all():
+        return "non-finite "
     return None
+
+
+def _scheme_qfis(params, theta):
+    """H_orig = B^2/4 (1 + sinh^2 2r), H_pump = B^2/4 (1 + sinh^2 2r_p)
+    + B^2/2 theta^2 n0 n_side, and their ratio."""
+    b, n0, n_side = params["strength"], params["n0"], _side(params)
+    r_p = params["r_original"] if params["r_pumped"] is None else params["r_pumped"]
+    h_orig = 0.25 * b ** 2 * (1.0 + np.sinh(2.0 * np.float64(params["r_original"])) ** 2)
+    h_pump = 0.25 * b ** 2 * (1.0 + np.sinh(2.0 * np.float64(r_p)) ** 2) \
+        + 0.5 * b ** 2 * theta ** 2 * n0 * n_side
+    return h_orig, h_pump, h_pump / h_orig
 
 
 def _side(params):
@@ -218,22 +233,14 @@ def _post_tritter_ratio(n0, n_side, theta):
 
 
 def _check_formulas(row, params):
-    """A passing row against H_orig = B^2/4 (1 + sinh^2 2r), H_pump = B^2/4
-    (1 + sinh^2 2r_p) + B^2/2 theta^2 n0 n_side, and theta_max's definition."""
-    b, n0, n_side = params["strength"], params["n0"], _side(params)
-    r_p = params["r_original"] if params["r_pumped"] is None else params["r_pumped"]
-    theta = row["theta"]
-    h_orig = 0.25 * b ** 2 * (1.0 + np.sinh(2.0 * np.float64(params["r_original"])) ** 2)
-    h_pump = 0.25 * b ** 2 * (1.0 + np.sinh(2.0 * r_p) ** 2) \
-        + 0.5 * b ** 2 * theta ** 2 * n0 * n_side
-    assert row["qfi_original"] == pytest.approx(h_orig, rel=1e-12)
-    assert row["qfi_pumped"] == pytest.approx(h_pump, rel=1e-12)
-    # B = 0, or an overflowing H_orig, leaves the ratio undefined
-    assert row["ratio"] == pytest.approx(h_pump / h_orig, rel=1e-12, nan_ok=True)
+    """A passing row against the scheme formulas (_scheme_qfis) and theta_max's definition."""
+    for column, value in zip(("qfi_original", "qfi_pumped", "ratio"),
+                             _scheme_qfis(params, row["theta"])):
+        assert row[column] == pytest.approx(value, rel=1e-12)
     assert row["theta"] == pytest.approx(
         row["theta_max"] if params["theta_sq"] is None else np.sqrt(params["theta_sq"]),
         rel=1e-12)
-    assert _post_tritter_ratio(n0, n_side, row["theta_max"]) == pytest.approx(
+    assert _post_tritter_ratio(params["n0"], _side(params), row["theta_max"]) == pytest.approx(
         params["delta"], rel=1e-9, abs=1e-15)
 
 
@@ -243,7 +250,7 @@ def _bits(value):
 
 # pump populations, squeezing and base values that reach every check of
 # compare_schemes: n0 <= 0, gamma > delta, delta >= 1, negative or excessive
-# theta_sq, and sinh overflow (r > 355), whose inf rows pass the scalar checks
+# theta_sq, and non-finite results from sinh overflow (r > 355) or strength 0
 N0 = st.one_of(*[st.floats(4.0, 9.0).map(lambda e: 10.0 ** e)] * 3,
                st.floats(0.0, 4.0).map(lambda e: 10.0 ** e), st.sampled_from([0.0, -5.0]))
 R = st.one_of(*[st.floats(0.0, 3.0)] * 4, st.floats(300.0, 800.0))

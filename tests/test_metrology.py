@@ -385,9 +385,10 @@ def test_f0_closed_form_pumped_limit_value():
     assert f0 == pytest.approx(qfi_closed_form(cfg, "pumped_limit"), rel=1e-12)
 
 
-def test_f0_large_nbar_matches_numeric():
+@pytest.mark.parametrize("kind", ["squeezing", "mode_mixing"])
+def test_f0_large_nbar_matches_numeric(kind):
     cfg = InterferometerConfig(
-        nbar=1e6, r=1.0, theta=0.5, channel=ChannelSpec("squeezing", 1.0, 0.8),
+        nbar=1e6, r=1.0, theta=0.5, channel=ChannelSpec(kind, 1.0, 0.8),
         pump_phase=0.2, squeeze_phase=1.1, tritter_phase=0.5)
     approx = f0_closed_form(cfg, "large_nbar")
     _, numeric = sensitivity_number_sum(cfg)

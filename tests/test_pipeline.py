@@ -50,20 +50,28 @@ def test_half_pipelines_are_mutual_inverses(rng):
         assert np.max(np.abs(s_minus.matrix @ s_plus.matrix - np.eye(6))) < 1e-10
 
 
-def test_strain_independent_parts_are_built_once_per_config():
+def test_halves_are_built_fresh_and_the_output_is_their_composition():
+    # nothing is cached on a config: each access builds its halves from its own
+    # parameters, and a replaced config gets its own
     cfg = _config()
-    s_plus, s_minus = cfg.forward_half, cfg.reverse_half
-    assert cfg.forward_half is s_plus and cfg.reverse_half is s_minus
-    # at zero strain the channel is the identity: the cached state after the tritter
-    assert pre_measurement_state(cfg, 0.0) is pre_measurement_state(cfg, 0.0)
-
+    assert cfg.forward_half is not cfg.forward_half
+    assert np.array_equal(cfg.forward_half.matrix,
+                          (tritter(0.4) @ pumped_two_mode_squeezer(1.0)).matrix)
     moved = dataclasses.replace(cfg, theta=1.1)
-    expected = tritter(1.1) @ pumped_two_mode_squeezer(1.0)
-    moved_plus, moved_minus = moved.forward_half, moved.reverse_half
-    assert moved_plus is not s_plus and moved_minus is not s_minus
-    assert np.array_equal(moved_plus.matrix, expected.matrix)
-    direct = apply_symplectic(pre_measurement_state(cfg, 0.3), s_minus)
-    assert np.array_equal(run_interferometer(cfg, 0.3).sigma, direct.sigma)
+    assert np.array_equal(moved.forward_half.matrix,
+                          (tritter(1.1) @ pumped_two_mode_squeezer(1.0)).matrix)
+    assert np.array_equal(moved.reverse_half.matrix, moved.forward_half.inverse().matrix)
+    # at zero strain the channel is the exact identity
+    n0, _ = pump_depletion(cfg.nbar, cfg.r)
+    state = pumped_input_state(n0)
+    for op in (pumped_two_mode_squeezer(1.0), tritter(0.4)):
+        state = apply_symplectic(state, op)
+    at_zero = pre_measurement_state(cfg, 0.0)
+    assert np.array_equal(at_zero.sigma, state.sigma) and np.array_equal(at_zero.d, state.d)
+    for eps in (0.0, 0.3):
+        direct = apply_symplectic(pre_measurement_state(cfg, eps), cfg.reverse_half)
+        out = run_interferometer(cfg, eps)
+        assert np.array_equal(out.sigma, direct.sigma) and np.array_equal(out.d, direct.d)
 
 
 def test_zero_strain_output_side_modes_are_vacuum(rng):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pumpedsu11 import (ConfigError, emit, optimal_phases, optimal_tritter_angle,
                         parse_config, qfi_numeric, run_sweep)
 from pumpedsu11.cli import main
-from pumpedsu11.sweep import DEFAULTS, GRID_CAP, SweepTable, _build_config
+from pumpedsu11.sweep import DEFAULTS, GRID_CAP, GW_COLUMNS, SweepTable, _build_config
 from conftest import child_env, emit_rowwise
 
 
@@ -155,9 +155,10 @@ quantities = H_numeric
 
 
 def test_emit_csv_shape_and_roundtrip(tmp_path):
-    spec = parse_config(write(tmp_path, "channel = squeezing\nr = 0.7\nnbar = 200\ntheta = 0.5\n"))
-    rows = run_sweep(spec)
-    text = emit(rows, "csv", spec=spec)
+    table = run_sweep(parse_config(write(
+        tmp_path, "channel = squeezing\nr = 0.7\nnbar = 200\ntheta = 0.5\n")), table=True)
+    rows = table.rows()
+    text = emit(table, "csv")
     lines = text.strip().split("\n")
     assert len(lines) == 2
     assert lines[0] == "H_numeric,H_closed,F0,mean_S,var_S,theta_t,error"
@@ -172,9 +173,9 @@ nbar = 200
 [sweep]
 theta = values 0.2 0.9
 """))
-    rows = run_sweep(spec)
-    csv_text = emit(rows, "csv", spec=spec)
-    json_rows = json.loads(emit(rows, "json", spec=spec))
+    table = run_sweep(spec, table=True)
+    csv_text = emit(table, "csv")
+    json_rows = json.loads(emit(table, "json"))
     header = csv_text.strip().split("\n")[0].split(",")
     for line, record in zip(csv_text.strip().split("\n")[1:], json_rows):
         for key, cell in zip(header, line.split(",")):
@@ -191,14 +192,15 @@ nbar = 100
 [sweep]
 theta = linspace 0.1 1.2 5
 """))
-    first = emit(run_sweep(spec), "csv", spec=spec)
-    second = emit(run_sweep(spec), "csv", spec=spec)
+    first = emit(run_sweep(spec, table=True), "csv")
+    second = emit(run_sweep(spec, table=True), "csv")
     assert first == second
 
 
 def test_emit_rejects_empty_table():
-    with pytest.raises(ValueError):
-        emit([], "csv")
+    for columns in ({}, {"error": []}):
+        with pytest.raises(ValueError, match="empty table"):
+            emit(SweepTable(columns, (0,)), "csv")
 
 
 def test_gw_config_and_sweep(tmp_path):
@@ -401,6 +403,30 @@ def test_cli_gw_compare(tmp_path, capsys):
     assert "ratio" in out
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("text", [
+    "[gw]\nn0 = 1e6\nr_original = 4.2\nr_pumped = 2.0\n",
+    "[gw]\nn0 = 1e6\nr_original = 4.2\n[sweep]\nr_pumped = values 1.0 2.0 9.0\n"
+    "theta_sq = values -0.01 0.05\n",
+], ids=["point", "grid"])
+def test_cli_gw_compare_writes_the_table(tmp_path, capsys, text, fmt):
+    path = write(tmp_path, text)
+    out = tmp_path / f"table.{fmt}"
+    assert main(["gw-compare", "--config", path, "--out", str(out), "--format", fmt]) == 0
+    spec = parse_config(path)
+    rows = run_sweep(spec)
+    assert out.read_text() == emit_rowwise(rows, fmt, spec=spec)
+    assert capsys.readouterr().out.endswith(f"wrote {out} ({len(rows)} rows)\n")
+
+
+def test_cli_gw_compare_fails_on_a_one_row_grid_whose_row_fails(tmp_path, capsys):
+    path = write(tmp_path, "[gw]\nn0 = 1e6\nr_original = 4.2\n[sweep]\ntheta_sq = values -0.01\n")
+    out = tmp_path / "table.csv"
+    assert main(["gw-compare", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: theta^2 must be nonnegative, got -0.01\n"
+    assert not out.exists()
+
+
 def test_cli_validate(capsys):
     assert main(["validate", "--cutoff", "20"]) == 0
     out = capsys.readouterr().out
@@ -553,7 +579,7 @@ def test_console_entry_point(tmp_path):
 
 def test_gw_rejects_negative_theta_sq(tmp_path, capsys):
     path = write(tmp_path, "[gw]\nn0 = 1e6\nr_original = 4.2\ntheta_sq = -0.01\n")
-    with pytest.raises(ConfigError, match="theta_sq must be nonnegative"):
+    with pytest.raises(ConfigError, match=r"\[gw\] base point: theta\^2 must be nonnegative"):
         parse_config(path)
     assert main(["gw-compare", "--config", path]) == 1
     assert "config error" in capsys.readouterr().err
@@ -563,6 +589,13 @@ def test_gw_rejects_negative_theta_sq(tmp_path, capsys):
         "swept.conf")))
     assert "nonnegative" in rows[0]["error"] and rows[0]["qfi_pumped"] is None
     assert rows[1]["error"] == "" and rows[1]["theta"] ** 2 == pytest.approx(0.05)
+    # a negative base value that every row replaces does not fail the file
+    path = write(tmp_path, "[gw]\nn0 = 1e6\nr_original = 4.2\ntheta_sq = -0.1\n"
+                           "[sweep]\ntheta_sq = values 0.001 0.002\n", "replaced.conf")
+    assert main(["gw-compare", "--config", path]) == 0
+    rows = run_sweep(parse_config(path))
+    assert [row["error"] for row in rows] == ["", ""]
+    assert [row["theta"] ** 2 for row in rows] == pytest.approx([0.001, 0.002])
 
 
 def test_quantities_must_fit_the_run_kind(tmp_path, capsys):
@@ -582,8 +615,9 @@ def test_quantities_must_fit_the_run_kind(tmp_path, capsys):
 @pytest.mark.parametrize("body, message", [
     ("n0 = 0\nr_original = 4.2\n", "need 0 <= gamma <= delta"),
     ("n0 = 1e6\nr_original = 4.2\ndelta = 2\n", "delta must be small"),
-    ("n0 = 1e6\nr_original = 400\nr_pumped = 2.0\n", "non-finite qfi_original"),
-], ids=["empty_pump", "large_delta", "overflowing_qfi"])
+    ("n0 = 1e6\nr_original = 400\nr_pumped = 2.0\n", "base point: non-finite qfi_original"),
+    ("n0 = 1e6\nr_original = 4.2\nstrength = 0\n", "base point: non-finite ratio"),
+], ids=["empty_pump", "large_delta", "overflowing_qfi", "undefined_ratio"])
 def test_gw_base_point_outside_the_domain_is_a_config_error(tmp_path, capsys, body, message):
     path = write(tmp_path, "[gw]\n" + body)
     with warnings.catch_warnings():
@@ -593,6 +627,19 @@ def test_gw_base_point_outside_the_domain_is_a_config_error(tmp_path, capsys, bo
         assert main(["gw-compare", "--config", path]) == 1
     assert message in str(info.value)
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_gw_non_finite_rows_are_worded_alike_swept_or_not(tmp_path):
+    # an overflowing H_orig once gave swept rows inf and ratio 0 with an empty
+    # error cell, while the same point unswept was a config error
+    base = "[gw]\nn0 = 1e6\nr_original = 400\n"
+    with pytest.raises(ConfigError) as info:
+        parse_config(write(tmp_path, base + "r_pumped = 2.0\n"))
+    rows = run_sweep(parse_config(write(tmp_path, base + "[sweep]\nr_pumped = values 1 2\n",
+                                        "swept.conf")))
+    assert [row["error"] for row in rows] == ["non-finite qfi_original"] * 2
+    assert str(info.value).endswith("[gw] base point: " + rows[1]["error"])
+    assert all(row[column] is None for row in rows for column in GW_COLUMNS[:-1])
 
 
 @pytest.mark.parametrize("sweep, rows", [("r_pumped = linspace 0.5 1.5 3", 3),
@@ -607,24 +654,23 @@ def test_gw_sweep_may_replace_a_base_value_outside_the_domain(tmp_path, capsys, 
     assert all(line.endswith(",") for line in lines[1:])  # no row has an error
 
 
-CELL = st.one_of(
-    st.none(), st.text(max_size=6), st.sampled_from(["", "a, b", 'say "x"', "x\ny", "\r"]),
-    st.floats(allow_nan=True, allow_infinity=True), st.integers(-10 ** 20, 10 ** 20),
-    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, np.float64(1e-300), True]))
+NUMBER = st.one_of(
+    st.none(), st.floats(allow_nan=True, allow_infinity=True), st.integers(-10 ** 20, 10 ** 20),
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, np.float64(1e-300), 10 ** 20, True]))
+TEXT = st.one_of(st.text(max_size=6), st.sampled_from(["", "a, b", 'say "x"', "x\ny", "\r"]))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 4).flatmap(lambda k: st.lists(
-    st.lists(CELL, min_size=k, max_size=k), min_size=1, max_size=5)))
-def test_emit_equals_rowwise_emit(cells):
-    names = [f"c{k}" for k in range(len(cells[0]))]
-    rows = [dict(zip(names, row)) for row in cells]
-    table = SweepTable({name: [row[name] for row in rows] for name in names}, (len(rows),))
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.one_of(
+    st.lists(NUMBER, min_size=n, max_size=n), st.lists(TEXT, min_size=n, max_size=n)),
+    max_size=4)))
+def test_emit_equals_rowwise_emit(columns):
+    # a column holds numbers (None where a row failed) or strings
+    n = len(columns[0]) if columns else 1
+    table = SweepTable({f"c{k}": column for k, column in enumerate(columns)}, (n,))
+    rows = table.rows() or [{}] * n  # a table without columns has no cells to zip
     for fmt in ("csv", "json"):
-        expected = emit_rowwise(rows, fmt)
-        assert emit(rows, fmt) == expected
-        if names:
-            assert emit(table, fmt) == expected
+        assert emit(table, fmt) == emit_rowwise(rows, fmt)
 
 
 @pytest.mark.parametrize("text", [
@@ -643,9 +689,7 @@ def test_emit_of_sweeps_equals_rowwise_emit(tmp_path, text):
     assert table.rows() == rows
     assert any(row["error"] for row in rows) == (len(rows) > 1)
     for fmt in ("csv", "json"):
-        expected = emit_rowwise(rows, fmt, spec=spec)
-        assert emit(rows, fmt, spec=spec) == expected
-        assert emit(table, fmt) == expected
+        assert emit(table, fmt) == emit_rowwise(rows, fmt, spec=spec)
 
 
 # Values where a JSON cell's .13g text and the repr of its 13-digit float may
@@ -666,9 +710,7 @@ def test_emit_edge_values_equal_rowwise_emit():
     table = SweepTable(columns, (len(EDGE_VALUES),))
     rows = table.rows()
     for fmt in ("csv", "json"):
-        expected = emit_rowwise(rows, fmt)
-        assert emit(table, fmt) == expected
-        assert emit(rows, fmt) == expected
+        assert emit(table, fmt) == emit_rowwise(rows, fmt)
     text = emit(table, "json")
     for cell in ('"listed": 10000000000000.0', '"listed": 123456789012300.0',
                  '"listed": 1e+16', '"listed": 5e-324', '"listed": 2.225073858507e-308', '"listed": -0.0',
