@@ -9,12 +9,25 @@ a phase rotation is a diagonal phase; only the tritter, which couples all
 three modes, goes through a Chebyshev-Bessel series (:func:`expm_multiply`).
 None of it shares code with the Gaussian formalism it validates.
 
+The tritter's generator is K = -i g D S D^dag (the gauge identity), with
+g = theta / sqrt 2, D = diag(e^{i phase n_0}) and S = T + T^T real and
+symmetric for T = a_0^dag (a_1 + a_2): every term of T raises n_0 by one, so
+D T D^dag = e^{i phase} T.  So exp(K) psi = D exp(-i g S) D^dag psi, and the
+series runs in real arithmetic, once on the real and once on the imaginary
+part of D^dag psi.
+
 The blocks and the eigensystems of their coefficient-free hopping matrices
 depend on the operation kind and the cutoff alone, so they are cached, keyed
 by (kind, cutoff), read-only, at most 32 entries (:func:`_block_eigensystems`);
-each operation forms its unitaries from them.  A two-mode kind's entry holds
-about (2/3) cutoff^3 floats: 0.37 MB at the three-mode limit, cutoff 40, and
-86 MB for the largest, a squeezer or mixer at the two-mode limit, cutoff 252.
+each operation forms its unitaries from them.  A mixer's entry holds about
+(2/3) cutoff^3 floats: 0.37 MB at the three-mode limit, cutoff 40, and 86 MB
+at the two-mode limit, cutoff 252.  A squeezer's blocks of n_i - n_j = d and
+-d share one eigensystem, so its entry is half that: 0.20 MB and 44 MB.  No
+entry exceeds 86 MB, so the cache stays below 32 x 86 MB = 2.8 GB.  The
+tritter's S, pre-scaled by 2/rho with rho its Gershgorin bound, is cached
+likewise, keyed by the cutoff alone, read-only, at most 8 entries
+(:func:`_tritter_hopping`): its four diagonals are 4 cutoff^3 floats, 2.0 MB
+at cutoff 40, the largest a three-mode space allows, so below 16 MB in all.
 """
 
 from __future__ import annotations
@@ -25,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import dia_matvec
 from scipy.special import jv
 
 __all__ = [
@@ -251,7 +265,10 @@ def _block_eigensystems(kind: type, cutoff: int) -> tuple:
 
     Returns one read-only (index, lam, V) per block size n, from one stacked
     ``eigh`` per size: index[b] lists block b's local basis states in the
-    order T walks them, and S = V diag(lam) V^T on that block.
+    order T walks them, and S = V[b] diag(lam[b]) V[b]^T on that block.  Where
+    every block of a size has the same S, lam and V hold it once, for all of
+    them: a squeezer's blocks of n_i - n_j = d and -d both carry the
+    amplitudes sqrt((k + 1)(k + |d| + 1)).
     """
     unit = kind(0, 1.0) if kind is Displace else kind((0, 1), 1.0)
     _, monomials = _generator_terms(unit)
@@ -274,6 +291,8 @@ def _block_eigensystems(kind: type, cutoff: int) -> tuple:
         p = np.arange(n - 1)
         S = np.zeros((len(starts), n, n))
         S[:, p + 1, p] = S[:, p, p + 1] = amp[index[:, :-1]]
+        if (S == S[:1]).all():
+            S = S[:1]
         lam, V = np.linalg.eigh(S)
         for array in (index, lam, V):
             array.flags.writeable = False
@@ -281,11 +300,32 @@ def _block_eigensystems(kind: type, cutoff: int) -> tuple:
     return tuple(entries)
 
 
+# 8 entries hold the tritter's matrix at eight cutoffs; entry sizes are in the module docstring
+@functools.lru_cache(maxsize=8)
+def _tritter_hopping(cutoff: int) -> tuple:
+    """((2/rho) S, rho) for the tritter's real hopping matrix S at ``cutoff``.
+
+    S = T + T^T with T = a_0^dag (a_1 + a_2) on the three-mode space, and rho
+    is S's Gershgorin bound, its largest absolute row sum.  The tritter's
+    generator is S up to its amplitude and phase (:func:`_propagate`), so S
+    depends on the cutoff alone.  The matrix is held by its four diagonals,
+    read-only.
+    """
+    _, monomials = _generator_terms(Tritter(1.0))
+    S = _ladder_matrix(_occupation(cutoff, 3), cutoff, 1.0, monomials, 1.0)
+    rho = float(np.max(abs(S).sum(axis=1)))
+    S.data *= 2.0 / rho
+    for array in (S.data, S.offsets):
+        array.flags.writeable = False
+    return S, rho
+
+
 def _apply_local(psi: np.ndarray, op, cutoff: int, n_modes: int) -> np.ndarray:
     """exp(K) psi for a one- or two-mode operation, by its block unitaries.
 
     On each block exp(K) = D V e^{-i|w| lambda} V^T D^dag, with the cached
-    (index, lambda, V) of :func:`_block_eigensystems`.
+    (index, lambda, V) of :func:`_block_eigensystems`; a U that all blocks of
+    a size share is built once and broadcast over them.
     """
     coeff, _ = _generator_terms(op)
     modes = (op.mode,) if isinstance(op, Displace) else op.modes
@@ -304,63 +344,105 @@ def _apply_local(psi: np.ndarray, op, cutoff: int, n_modes: int) -> np.ndarray:
     return np.moveaxis(out.reshape(shape), axes, modes).reshape(-1)
 
 
-def expm_multiply(K: sparse.spmatrix, psi: np.ndarray) -> np.ndarray:
-    """exp(K) psi for an anti-Hermitian sparse K, by a Chebyshev-Bessel series.
+def _bessel_coefficients(R: float) -> np.ndarray:
+    """(2 - delta_k0) J_k(R) for k = 0..n-1, n the first order whose tail is below SERIES_TAIL.
 
-    With H = iK Hermitian, exp(K) = exp(-iH).  Gershgorin's discs put the
-    spectrum of H in [c - R, c + R], and there (Jacobi-Anger)
-
-        exp(-iH) = e^{-ic} sum_k (2 - delta_k0) (-i)^k J_k(R) T_k((H - c)/R).
-
-    Each T_k has norm at most 1 on that interval, so stopping at the first n
-    with 2 sum_{j>n} |J_j(R)| <= SERIES_TAIL bounds the error by
-    SERIES_TAIL ||psi|| before any work is done (Tal-Ezer & Kosloff, J. Chem.
-    Phys. 81, 3967 (1984)).  The three-term recurrence runs on
-    chi_k = (-i)^k T_k((H - c)/R) psi, that is
-    chi_{k+1} = (2/R)(K + ic) chi_k + chi_{k-1}, which leaves real
-    coefficients and scales vectors, never a copy of K.
+    Each T_k has norm at most 1 on [-1, 1], so stopping there bounds the
+    series' error by SERIES_TAIL ||psi|| before any work is done.  At least
+    two terms are returned.
     """
-    diagonal = K.diagonal()
-    h_diag = (1j * diagonal).real
-    radii = np.asarray(abs(K).sum(axis=1)).ravel() - np.abs(diagonal)
-    lo, hi = np.min(h_diag - radii), np.max(h_diag + radii)
-    c, R = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    if R == 0.0:
-        return np.exp(-1j * c) * psi
     # |J_k(R)| <= (eR/2k)^k, so the orders past these are far below SERIES_TAIL
     coeffs = jv(np.arange(int(1.5 * R) + 60), R)
     coeffs[1:] *= 2.0
     # tail[n] bounds the remainder after the terms 0..n
     tail = np.cumsum(np.abs(coeffs[:0:-1]))[::-1]
-    n_terms = int(np.argmax(tail <= SERIES_TAIL)) + 1
-    scale, shift = 2.0 / R, 2j * c / R
-    chi_prev = psi
-    chi = K @ psi
-    if c:
-        chi += 1j * c * psi
-    chi *= 1.0 / R
-    out = coeffs[0] * psi + coeffs[1] * chi
-    for coeff in coeffs[2:n_terms]:
-        chi_next = K @ chi
-        chi_next *= scale
-        if c:
-            chi_next += shift * chi
-        chi_next += chi_prev
-        out += coeff * chi_next
-        chi_prev, chi = chi, chi_next
-    if c:
-        out *= np.exp(-1j * c)
+    return coeffs[:max(int(np.argmax(tail <= SERIES_TAIL)) + 1, 2)]
+
+
+def _chebyshev_sums(hopping: sparse.dia_matrix, b: np.ndarray, x: np.ndarray) -> tuple:
+    """(sum over even k, sum over odd k) of b_k T_k(S/rho) x, for a real x it overwrites.
+
+    ``hopping`` is (2/rho) S, so T_{k+1} x = hopping T_k x - T_{k-1} x.  Two
+    buffers rotate: scipy's DIA kernel adds hopping T_k x into the negated
+    T_{k-1} x, which ``hopping @`` would do through a fresh zeroed vector.
+    """
+    offsets, data = hopping.offsets, hopping.data
+    dim = len(x)
+    cur = hopping @ x
+    cur *= 0.5
+    sums = [b[0] * x, b[1] * cur]
+    scratch, prev = np.empty_like(x), x
+    for k in range(2, len(b)):
+        np.negative(prev, out=prev)
+        dia_matvec(dim, dim, len(offsets), data.shape[1], offsets, data, cur, prev)
+        np.multiply(prev, b[k], out=scratch)
+        sums[k % 2] += scratch
+        prev, cur = cur, prev
+    return sums
+
+
+def expm_multiply(t: float, psi: np.ndarray, cutoff: int) -> np.ndarray:
+    """exp(-i t S) psi, with S the tritter's hopping matrix at ``cutoff``, by a Chebyshev-Bessel series.
+
+    S is real and symmetric with a zero diagonal, so Gershgorin's discs put
+    the spectrum of t S in [-R, R] with R = |t| rho (:func:`_tritter_hopping`),
+    and there (Jacobi-Anger)
+
+        exp(-i t S) = sum_k (2 - delta_k0) (-i sgn t)^k J_k(R) T_k(S / rho),
+
+    with T_k(-x) = (-1)^k T_k(x) giving the sign.  The series stops at the
+    first n with 2 sum_{j>n} |J_j(R)| <= SERIES_TAIL, which bounds its error
+    by SERIES_TAIL ||psi|| before any work is done (Tal-Ezer & Kosloff,
+    J. Chem. Phys. 81, 3967 (1984)).  T_k(S / rho) is real, so the
+    three-term recurrence runs in real arithmetic, once on Re psi and once on
+    Im psi, and (-i sgn t)^k is folded into the coefficients: it is real for
+    even k and imaginary for odd k, so the even and the odd terms are summed
+    apart and combined once at the end.
+    """
+    hopping, rho = _tritter_hopping(cutoff)
+    R = abs(t) * rho
+    if R == 0.0:
+        return psi.copy()
+    b = _bessel_coefficients(R)
+    k = np.arange(len(b))
+    # (-i sgn t)^k is (-1)^(k/2) for even k and i (-sgn t) (-1)^((k-1)/2) for odd k
+    b *= np.where(k % 2, -np.sign(t), 1.0) * (-1.0) ** (k // 2)
+    (even_re, odd_re), (even_im, odd_im) = (_chebyshev_sums(hopping, b, part.copy())
+                                            for part in (psi.real, psi.imag))
+    out = np.empty(len(psi), dtype=complex)
+    out.real = even_re - odd_im
+    out.imag = even_im + odd_re
     return out
 
 
+def _gauge_phases(phase: float, cutoff: int) -> np.ndarray:
+    """e^{i phase n_0} for n_0 = 0..cutoff-1, the tritter's D by its mode-0 occupation.
+
+    The powers of e^{i phase} come by repeated products: exp(i phase n_0)
+    would round phase n_0, which is off by up to 1e-13 at |phase| = 50.
+    """
+    u = np.full(cutoff, cmath.exp(1j * phase))
+    u[0] = 1.0
+    return np.cumprod(u)
+
+
 def _propagate(space: FockSpace, op, psi: np.ndarray) -> np.ndarray:
-    """exp(K) psi for one operation: local block unitaries, a diagonal phase, or the series."""
+    """exp(K) psi for one operation: local block unitaries, a diagonal phase, or the series.
+
+    A tritter applies D exp(-i g S) D^dag psi, by the gauge identity of the
+    module docstring.
+    """
     if isinstance(op, (Displace, TwoModeSqueeze, ModeMix)):
         return _apply_local(psi, op, space.cutoff, space.n_modes)
-    K = _antihermitian_generator(space, op)
-    if isinstance(op, PhaseRotate):
-        return np.exp(K.diagonal()) * psi
-    return expm_multiply(K, psi)
+    if isinstance(op, Tritter):
+        if space.n_modes != 3:
+            raise ValueError("tritter requires a three-mode space")
+        # mode 0 varies slowest, so D scales the rows of psi shaped (n_0, rest)
+        d = _gauge_phases(op.phase, space.cutoff)[:, None]
+        psi = (d.conj() * psi.reshape(space.cutoff, -1)).reshape(-1)
+        psi = expm_multiply(op.theta / np.sqrt(2.0), psi, space.cutoff)
+        return (d * psi.reshape(space.cutoff, -1)).reshape(-1)
+    return np.exp(_antihermitian_generator(space, op).diagonal()) * psi
 
 
 def prepare_state_fock(ops, cutoff: int, n_modes: int = 2) -> tuple[np.ndarray, float]:

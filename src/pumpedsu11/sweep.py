@@ -314,9 +314,10 @@ class SweepTable:
         return column
 
     def rows(self) -> list:
-        """One dict per row, keys in column order."""
+        """One dict per row, keys in column order; empty dicts for a table without columns."""
         names = list(self.columns)
-        return [dict(zip(names, cells)) for cells in zip(*map(self.cells, names))]
+        rows = zip(*map(self.cells, names)) if names else [()] * self.size
+        return [dict(zip(names, cells)) for cells in rows]
 
 
 def _axes(spec: SweepSpec) -> tuple:

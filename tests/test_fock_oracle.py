@@ -3,7 +3,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import sparse
 from scipy.linalg import expm
 
 from conftest import child_env
@@ -58,9 +57,9 @@ def test_propagator_matches_dense_exponential(n_modes, cutoff, op):
     K = fock._antihermitian_generator(space, op)
     psi = _random_state(space.dim, cutoff)
     expected = expm(K.toarray()) @ psi
-    # the series, and the per-operation propagator prepare_state_fock applies
-    for got in (fock.expm_multiply(K, psi), fock._propagate(space, op, psi)):
-        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    # the per-operation propagator prepare_state_fock applies
+    got = fock._propagate(space, op, psi)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("kind", [fock.TwoModeSqueeze, fock.ModeMix])
@@ -151,12 +150,12 @@ def test_fock_import_loads_no_scipy_linalg():
 
 
 def test_propagator_leaves_state_under_zero_generator():
-    psi = _random_state(144, 3)
-    before = psi.copy()
-    for K in (sparse.csr_matrix((144, 144), dtype=complex),
-              fock._antihermitian_generator(fock.FockSpace(2, 12), fock.PhaseRotate((0, 1), 0.0))):
-        assert np.array_equal(fock.expm_multiply(K, psi), before)
-    assert np.array_equal(psi, before)
+    for space, op in ((fock.FockSpace(3, 10), fock.Tritter(0.0)),
+                      (fock.FockSpace(2, 12), fock.PhaseRotate((0, 1), 0.0))):
+        psi = _random_state(space.dim, 3)
+        before = psi.copy()
+        assert np.array_equal(fock._propagate(space, op, psi), before)
+        assert np.array_equal(psi, before)
 
 
 def test_propagator_preserves_norm_at_largest_cutoff():
@@ -168,9 +167,77 @@ def test_propagator_preserves_norm_at_largest_cutoff():
            fock.Tritter(-0.5, 1.1), fock.TwoModeSqueeze((1, 2), -0.6, 0.3)]
     psi = space.vacuum()
     for op in ops:
-        psi = fock.expm_multiply(fock._antihermitian_generator(space, op), psi)
+        psi = fock._propagate(space, op, psi)
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
     assert space.leakage(psi) < fock.LEAKAGE_LIMIT
+
+
+def _dense_hopping(cutoff):
+    """S = T + T^T with T = a_0^dag (a_1 + a_2), from the dense ladders."""
+    a = _dense_ladders(3, cutoff)
+    T = a[0].T @ (a[1] + a[2])
+    return T + T.T
+
+
+@pytest.mark.parametrize("cutoff, op", [(10, fock.Tritter(-1.5, 2.2)), (11, fock.Tritter(0.5, 0.2))])
+def test_tritter_generator_is_a_gauge_of_the_hopping_matrix(cutoff, op):
+    # K = -i g D S D^dag with g = theta / sqrt 2 and D = diag(e^{i phase n_0})
+    hopping, rho = fock._tritter_hopping(cutoff)
+    S = _dense_hopping(cutoff)
+    assert np.array_equal(hopping.toarray(), (2.0 / rho) * S)
+    d = fock._gauge_phases(op.phase, cutoff)[fock._occupation(cutoff, 3)[0].astype(int)]
+    K = fock._antihermitian_generator(fock.FockSpace(3, cutoff), op)
+    got = (d[:, None] * (-1j * op.theta / np.sqrt(2.0)) * S) * d.conj()
+    assert np.max(np.abs(got - K.toarray())) <= 1e-15 * np.max(np.abs(K.toarray()))
+
+
+@pytest.mark.parametrize("cutoff", [10, 25, 40])
+@pytest.mark.parametrize("theta, phase", [(0.5, 1.1), (-0.37, 4.0), (1.2, 0.0)])
+def test_tritter_series_radius_is_the_gershgorin_radius_of_its_generator(cutoff, theta, phase):
+    # the radius the series took from K itself: its largest absolute row sum,
+    # about a centre of zero, K's diagonal being zero
+    K = fock._antihermitian_generator(fock.FockSpace(3, cutoff), fock.Tritter(theta, phase))
+    assert not K.diagonal().any()
+    radius = np.max(np.asarray(abs(K).sum(axis=1)).ravel())
+    _, rho = fock._tritter_hopping(cutoff)
+    R = abs(theta / np.sqrt(2.0)) * rho
+    assert R == pytest.approx(radius, rel=1e-15)
+    assert len(fock._bessel_coefficients(R)) == len(fock._bessel_coefficients(radius))
+
+
+@pytest.mark.parametrize("cutoff, t", [(10, 0.45), (12, 0.3)])
+def test_hopping_series_matches_dense_exponential(cutoff, t):
+    S = _dense_hopping(cutoff)
+    psi = _random_state(cutoff ** 3, cutoff)
+    forward = expm(-1j * t * S)
+    # S is real, so exp(i t S) is the conjugate: one dense exponential serves both signs
+    for step, U in ((t, forward), (-t, forward.conj())):
+        expected = U @ psi
+        got = fock.expm_multiply(step, psi, cutoff)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_hopping_series_at_zero_returns_its_input_unchanged():
+    psi = _random_state(10 ** 3, 4)
+    before = psi.copy()
+    got = fock.expm_multiply(0.0, psi, 10)
+    assert np.array_equal(got, before) and got is not psi
+    assert np.array_equal(psi, before)
+    fock.expm_multiply(0.4, psi, 10)
+    assert np.array_equal(psi, before)
+
+
+def test_hopping_cache_is_read_only_and_bounded():
+    hopping, _ = fock._tritter_hopping(10)
+    assert not hopping.data.flags.writeable and not hopping.offsets.flags.writeable
+    assert hopping.data.shape == (4, 10 ** 3)
+    # the benchmark's fock_referee workload prepares states at six cutoffs
+    assert fock._tritter_hopping.cache_info().maxsize >= 6
+
+
+def test_tritter_refuses_a_two_mode_space():
+    with pytest.raises(ValueError, match="tritter requires a three-mode space"):
+        fock.prepare_state_fock([fock.Tritter(0.3)], 12, n_modes=2)
 
 
 def test_leakage_guard_trips_on_small_cutoff():
@@ -273,9 +340,18 @@ def test_block_eigensystems_are_read_only_and_cover_the_local_basis(kind, n_loca
         for array in (index, lam, V):
             assert not array.flags.writeable
         blocks, n = index.shape
-        assert lam.shape == (blocks, n) and V.shape == (blocks, n, n)
+        # one eigensystem per block, or one that all blocks of the size share
+        assert len(V) in (1, blocks)
+        assert lam.shape == (len(V), n) and V.shape == (len(V), n, n)
     covered = np.sort(np.concatenate([index.ravel() for index, _, _ in entries]))
     assert np.array_equal(covered, np.arange(12 ** n_local))
+
+
+def test_squeezer_blocks_of_opposite_difference_share_one_eigensystem():
+    # the blocks of n_0 - n_1 = d and -d have equal hopping matrices: 79 blocks, 40 V
+    entries = fock._block_eigensystems(fock.TwoModeSqueeze, 40)
+    assert sum(len(index) for index, _, _ in entries) == 79
+    assert sum(len(V) for _, _, V in entries) == 40
 
 
 def test_block_eigensystem_cache_is_bounded():

@@ -668,9 +668,16 @@ def test_emit_equals_rowwise_emit(columns):
     # a column holds numbers (None where a row failed) or strings
     n = len(columns[0]) if columns else 1
     table = SweepTable({f"c{k}": column for k, column in enumerate(columns)}, (n,))
-    rows = table.rows() or [{}] * n  # a table without columns has no cells to zip
+    rows = table.rows()
     for fmt in ("csv", "json"):
         assert emit(table, fmt) == emit_rowwise(rows, fmt)
+
+
+def test_rows_of_a_table_without_columns_are_distinct_empty_dicts():
+    rows = SweepTable({}, (3,)).rows()
+    assert rows == [{}, {}, {}]
+    assert len({id(row) for row in rows}) == 3
+    assert SweepTable({}, (2, 0)).rows() == []
 
 
 @pytest.mark.parametrize("text", [
