@@ -382,7 +382,7 @@ def _chebyshev_sums(hopping: sparse.dia_matrix, b: np.ndarray, x: np.ndarray) ->
 
 
 def expm_multiply(t: float, psi: np.ndarray, cutoff: int) -> np.ndarray:
-    """exp(-i t S) psi, with S the tritter's hopping matrix at ``cutoff``, by a Chebyshev-Bessel series.
+    """exp(-i t S) psi by a Chebyshev-Bessel series, S the tritter's hopping matrix at ``cutoff``.
 
     S is real and symmetric with a zero diagonal, so Gershgorin's discs put
     the spectrum of t S in [-R, R] with R = |t| rho (:func:`_tritter_hopping`),
@@ -407,7 +407,8 @@ def expm_multiply(t: float, psi: np.ndarray, cutoff: int) -> np.ndarray:
     k = np.arange(len(b))
     # (-i sgn t)^k is (-1)^(k/2) for even k and i (-sgn t) (-1)^((k-1)/2) for odd k
     b *= np.where(k % 2, -np.sign(t), 1.0) * (-1.0) ** (k // 2)
-    (even_re, odd_re), (even_im, odd_im) = (_chebyshev_sums(hopping, b, part.copy())
+    # fresh contiguous float64 copies, as the DIA kernel writes into them in place
+    (even_re, odd_re), (even_im, odd_im) = (_chebyshev_sums(hopping, b, np.array(part, float))
                                             for part in (psi.real, psi.imag))
     out = np.empty(len(psi), dtype=complex)
     out.real = even_re - odd_im

@@ -179,7 +179,8 @@ def _dense_hopping(cutoff):
     return T + T.T
 
 
-@pytest.mark.parametrize("cutoff, op", [(10, fock.Tritter(-1.5, 2.2)), (11, fock.Tritter(0.5, 0.2))])
+@pytest.mark.parametrize("cutoff, op", [(10, fock.Tritter(-1.5, 2.2)),
+                                        (11, fock.Tritter(0.5, 0.2))])
 def test_tritter_generator_is_a_gauge_of_the_hopping_matrix(cutoff, op):
     # K = -i g D S D^dag with g = theta / sqrt 2 and D = diag(e^{i phase n_0})
     hopping, rho = fock._tritter_hopping(cutoff)
