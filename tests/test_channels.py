@@ -134,6 +134,21 @@ def test_embedding_refuses_a_channel_outside_the_strict_tolerance():
         embed_on_side_modes(op)
 
 
+def test_gw_mode_mixing_channel_second_order_form():
+    # differs from the exact channel only at O(m^3), and, like the squeezing
+    # form, passes its own widened tolerance (2 m^4 = 1.25e-5 at m = 0.05) with
+    # a residual of m^4 / 4 = 1.56e-6, but not the default 1e-10 nor the embedding
+    m = 0.01
+    diff = np.max(np.abs(gw_mode_mixing_channel(m, 0.3, form="second_order").matrix
+                         - mode_mixing_channel(m, 0.3).matrix))
+    assert diff < m ** 3
+    op = gw_mode_mixing_channel(0.05, 0.3, form="second_order")
+    assert op.tol == pytest.approx(1.25e-5)
+    assert check_symplectic(op, tol=op.tol) and not check_symplectic(op)
+    with pytest.raises(ValueError, match="^refusing to embed a non-symplectic operation$"):
+        embed_on_side_modes(op)
+
+
 def test_embed_on_side_modes_layout():
     assert np.allclose(embed_on_side_modes(squeezing_channel(0.0)).matrix, np.eye(6))
     op = squeezing_channel(0.4, 1.0)

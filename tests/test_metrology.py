@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,39 @@ def test_regime_misuse_raises():
                                      channel=ChannelSpec("phase", 1.0))
     with pytest.raises(ValueError):
         qfi_closed_form(phase_cfg)
+
+
+_MODE_MIXING_REGIMES = ("['exact', 'large_nbar', 'large_nbar_limit', 'pumped', 'pumped_limit', "
+                        "'theta_half_pi_phi_half_pi', 'theta_half_pi_phi_zero', "
+                        "'theta_half_pi_phi_zero_limit', 'theta_zero']")
+_PHASE = InterferometerConfig(nbar=1e4, r=1.0, theta=0.3, channel=ChannelSpec("phase", 1.0))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # r = 4 at nbar = 1e4: n_side / n0 = 1489.5 / 8510.5
+    (lambda: qfi_closed_form(_config("squeezing", 1e4, 4.0, 0.01), "pumped"), RegimeError,
+     "regime 'pumped' needs an undepleted pump; side/pump ratio 0.175 exceeds 0.1"),
+    (lambda: qfi_closed_form(_config("mode_mixing", 1e4, 1.0, 0.01), "no_such_regime"),
+     ValueError, f"unknown mode-mixing regime 'no_such_regime'; choose one of "
+                 f"{_MODE_MIXING_REGIMES}"),
+    (lambda: f0_closed_form(_config("squeezing", 1e4, 1.0, 0.01), "no_such_regime"),
+     ValueError, "unknown F0 regime 'no_such_regime'"),
+    (lambda: f0_closed_form(_PHASE, "large_nbar"), ValueError,
+     "no closed-form F0 for channel kind 'phase'"),
+    (lambda: optimal_tritter_angle(1e6, 20.0, mode="bogus"), ValueError,
+     "mode must be 'exact' or 'approx', got 'bogus'"),
+    (lambda: optimal_phases("phase"), ValueError,
+     "no optimal phase relation for channel kind 'phase'"),
+    (lambda: number_sum_quadratic_response(_PHASE), ValueError,
+     "no closed-form response for channel kind 'phase'"),
+    (lambda: f0_closed_form(_config("squeezing", 1e6, 0.5, 0.1), "pumped_limit"), RegimeError,
+     "regime 'pumped_limit' assumes r >> 1, got r = 0.5"),
+    (lambda: f0_closed_form(_config("squeezing", 1e6, 1.0, 1.2), "pumped_limit"), RegimeError,
+     "regime 'pumped_limit' holds for theta <= 0.3063, got 1.2"),
+])
+def test_closed_form_refusals_keep_their_words(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_pumped_beats_bare_su11(rng):

@@ -612,6 +612,38 @@ def test_quantities_must_fit_the_run_kind(tmp_path, capsys):
     capsys.readouterr()
 
 
+SWEEP = "channel = squeezing\nr = 0.5\nnbar = 100\n[sweep]\n"
+GW = "[gw]\nn0 = 1e6\nr_original = 4.2\n"
+
+
+@pytest.mark.parametrize("command, body, message", [
+    ("sweep", "channel = squeezing\nr = abc\n", ":2: expected a number, got 'abc'"),
+    ("sweep", SWEEP + "theta =\n", ":5: empty sweep specification"),
+    ("sweep", SWEEP + "theta = linspace 0 1\n",
+     ":5: linspace takes 'linspace <min> <max> <count>'"),
+    ("sweep", SWEEP + "theta = values\n", ":5: 'values' needs at least one value"),
+    ("sweep", "channel = squeezing\n[bogus]\n", ":2: unknown section [bogus]"),
+    ("sweep", SWEEP + "theta = values 0.1\ntheta = values 0.2\n",
+     ":6: parameter 'theta' swept twice"),
+    ("sweep", "channel = squeezing\n[outputs]\nquantity = F0\n",
+     ":3: unknown key 'quantity' in [outputs]"),
+    ("sweep", GW + "n1 = 3\n", ":4: unknown key 'n1' in [gw]"),
+    ("sweep", "[gw]\nn0 = 1e6\n", ": [gw] section requires r_original"),
+    ("sweep", GW + "[sweep]\ntheta = values 0.1\n", ": cannot sweep 'theta' in a [gw] run"),
+    ("qfi", GW, ": this command needs an interferometer config"),
+    ("sensitivity", SWEEP + "theta = values 0.1 0.2\n",
+     ": single-point command, but [sweep] is present; use the sweep subcommand"),
+    ("gw-compare", "channel = squeezing\n", ": gw-compare needs a [gw] section"),
+], ids=["number", "empty_sweep", "linspace_arity", "empty_values", "unknown_section",
+        "swept_twice", "outputs_key", "gw_key", "gw_r_original", "gw_sweep_key",
+        "needs_interferometer", "sweep_present", "needs_gw"])
+def test_cli_config_refusals_name_their_place(tmp_path, capsys, command, body, message):
+    path = write(tmp_path, body)
+    assert main([command, "--config", path]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"config error: {path}{message}\n")
+
+
 @pytest.mark.parametrize("body, message", [
     ("n0 = 0\nr_original = 4.2\n", "need 0 <= gamma <= delta"),
     ("n0 = 1e6\nr_original = 4.2\ndelta = 2\n", "delta must be small"),
