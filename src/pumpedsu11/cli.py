@@ -15,7 +15,7 @@ import os
 import sys
 
 from .metrology import QUANTITY_COLUMNS
-from .sweep import ConfigError, emit, parse_config, run_sweep
+from .sweep import GW_COLUMNS, ConfigError, emit, parse_config, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -128,7 +128,7 @@ def _cmd_gw_compare(args) -> int:
         return EXIT_NUMERICAL
     if not spec.sweeps:
         row = rows[0]
-        for key in ("qfi_original", "qfi_pumped", "ratio", "theta", "theta_max"):
+        for key in GW_COLUMNS[:-1]:
             print(f"{key} = {row[key]:.12e}")
     path = _out_path(args)
     if path:

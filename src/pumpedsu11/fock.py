@@ -4,7 +4,8 @@ Everything here is deliberately desk-scale: dense state vectors over a
 truncated Fock basis and sparse quadratic generators, stored by diagonals and
 built from the basis occupation numbers.  A displacement, two-mode squeezer or
 mode mixer acts on the state as the exact exponential of its truncated
-generator on its own modes, one small unitary per block of a conserved number;
+generator on its own modes, one small unitary per block of a conserved number,
+its phases e^{i arg(w) n} made as the tritter's D (:func:`_gauge_phases`);
 a phase rotation is a diagonal phase; only the tritter, which couples all
 three modes, goes through a Chebyshev-Bessel series (:func:`expm_multiply`).
 None of it shares code with the Gaussian formalism it validates.
@@ -324,13 +325,14 @@ def _apply_local(psi: np.ndarray, op, cutoff: int, n_modes: int) -> np.ndarray:
     """exp(K) psi for a one- or two-mode operation, by its block unitaries.
 
     On each block exp(K) = D V e^{-i|w| lambda} V^T D^dag, with the cached
-    (index, lambda, V) of :func:`_block_eigensystems`; a U that all blocks of
-    a size share is built once and broadcast over them.
+    (index, lambda, V) of :func:`_block_eigensystems` and D = diag(e^{i arg(w) n})
+    from :func:`_gauge_phases`; a U that all blocks of a size share is built
+    once and broadcast over them.
     """
     coeff, _ = _generator_terms(op)
     modes = (op.mode,) if isinstance(op, Displace) else op.modes
     w = 1j * coeff
-    phase = np.exp(1j * np.angle(w) * np.arange(cutoff))
+    phase = _gauge_phases(np.angle(w), cutoff)
     axes = tuple(range(len(modes)))
     t = np.moveaxis(psi.reshape((cutoff,) * n_modes), modes, axes)
     shape = t.shape
@@ -417,10 +419,11 @@ def expm_multiply(t: float, psi: np.ndarray, cutoff: int) -> np.ndarray:
 
 
 def _gauge_phases(phase: float, cutoff: int) -> np.ndarray:
-    """e^{i phase n_0} for n_0 = 0..cutoff-1, the tritter's D by its mode-0 occupation.
+    """e^{i phase n} for n = 0..cutoff-1: the tritter's D by its mode-0
+    occupation, and the block phases of :func:`_apply_local`.
 
-    The powers of e^{i phase} come by repeated products: exp(i phase n_0)
-    would round phase n_0, which is off by up to 1e-13 at |phase| = 50.
+    The powers of e^{i phase} come by repeated products: exp(i phase n)
+    would round phase n, which is off by up to 1e-13 at |phase| = 50.
     """
     u = np.full(cutoff, cmath.exp(1j * phase))
     u[0] = 1.0

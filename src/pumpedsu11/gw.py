@@ -211,21 +211,21 @@ def compare_schemes(n0: float, r_original: float, r_pumped: float | None = None,
 def compare_grid(n0, r_original, r_pumped=None, strength=1.0, delta=0.1, theta_sq=None):
     """The scheme comparison over arrays that broadcast to one grid shape.
 
-    The checks run as masks over the grid, in this order: a nonnegative
-    theta_sq; those of :func:`max_tritter_angle` on gamma = n_side / n0 and
-    delta (0 <= gamma <= delta, delta < 1, an arccos argument in [-1, 1]);
-    theta_sq within 2% of the bound theta_max^2; n0 > 0; and last, finite
-    qfi_original, qfi_pumped and ratio (an overflowing sinh gives inf, and
-    strength 0 an undefined ratio).  A failing row carries the error of its
-    first failing check (:func:`pipeline._row_errors`).  A row depends only on
-    its own parameters, so it is bit-identical to :func:`compare_schemes` on
-    them.
+    The checks run as masks over the grid, in one pass and in this order: a
+    nonnegative theta_sq; those of :func:`max_tritter_angle` on gamma =
+    n_side / n0 and delta (0 <= gamma <= delta, delta < 1, an arccos argument
+    in [-1, 1]); theta_sq within 2% of the bound theta_max^2; n0 > 0; and
+    last, finite qfi_original, qfi_pumped and ratio, each evaluated once over
+    the grid (an overflowing sinh gives inf, strength 0 an undefined ratio,
+    and n0 <= 0 NaN).  A failing row carries the error of its first failing
+    check (:func:`pipeline._row_errors`).  A row depends only on its own
+    parameters, so it is bit-identical to :func:`compare_schemes` on them.
 
     Returns ``(columns, errors)``: ``columns`` maps qfi_original, qfi_pumped,
     ratio, theta and theta_max to an array that broadcasts to the grid shape
-    (without failed rows, qfi_original keeps the shape of its own arguments)
-    and holds NaN on failed rows; ``errors`` maps the flat index of each
-    failed row to its exception, stored without its traceback.
+    (without failed rows, each keeps the shape of its own arguments) and holds
+    NaN on failed rows; ``errors`` maps the flat index of each failed row to
+    its exception, stored without its traceback.
     """
     if r_pumped is None:
         r_pumped = r_original
@@ -260,21 +260,19 @@ def compare_grid(n0, r_original, r_pumped=None, strength=1.0, delta=0.1, theta_s
                     f"theta^2 = {_item(given, j):.4g} exceeds the undepleted-pump bound "
                     f"{_item(bound, j):.4g}"))]
         theta = np.sqrt(theta_sq)
-        checks.append(_scalar_check(n0 <= 0.0, pumped_scheme_qfi, n0, r_pumped, theta, strength))
-        errors = _row_errors(checks, shape)
-        ok = np.ones(shape, dtype=bool)
-        ok.flat[list(errors)] = False
         h_orig = original_scheme_qfi(r_original, strength=strength)
-        h_pump = np.full(shape, np.nan)
-        h_pump[ok] = pumped_scheme_qfi(*(full(a)[ok] for a in (n0, r_pumped, theta, strength)))
-        columns = {"qfi_original": h_orig, "qfi_pumped": h_pump, "ratio": h_pump / h_orig,
+        # a row with n0 <= 0 takes NaN here and fails its own check below
+        h_pump = pumped_scheme_qfi(np.where(n0 > 0.0, n0, np.nan), r_pumped, theta, strength)
+        ratio = h_pump / h_orig
+        nonfinite = ~(np.isfinite(h_orig) & np.isfinite(h_pump) & np.isfinite(ratio))
+        columns = {"qfi_original": h_orig, "qfi_pumped": h_pump, "ratio": ratio,
                    "theta": theta, "theta_max": theta_max}
-        # the last check, on the rows that pass all the others: finite results
-        results = {name: full(columns[name]) for name in ("qfi_original", "qfi_pumped", "ratio")}
-        nonfinite = ~(np.isfinite(h_orig) & np.isfinite(h_pump) & np.isfinite(columns["ratio"]))
-        errors.update(_row_errors([(nonfinite, lambda j: ValueError("non-finite " + ", ".join(
-            name for name, values in results.items() if not np.isfinite(_item(values, j)))))],
-            shape, ok.ravel()))
+        results = {name: np.broadcast_to(columns[name], nonfinite.shape)
+                   for name in ("qfi_original", "qfi_pumped", "ratio")}
+        checks += [_scalar_check(n0 <= 0.0, pumped_scheme_qfi, n0, r_pumped, theta, strength), (
+            nonfinite, lambda j: ValueError("non-finite " + ", ".join(
+                name for name, values in results.items() if not np.isfinite(_item(values, j)))))]
+        errors = _row_errors(checks, shape)
     if errors:
         columns = {name: full(values).copy() for name, values in columns.items()}
         for values in columns.values():

@@ -247,6 +247,22 @@ def _check_optimal_phases(config, name: str):
                  f"regime {name!r} assumes the optimal phase relation")
 
 
+def _pumped(config: InterferometerConfig, regime: str) -> float:
+    """The "pumped" QFI of either kind (the squeezing form keeps the vacuum term 1)
+    and the "pumped_limit" (B^2/2) theta^2 n0 n, which is also F0's."""
+    _check_large_nbar(config, regime)
+    _check_optimal_phases(config, regime)
+    _check_undepleted(config, regime)
+    b, r, theta = config.channel.strength, config.r, config.theta
+    n0, n_side = pump_depletion(config.nbar, r)
+    if regime == "pumped":
+        vacuum = 1.0 if config.channel.kind == "squeezing" else 0.0
+        return 0.25 * b ** 2 * (vacuum + n_side ** 2 + theta ** 2 * (
+            n0 * np.exp(2 * r) + 0.5 * n_side - n_side ** 2))
+    _require(r >= 1.0, f"regime {regime!r} assumes r >> 1, got r = {r}")
+    return 0.5 * b ** 2 * theta ** 2 * n0 * n_side
+
+
 def _qfi_squeezing(config: InterferometerConfig, regime: str) -> float:
     b = config.channel.strength
     r, theta = config.r, config.theta
@@ -279,15 +295,6 @@ def _qfi_squeezing(config: InterferometerConfig, regime: str) -> float:
         _check_optimal_phases(config, regime)
         _require(n_side >= 20, f"regime {regime!r} assumes n_side >> 2, got {n_side:.3g}")
         return (b ** 2 / 8.0) * np.sin(2 * theta) ** 2 * n_side * config.nbar
-    if regime in ("pumped", "pumped_limit"):
-        _check_large_nbar(config, regime)
-        _check_optimal_phases(config, regime)
-        _check_undepleted(config, regime)
-        if regime == "pumped":
-            return 0.25 * b ** 2 * (1.0 + n_side ** 2 + theta ** 2 * (
-                n0 * np.exp(2 * r) + 0.5 * n_side - n_side ** 2))
-        _require(r >= 1.0, f"regime {regime!r} assumes r >> 1, got r = {r}")
-        return 0.5 * b ** 2 * theta ** 2 * n0 * n_side
     raise ValueError(f"unknown squeezing regime {regime!r}; "
                      f"choose one of {sorted(SQUEEZING_REGIMES)}")
 
@@ -329,15 +336,6 @@ def _qfi_mode_mixing(config: InterferometerConfig, regime: str) -> float:
         _require(n_side >= 20, f"regime {regime!r} assumes n_side >> 1/2, got {n_side:.3g}")
         return 0.5 * a ** 2 * np.sin(theta) ** 2 * (
             1.0 - np.sin(theta) ** 2 * sin2_phi) * config.nbar * n_side
-    if regime in ("pumped", "pumped_limit"):
-        _check_large_nbar(config, regime)
-        _check_optimal_phases(config, regime)
-        _check_undepleted(config, regime)
-        if regime == "pumped":
-            return 0.25 * a ** 2 * (n_side ** 2 + theta ** 2 * (
-                n0 * np.exp(2 * r) + 0.5 * n_side - n_side ** 2))
-        _require(r >= 1.0, f"regime {regime!r} assumes r >> 1, got r = {r}")
-        return 0.5 * a ** 2 * theta ** 2 * n0 * n_side
     raise ValueError(f"unknown mode-mixing regime {regime!r}; "
                      f"choose one of {sorted(MODE_MIXING_REGIMES)}")
 
@@ -361,6 +359,8 @@ def qfi_closed_form(config: InterferometerConfig, regime: str = "exact") -> floa
     kind = config.channel.kind
     if regime == "exact" or kind not in ("squeezing", "mode_mixing"):
         return _exact_closed_form(kind, _point(config))
+    if regime in ("pumped", "pumped_limit"):
+        return _pumped(config, regime)
     if kind == "squeezing":
         return _qfi_squeezing(config, regime)
     return _qfi_mode_mixing(config, regime)
@@ -405,19 +405,17 @@ def optimal_phases(kind: str, pump_phase: float = 0.0, channel_phase: float = 0.
 # ----------------------------------------------------------------------------
 
 def number_sum_moments(state: GaussianState) -> tuple[float, float]:
-    """Mean and variance of the total particle number of a Gaussian state.
-
-    <S>   = [Tr(sigma) + d^T d - 2n] / 4
-    Var S = [Tr(sigma^2) + 2 d^T sigma d - 2n] / 8
-    """
-    mean, var = _number_sum(state.d, state.sigma)
+    """Mean and variance of the total particle number of a Gaussian state (:func:`_number_sum`)."""
+    mean, var = _number_sum(state.d, state.sigma - np.eye(len(state.d)))
     return float(mean), float(var)
 
 
-def _number_sum(d: np.ndarray, sigma: np.ndarray):
-    n2 = d.shape[-1]
-    mean = 0.25 * (_trace(sigma) + _dot(d, d) - n2)
-    var = 0.125 * (_trace(sigma @ sigma) + 2.0 * _quad(d, sigma, d) - n2)
+def _number_sum(d: np.ndarray, delta: np.ndarray):
+    """<S> = [Tr(sigma) + d^T d - 2n] / 4 and Var S = [Tr(sigma^2) + 2 d^T sigma d - 2n] / 8
+    of n modes, from delta = sigma - I: <S> = [Tr delta + |d|^2] / 4 and
+    Var S = <S> + [|delta|_F^2 + 2 d^T delta d] / 8, in which no identity cancels."""
+    mean = 0.25 * (_trace(delta) + _dot(d, d))
+    var = mean + 0.125 * (_inner(delta, delta) + 2.0 * _quad(d, delta, d))
     return mean, var
 
 
@@ -431,21 +429,6 @@ def heterodyne_moments(state: GaussianState) -> tuple[float, float]:
     mean = 0.25 * (np.trace(sj) + d @ jz @ d)
     var = 0.125 * (np.trace(sj @ sj) + 2.0 * d @ jz @ sigma @ jz @ d - 4.0)
     return float(mean), float(var)
-
-
-def _side_moments(config: InterferometerConfig, eps: float) -> tuple[float, float]:
-    # mean and variance of the side modes' number sum at the output
-    return _at_config(config, eps, "moments")
-
-
-def _number_sum_slopes(config: InterferometerConfig, eps0: float) -> tuple[float, float, float]:
-    """Var(S) and the exact strain slopes of <S> and Var(S) at the output.
-
-    The output state I + E and its tangent A (I + E), in the input frame (see
-    :func:`_evaluate_stack`), read on the side modes, the only ones the number
-    sum reads.
-    """
-    return _at_config(config, eps0, "slopes")
 
 
 def number_sum_quadratic_response(config: InterferometerConfig) -> tuple[float, float]:
@@ -504,7 +487,6 @@ def f0_closed_form(config: InterferometerConfig, regime: str = "exact") -> float
         if var_c <= 0:
             raise FloatingPointError(f"non-positive variance coefficient {var_c!r}")
         return float(4.0 * mean_c ** 2 / var_c)
-    n0, n_side = pump_depletion(config.nbar, config.r)
     if regime == "large_nbar":
         _check_large_nbar(config, regime)
         if ch.kind == "squeezing":
@@ -517,11 +499,7 @@ def f0_closed_form(config: InterferometerConfig, regime: str = "exact") -> float
                 * phi1 * eta3 * config.nbar
         raise ValueError(f"no closed-form F0 for channel kind {ch.kind!r}")
     if regime == "pumped_limit":
-        _check_large_nbar(config, regime)
-        _check_optimal_phases(config, regime)
-        _check_undepleted(config, regime)
-        _require(config.r >= 1.0, f"regime {regime!r} assumes r >> 1, got r = {config.r}")
-        return 0.5 * ch.strength ** 2 * config.theta ** 2 * n0 * n_side
+        return _pumped(config, regime)
     raise ValueError(f"unknown F0 regime {regime!r}")
 
 
@@ -534,7 +512,7 @@ def fisher_from_moments(config: InterferometerConfig, eps0: float = 1e-3) -> flo
     eps^2, making the second term 2/eps0^2 regardless of the configuration;
     there the Gaussian model, and with it the bound F <= H, breaks down.
     """
-    var, d_mean, d_var = _number_sum_slopes(config, eps0)
+    var, d_mean, d_var = _at_config(config, eps0, "slopes")
     d_sigma = d_var / (2.0 * math.sqrt(var))
     return _squared(d_mean, "d<S>/d eps") / var \
         + 2.0 * _squared(d_sigma, "d sqrt(Var(S))/d eps") / var
@@ -665,10 +643,7 @@ def _evaluate_stack(kind: str, p: _Point, eps0, quantities) -> dict:
         delta = E + _t(E) + E @ _t(E)  # sigma_out - I
         e_d = _matvec(E, d)  # d_out - d; d is zero on the side modes
         side, d_side = delta[..., 2:, 2:], e_d[..., 2:]
-        # <S> = [Tr sigma + |d|^2 - 4]/4 and Var S = [Tr sigma^2 + 2 d^T sigma d - 4]/8
-        # on the side modes, with sigma = I + side
-        mean = 0.25 * (_trace(side) + _dot(d_side, d_side))
-        var = mean + 0.125 * (_inner(side, side) + 2.0 * _quad(d_side, side, d_side))
+        mean, var = _number_sum(d_side, side)
         if "moments" in quantities:
             out["moments"] = ((mean, var), [(
                 ~(np.isfinite(mean) & np.isfinite(var)), lambda j: FloatingPointError(

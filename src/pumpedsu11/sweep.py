@@ -104,7 +104,7 @@ SWEEPABLE_KEYS = tuple(DEFAULTS) + ("eps0",)
 GW_SWEEPABLE_KEYS = ("n0", "r_original", "r_pumped", "strength", "delta", "theta_sq")
 QUANTITIES = tuple(QUANTITY_COLUMNS)  # H_numeric H_closed F0 moments theta_t
 
-INTERFEROMETER_COLUMNS = ("H_numeric", "H_closed", "F0", "mean_S", "var_S", "theta_t", "error")
+INTERFEROMETER_COLUMNS = tuple(itertools.chain(*QUANTITY_COLUMNS.values())) + ("error",)
 GW_COLUMNS = ("qfi_original", "qfi_pumped", "ratio", "theta", "theta_max", "error")
 
 GRID_CAP = 10 ** 6

@@ -13,8 +13,7 @@ from pumpedsu11 import (ChannelSpec, ConfigError, InterferometerConfig, mode_mix
                         pumped_two_mode_squeezer, qfi_closed_form, qfi_numeric, run_sweep,
                         sensitivity_number_sum, squeezing_channel, tritter)
 from pumpedsu11.channels import _generator, _side_channel, _tritter_matrix, _with_pump
-from pumpedsu11.metrology import (QUANTITY_COLUMNS, _evaluate_grid, _point, _Point,
-                                  _side_moments)
+from pumpedsu11.metrology import QUANTITY_COLUMNS, _at_config, _evaluate_grid, _point, _Point
 from pumpedsu11.sweep import INTERFEROMETER_COLUMNS, QUANTITIES, _build_config
 from conftest import mp_referee, random_config
 
@@ -57,7 +56,7 @@ def single_point(config, eps0):
     calls = (("H_numeric", ("H_numeric",), lambda: (qfi_numeric(config),)),
              ("H_closed", ("H_closed",), lambda: (qfi_closed_form(config, "exact"),)),
              ("F0", ("F0",), lambda: (sensitivity_number_sum(config, eps0)[1],)),
-             ("moments", ("mean_S", "var_S"), lambda: _side_moments(config, eps0)),
+             ("moments", ("mean_S", "var_S"), lambda: _at_config(config, eps0, "moments")),
              ("theta_t", ("theta_t",), lambda: (optimal_tritter_angle(
                  config.nbar, pump_depletion(config.nbar, config.r)[1]),)))
     for quantity, columns, call in calls:
@@ -179,7 +178,7 @@ SINGLE_POINT = {
     "H_numeric": lambda config, eps0: qfi_numeric(config),
     "H_closed": lambda config, eps0: qfi_closed_form(config),
     "F0": sensitivity_number_sum,
-    "moments": _side_moments,
+    "moments": lambda config, eps0: _at_config(config, eps0, "moments"),
     "theta_t": lambda config, eps0: optimal_tritter_angle(
         config.nbar, pump_depletion(config.nbar, config.r)[1]),
 }

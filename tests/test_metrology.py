@@ -11,7 +11,7 @@ from pumpedsu11 import (ChannelSpec, GaussianState, InterferometerConfig, Regime
                         reduce_to_modes, run_interferometer, sensitivity_number_sum,
                         squeezing_channel, vacuum_state)
 from pumpedsu11 import fock
-from pumpedsu11.metrology import _number_sum_slopes, _side_moments
+from pumpedsu11.metrology import _at_config
 from pumpedsu11.pipeline import pre_measurement_state
 from conftest import mp_referee, random_config, richardson
 
@@ -104,11 +104,11 @@ def test_tangents_match_finite_differences(rng):
             assert state_qfi(cfg, eps0) == pytest.approx(h_fd, rel=1e-6)
             assert qfi_numeric(cfg) == pytest.approx(h_fd, rel=1e-6)
 
-            _, d_mean, d_var = _number_sum_slopes(cfg, eps0)
+            _, d_mean, d_var = _at_config(cfg, eps0, "slopes")
             assert d_mean == pytest.approx(
-                richardson(lambda e: _side_moments(cfg, e)[0], eps0), rel=1e-6)
+                richardson(lambda e: _at_config(cfg, e, "moments")[0], eps0), rel=1e-6)
             assert d_var == pytest.approx(
-                richardson(lambda e: _side_moments(cfg, e)[1], eps0), rel=1e-6)
+                richardson(lambda e: _at_config(cfg, e, "moments")[1], eps0), rel=1e-6)
 
 
 @pytest.mark.parametrize("kind", ["squeezing", "mode_mixing"])
@@ -138,7 +138,7 @@ def test_kernel_matches_the_60_digit_referee(rng):
                 eps0 = rng.uniform(1e-4, 1e-2)
                 ref = mp_referee(cfg, eps0)
                 got = (qfi_numeric(cfg), sensitivity_number_sum(cfg, eps0)[1],
-                       *_side_moments(cfg, eps0))
+                       *_at_config(cfg, eps0, "moments"))
                 assert got == pytest.approx(
                     (ref["H"], ref["F0"], ref["mean_S"], ref["var_S"]), rel=rtol), cfg
 
@@ -148,7 +148,7 @@ def test_number_sum_slopes_match_output_generator(rng):
     for _ in range(100):
         cfg = random_config(rng, kind=rng.choice(["squeezing", "mode_mixing", "phase"]))
         ref = mp_referee(cfg, 1e-3)
-        assert _number_sum_slopes(cfg, 1e-3) == pytest.approx(
+        assert _at_config(cfg, 1e-3, "slopes") == pytest.approx(
             (ref["var_S"], ref["d_mean"], ref["d_var"]), rel=1e-12)
 
 
