@@ -138,25 +138,31 @@ def original_scheme_qfi(r, squeeze_phase=np.pi / 2, channel_phase=0.0, strength=
     """QFI of the original probe: a two-mode squeezed phonon state, no tritter.
 
     H = (B^2/4) [1 + sin^2(squeeze_phase - channel_phase) sinh^2(2r)];
-    defaults give the optimal phase relation.  Broadcasts over arrays.
+    defaults give the optimal phase relation.  The conventional SU(1,1): the
+    squeezing "theta_zero" regime of ``metrology``.  Broadcasts over arrays.
     """
     s = np.sin(squeeze_phase - channel_phase)
     sh = np.sinh(2.0 * r)
     return 0.25 * (strength * strength) * (1.0 + (s * s) * (sh * sh))
 
 
+def _pumped_gain(n0, n_side, theta, strength):  # (B^2/2) theta^2 n0 n
+    return 0.5 * (strength * strength) * (theta * theta) * n0 * n_side
+
+
 def pumped_scheme_qfi(n0, r, theta, strength=1.0):
     """QFI of the pumped-up scheme at optimal phases in the undepleted regime.
 
     Small-angle expansion around the original scheme: the theta = 0 baseline
-    plus the condensate-boosted gain (B^2/2) theta^2 n0 n.  Reduces exactly to
-    :func:`original_scheme_qfi` at theta = 0.  Broadcasts over arrays; raises
-    if any pump population is not positive.
+    plus the condensate-boosted gain (B^2/2) theta^2 n0 n, the "pumped_limit"
+    regime of ``metrology``.  Reduces exactly to :func:`original_scheme_qfi` at
+    theta = 0.  Broadcasts over arrays; raises if any pump population is not
+    positive.
     """
     if np.any(n0 <= 0):
         raise ValueError(f"pump population must be positive, got {n0}")
     return original_scheme_qfi(r, strength=strength) \
-        + 0.5 * (strength * strength) * (theta * theta) * n0 * _side_population(r)
+        + _pumped_gain(n0, _side_population(r), theta, strength)
 
 
 def qcrb_sensitivity(qfi: float, detectors: float, integration_time: float,
@@ -208,6 +214,11 @@ def compare_schemes(n0: float, r_original: float, r_pumped: float | None = None,
                             n_side_pumped=_side_population(r_pumped))
 
 
+def _check_theta_sq(theta_sq):
+    if not theta_sq >= 0.0:
+        raise ValueError(f"theta^2 must be nonnegative, got {theta_sq:.4g}")
+
+
 def compare_grid(n0, r_original, r_pumped=None, strength=1.0, delta=0.1, theta_sq=None):
     """The scheme comparison over arrays that broadcast to one grid shape.
 
@@ -254,8 +265,7 @@ def compare_grid(n0, r_original, r_pumped=None, strength=1.0, delta=0.1, theta_s
             theta_sq = np.asarray(theta_sq, dtype=float)
             given = full(theta_sq)
             # 2% headroom on theta^2 accepts bounds quoted at two significant digits
-            checks = [(~(theta_sq >= 0.0), lambda j: ValueError(
-                f"theta^2 must be nonnegative, got {_item(theta_sq, j):.4g}")), angle, (
+            checks = [_scalar_check(~(theta_sq >= 0.0), _check_theta_sq, theta_sq), angle, (
                 given > bound * 1.02, lambda j: ValueError(
                     f"theta^2 = {_item(given, j):.4g} exceeds the undepleted-pump bound "
                     f"{_item(bound, j):.4g}"))]

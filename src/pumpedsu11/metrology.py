@@ -10,9 +10,18 @@ with the exact strain derivatives of the channel generator K
 (:meth:`ChannelSpec.generator`).  It is evaluated in one frame, the input
 state's: the coherent pump d with sigma = I, on which the generator acts as
 A = S^-1 K S for the forward half S, so that H = (1/4)|A + A^T|_F^2 + |A d|^2
-and no squeezed covariance is inverted.  ``qfi_closed_form`` evaluates the
-matching scalar expressions, either exactly or in a named asymptotic regime;
-regimes are never auto-detected.
+and no squeezed covariance is inverted.
+
+Every closed form has one home, the table ``_REGIMES``: for each channel
+kind and quantity ("QFI" or "F0") it maps a regime name (exact, or a named
+asymptotic regime) to the regime's checks, in the order they apply, and its
+formula over a ``_Point``.  ``qfi_closed_form`` and ``f0_closed_form`` (but
+for F0's "exact" response ratio) go through one dispatcher, which refuses a
+kind without an entry by name; ``SQUEEZING_REGIMES`` and
+``MODE_MIXING_REGIMES`` are the table's keys.  The squeezing "theta_zero"
+form (the conventional SU(1,1)) and the pumped-up gain (B^2/2) theta^2 n0 n
+are :mod:`gw`'s scheme formulas, one copy for both.  Regimes are never
+auto-detected.
 
 ``_evaluate_grid`` is the one implementation of H_numeric, F0 and the
 side-mode moments.  It takes a grid's parameters as a ``_Point`` of scalars
@@ -27,9 +36,9 @@ words of a failing point's error, and hands them to the grids' one failure
 protocol, ``pipeline._row_errors``.  Sweeps call it on their grids, and the
 single-point functions (``qfi_numeric``, ``sensitivity_number_sum``,
 ``fisher_from_moments``) on a one-point grid, raising the point's error.
-The exact closed-form QFI and the turning point are written once, as
-formulas over arrays of parameters; a grid point where they fail takes its
-error from their scalar functions.
+Its H_closed and theta_t take the table's exact QFI and the turning point
+over arrays of parameters; a grid point where they fail takes its error
+from their scalar functions.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ import numpy as np
 
 from .channels import (_channel_argument, _generator, _side_channel, _side_step,
                        _tritter_matrix, _with_pump)
+from .gw import _pumped_gain, original_scheme_qfi
 from .pipeline import (InterferometerConfig, _flat, _item, _row_errors, _scalar_check,
                        max_tritter_angle, pump_depletion)
 from .states import GaussianState, _pump_displacement, _symplectic_inverse
@@ -140,14 +150,14 @@ def _point(config: InterferometerConfig) -> _Point:
     return _Point(*_FIELDS(config), *pump_depletion(config.nbar, config.r))
 
 
-def _phase_args(config: InterferometerConfig):
-    return _phase_terms(config.channel.kind, _point(config))
-
-
 # The closed forms below broadcast over a _Point of arrays of one channel kind,
 # so the single-point functions and the grids share them.  Every square is a
 # product: a numpy scalar squares through ``pow`` and an array through a
 # product, and the two can differ in the last bit.
+
+def _sq(x):
+    return x * x
+
 
 def _phase_terms(kind: str, p: _Point):
     """(eta1, eta2) of the squeezing channel, (eta3, Phi1) of the mode-mixing channel.
@@ -160,42 +170,27 @@ def _phase_terms(kind: str, p: _Point):
     ch2r, small = np.cosh(2 * p.r), np.exp(-2 * p.r)
     if kind == "squeezing":
         x = 2 * p.tritter_phase - 2 * p.pump_phase - p.squeeze_phase + 2 * p.channel_phase
-        c = np.cos(0.5 * x)
-        s = np.sin(p.squeeze_phase - p.channel_phase)
-        return 2.0 * ch2r * (c * c) - small * np.cos(x), s * s
+        return (2.0 * ch2r * _sq(np.cos(0.5 * x)) - small * np.cos(x),
+                _sq(np.sin(p.squeeze_phase - p.channel_phase)))
     y = 2 * p.tritter_phase - 2 * p.pump_phase + p.squeeze_phase
-    h = np.sin(0.5 * y)
-    eta3 = -(2.0 * ch2r * (h * h) + small * np.cos(y))
-    s, sp = np.sin(p.theta), np.sin(p.channel_phase)
-    return eta3, (s * s) * (sp * sp) - 1.0
+    return (-(2.0 * ch2r * _sq(np.sin(0.5 * y)) + small * np.cos(y)),
+            _sq(np.sin(p.theta)) * _sq(np.sin(p.channel_phase)) - 1.0)
 
 
 def _qfi_exact(kind: str, p: _Point):
-    """qfi_closed_form's "exact" branch for the squeezing or mode-mixing channel."""
-    s, c = np.sin(p.theta), np.cos(p.theta)
-    s2, c2 = s * s, c * c
-    sh, sh2r = np.sinh(p.r), np.sinh(2 * p.r)
-    sh_sq, sh2r_sq = sh * sh, sh2r * sh2r
+    """The "exact" QFI of the squeezing or mode-mixing channel."""
+    s2, c2 = _sq(np.sin(p.theta)), _sq(np.cos(p.theta))
+    sh_sq, sh2r_sq = _sq(np.sinh(p.r)), _sq(np.sinh(2 * p.r))
     if kind == "squeezing":
         eta1, eta2 = _phase_terms(kind, p)
-        s2t = np.sin(2 * p.theta)
-        s2t_sq = s2t * s2t
+        s2t_sq = _sq(np.sin(2 * p.theta))
         return (p.strength * p.strength / 16.0) * (
             4.0 + s2t_sq * sh_sq + 2.0 * (1.0 + c2 * c2) * eta2 * sh2r_sq
             + p.n0 * (4.0 * (s2 * s2) + eta1 * s2t_sq))
     eta3, phi1 = _phase_terms(kind, p)
-    sp = np.sin(p.channel_phase)
     return (p.strength * p.strength / 8.0) * (
         (1.0 + c2) * sh2r_sq + s2 * phi1 * (sh2r_sq - 2.0 * sh_sq)
-        + 2.0 * p.n0 * s2 * (s2 * (sp * sp) + phi1 * eta3))
-
-
-def _exact_closed_form(kind: str, p: _Point):
-    """``qfi_closed_form(config, "exact")`` at the parameters ``p``; raises for a
-    channel kind without a closed form."""
-    if kind not in ("squeezing", "mode_mixing"):
-        raise ValueError(f"no closed-form QFI for channel kind {kind!r}")
-    return _qfi_exact(kind, p)
+        + 2.0 * p.n0 * s2 * (s2 * _sq(np.sin(p.channel_phase)) + phi1 * eta3))
 
 
 def _turning_point_argument(nbar, n_side):
@@ -206,147 +201,151 @@ def _turning_point_argument(nbar, n_side):
     return num / den
 
 
-def _require(cond: bool, message: str):
+# A regime's checks are functions of (kind, p, name) on a _Point of scalars,
+# run in order; each refuses with a RegimeError worded with the regime's name.
+
+def _require(cond, name: str, words: str):
     if not cond:
-        raise RegimeError(message)
+        raise RegimeError(f"regime {name!r} {words}")
 
 
-def _check_angle(config, angle: float, name: str):
-    _require(abs(config.theta - angle) < 1e-9,
-             f"regime {name!r} holds at theta = {angle:.6f}, config has theta = {config.theta}")
+def _holds(test, words: str):
+    """The check that ``test(p)`` holds; ``words``, formatted with ``p``, end its refusal."""
+    return lambda kind, p, name: _require(test(p), name, words.format(p=p))
 
 
-def _check_large_nbar(config, name: str):
-    _require(config.nbar >= LARGE_NBAR_FLOOR,
-             f"regime {name!r} assumes nbar >= {LARGE_NBAR_FLOOR:.0e}, got {config.nbar}")
+def _at_theta(angle: float):
+    return _holds(lambda p: abs(p.theta - angle) < 1e-9,
+                  f"holds at theta = {angle:.6f}, config has theta = {{p.theta}}")
 
 
-def _check_undepleted(config, name: str):
-    n0, n_side = pump_depletion(config.nbar, config.r)
-    gamma = n_side / n0
-    if gamma > UNDEPLETED_DELTA:
-        raise RegimeError(f"regime {name!r} needs an undepleted pump; side/pump ratio "
-                          f"{gamma:.3g} exceeds {UNDEPLETED_DELTA}")
-    # 1% headroom accepts bounds quoted at two significant digits
-    theta_max = max_tritter_angle(gamma, UNDEPLETED_DELTA)
-    _require(config.theta <= theta_max * 1.01,
-             f"regime {name!r} holds for theta <= {theta_max:.4f}, got {config.theta}")
+_large_nbar = _holds(lambda p: p.nbar >= LARGE_NBAR_FLOOR,
+                     f"assumes nbar >= {LARGE_NBAR_FLOOR:.0e}, got {{p.nbar}}")
+_large_r = _holds(lambda p: p.r >= 1.0, "assumes r >> 1, got r = {p.r}")
 
 
-def _check_optimal_phases(config, name: str):
-    ch = config.channel
-    if ch.kind == "squeezing":
-        arg = (2 * config.tritter_phase - 2 * config.pump_phase
-               - config.squeeze_phase + 2 * ch.phase)
-        _require(abs(1.0 - np.cos(arg)) < 1e-9 and
-                 abs(1.0 - np.sin(config.squeeze_phase - ch.phase) ** 2) < 1e-9,
-                 f"regime {name!r} assumes the optimal phase relations")
+def _optimal_phases(kind: str, p: _Point, name: str):
+    if kind == "squeezing":
+        x = 2 * p.tritter_phase - 2 * p.pump_phase - p.squeeze_phase + 2 * p.channel_phase
+        _require(abs(1.0 - np.cos(x)) < 1e-9
+                 and abs(1.0 - np.sin(p.squeeze_phase - p.channel_phase) ** 2) < 1e-9,
+                 name, "assumes the optimal phase relations")
     else:
-        arg = 2 * config.tritter_phase - 2 * config.pump_phase + config.squeeze_phase
-        _require(abs(1.0 + np.cos(arg)) < 1e-9,
-                 f"regime {name!r} assumes the optimal phase relation")
+        y = 2 * p.tritter_phase - 2 * p.pump_phase + p.squeeze_phase
+        _require(abs(1.0 + np.cos(y)) < 1e-9, name, "assumes the optimal phase relation")
 
 
-def _pumped(config: InterferometerConfig, regime: str) -> float:
-    """The "pumped" QFI of either kind (the squeezing form keeps the vacuum term 1)
-    and the "pumped_limit" (B^2/2) theta^2 n0 n, which is also F0's."""
-    _check_large_nbar(config, regime)
-    _check_optimal_phases(config, regime)
-    _check_undepleted(config, regime)
-    b, r, theta = config.channel.strength, config.r, config.theta
-    n0, n_side = pump_depletion(config.nbar, r)
-    if regime == "pumped":
-        vacuum = 1.0 if config.channel.kind == "squeezing" else 0.0
-        return 0.25 * b ** 2 * (vacuum + n_side ** 2 + theta ** 2 * (
-            n0 * np.exp(2 * r) + 0.5 * n_side - n_side ** 2))
-    _require(r >= 1.0, f"regime {regime!r} assumes r >> 1, got r = {r}")
-    return 0.5 * b ** 2 * theta ** 2 * n0 * n_side
+def _undepleted(kind: str, p: _Point, name: str):
+    gamma = p.n_side / p.n0
+    _require(gamma <= UNDEPLETED_DELTA, name, f"needs an undepleted pump; "
+             f"side/pump ratio {gamma:.3g} exceeds {UNDEPLETED_DELTA}")
+    # 1% headroom accepts bounds quoted at two significant digits
+    bound = max_tritter_angle(gamma, UNDEPLETED_DELTA)
+    _require(p.theta <= bound * 1.01, name, f"holds for theta <= {bound:.4f}, got {p.theta}")
 
 
-def _qfi_squeezing(config: InterferometerConfig, regime: str) -> float:
-    b = config.channel.strength
-    r, theta = config.r, config.theta
-    n0, n_side = pump_depletion(config.nbar, config.r)
-    eta1, eta2 = _phase_args(config)
-    sh2r = np.sinh(2 * r)
-
-    if regime == "theta_zero":
-        _check_angle(config, 0.0, regime)
-        return 0.25 * b ** 2 * (1.0 + eta2 * sh2r ** 2)
-    if regime == "theta_half_pi":
-        _check_angle(config, np.pi / 2, regime)
-        return 0.25 * b ** 2 * (1.0 + n0 + 0.5 * eta2 * sh2r ** 2)
-    if regime in ("turning_point", "turning_point_limit"):
-        _check_large_nbar(config, regime)
-        _check_optimal_phases(config, regime)
-        _require(r > 0, f"regime {regime!r} needs r > 0")
-        theta_t = optimal_tritter_angle(config.nbar, n_side)
-        _require(abs(theta - theta_t) < 1e-6,
-                 f"regime {regime!r} holds at theta_t = {theta_t:.6f}, got {theta}")
-        if regime == "turning_point":
-            return (b ** 2 / 32.0) * config.nbar * np.exp(2 * r) * (1.0 + 1.0 / np.tanh(r))
-        return (b ** 2 / 8.0) * config.nbar * n_side
-    if regime == "large_nbar":
-        _check_large_nbar(config, regime)
-        return 0.25 * b ** 2 * config.nbar * (
-            np.sin(theta) ** 4 + 0.25 * np.sin(2 * theta) ** 2 * eta1)
-    if regime == "large_nbar_limit":
-        _check_large_nbar(config, regime)
-        _check_optimal_phases(config, regime)
-        _require(n_side >= 20, f"regime {regime!r} assumes n_side >> 2, got {n_side:.3g}")
-        return (b ** 2 / 8.0) * np.sin(2 * theta) ** 2 * n_side * config.nbar
-    raise ValueError(f"unknown squeezing regime {regime!r}; "
-                     f"choose one of {sorted(SQUEEZING_REGIMES)}")
+def _at_turning_point(kind: str, p: _Point, name: str):
+    _require(p.r > 0, name, "needs r > 0")
+    t = optimal_tritter_angle(p.nbar, p.n_side)
+    _require(abs(p.theta - t) < 1e-6, name, f"holds at theta_t = {t:.6f}, got {p.theta}")
 
 
-def _qfi_mode_mixing(config: InterferometerConfig, regime: str) -> float:
-    a = config.channel.strength
-    r, theta = config.r, config.theta
-    n0, n_side = pump_depletion(config.nbar, config.r)
-    eta3, phi1 = _phase_args(config)
-    sh2r = np.sinh(2 * r)
-    sin2_phi = np.sin(config.channel.phase) ** 2
+_TURNING = (_large_nbar, _optimal_phases, _at_turning_point)
+_PHI_ZERO = (_at_theta(np.pi / 2), _holds(lambda p: abs(np.sin(p.channel_phase)) < 1e-9,
+                                          "holds at channel phase 0"),
+             _large_nbar, _optimal_phases)
+_PUMPED = (_large_nbar, _optimal_phases, _undepleted)
+# (B^2/2) theta^2 n0 n, F0's as well as the QFI's, for both kinds
+_PUMPED_LIMIT = (_PUMPED + (_large_r,),
+                 lambda p: _pumped_gain(p.n0, p.n_side, p.theta, p.strength))
 
-    if regime == "theta_zero":
+
+def _pumped_qfi(vacuum: float):  # the squeezing form keeps the vacuum term 1
+    return lambda p: 0.25 * _sq(p.strength) * (vacuum + _sq(p.n_side) + _sq(p.theta) * (
+        p.n0 * np.exp(2 * p.r) + 0.5 * p.n_side - _sq(p.n_side)))
+
+
+def _mode_mixing_large_nbar(p: _Point):
+    eta3, phi1 = _phase_terms("mode_mixing", p)
+    s2 = _sq(np.sin(p.theta))
+    return 0.25 * _sq(p.strength) * p.nbar * s2 * (
+        s2 * _sq(np.sin(p.channel_phase)) + phi1 * eta3)
+
+
+def _mode_mixing_large_nbar_f0(p: _Point):
+    eta3, phi1 = _phase_terms("mode_mixing", p)
+    return 0.25 * _sq(p.strength) * _sq(np.sin(p.theta)) * phi1 * eta3 * p.nbar
+
+
+# {(channel kind, "QFI" or "F0"): {regime: (checks, formula)}}: the one home of
+# every named closed form but F0's "exact" response ratio
+_REGIMES = {
+    ("squeezing", "QFI"): {
+        "exact": ((), lambda p: _qfi_exact("squeezing", p)),
+        # the conventional SU(1,1), the original GW probe
+        "theta_zero": ((_at_theta(0.0),), lambda p: original_scheme_qfi(
+            p.r, p.squeeze_phase, p.channel_phase, p.strength)),
+        "theta_half_pi": ((_at_theta(np.pi / 2),), lambda p: 0.25 * _sq(p.strength) * (
+            1.0 + p.n0 + 0.5 * _phase_terms("squeezing", p)[1] * _sq(np.sinh(2 * p.r)))),
+        "turning_point": (_TURNING, lambda p: (_sq(p.strength) / 32.0) * p.nbar
+                          * np.exp(2 * p.r) * (1.0 + 1.0 / np.tanh(p.r))),
+        "turning_point_limit": (_TURNING, lambda p: (_sq(p.strength) / 8.0) * p.nbar * p.n_side),
+        "large_nbar": ((_large_nbar,), lambda p: 0.25 * _sq(p.strength) * p.nbar * (
+            _sq(_sq(np.sin(p.theta)))
+            + 0.25 * _sq(np.sin(2 * p.theta)) * _phase_terms("squeezing", p)[0])),
+        "large_nbar_limit": ((_large_nbar, _optimal_phases, _holds(
+            lambda p: p.n_side >= 20, "assumes n_side >> 2, got {p.n_side:.3g}")),
+            lambda p: (_sq(p.strength) / 8.0) * _sq(np.sin(2 * p.theta)) * p.n_side * p.nbar),
+        "pumped": (_PUMPED, _pumped_qfi(1.0)),
+        "pumped_limit": _PUMPED_LIMIT,
+    },
+    ("mode_mixing", "QFI"): {
+        "exact": ((), lambda p: _qfi_exact("mode_mixing", p)),
         # printed large-N shorthand: n^2 in place of sinh^2(2r) = n(n+2)
-        _check_angle(config, 0.0, regime)
-        return 0.25 * a ** 2 * n_side ** 2
-    if regime == "theta_half_pi_phi_half_pi":
-        _check_angle(config, np.pi / 2, regime)
-        _require(abs(np.sin(config.channel.phase) ** 2 - 1.0) < 1e-9,
-                 f"regime {regime!r} holds at channel phase pi/2")
-        return 0.25 * a ** 2 * (n0 + 0.5 * n_side ** 2)
-    if regime in ("theta_half_pi_phi_zero", "theta_half_pi_phi_zero_limit"):
-        _check_angle(config, np.pi / 2, regime)
-        _require(abs(np.sin(config.channel.phase)) < 1e-9,
-                 f"regime {regime!r} holds at channel phase 0")
-        _check_large_nbar(config, regime)
-        _check_optimal_phases(config, regime)
-        if regime == "theta_half_pi_phi_zero":
-            return 0.25 * a ** 2 * (config.nbar * np.exp(2 * r) + n_side)
-        _require(r >= 1.0, f"regime {regime!r} assumes r >> 1, got r = {r}")
-        return 0.5 * a ** 2 * config.nbar * n_side
-    if regime == "large_nbar":
-        _check_large_nbar(config, regime)
-        return 0.25 * a ** 2 * config.nbar * np.sin(theta) ** 2 * (
-            np.sin(theta) ** 2 * sin2_phi + phi1 * eta3)
-    if regime == "large_nbar_limit":
-        _check_large_nbar(config, regime)
-        _check_optimal_phases(config, regime)
-        _require(n_side >= 20, f"regime {regime!r} assumes n_side >> 1/2, got {n_side:.3g}")
-        return 0.5 * a ** 2 * np.sin(theta) ** 2 * (
-            1.0 - np.sin(theta) ** 2 * sin2_phi) * config.nbar * n_side
-    raise ValueError(f"unknown mode-mixing regime {regime!r}; "
-                     f"choose one of {sorted(MODE_MIXING_REGIMES)}")
+        "theta_zero": ((_at_theta(0.0),), lambda p: 0.25 * _sq(p.strength) * _sq(p.n_side)),
+        "theta_half_pi_phi_half_pi": ((_at_theta(np.pi / 2), _holds(
+            lambda p: abs(np.sin(p.channel_phase) ** 2 - 1.0) < 1e-9,
+            "holds at channel phase pi/2")),
+            lambda p: 0.25 * _sq(p.strength) * (p.n0 + 0.5 * _sq(p.n_side))),
+        "theta_half_pi_phi_zero": (_PHI_ZERO, lambda p: 0.25 * _sq(p.strength) * (
+            p.nbar * np.exp(2 * p.r) + p.n_side)),
+        "theta_half_pi_phi_zero_limit": (_PHI_ZERO + (_large_r,),
+                                         lambda p: 0.5 * _sq(p.strength) * p.nbar * p.n_side),
+        "large_nbar": ((_large_nbar,), _mode_mixing_large_nbar),
+        "large_nbar_limit": ((_large_nbar, _optimal_phases, _holds(
+            lambda p: p.n_side >= 20, "assumes n_side >> 1/2, got {p.n_side:.3g}")),
+            lambda p: 0.5 * _sq(p.strength) * _sq(np.sin(p.theta)) * (
+                1.0 - _sq(np.sin(p.theta)) * _sq(np.sin(p.channel_phase))) * p.nbar * p.n_side),
+        "pumped": (_PUMPED, _pumped_qfi(0.0)),
+        "pumped_limit": _PUMPED_LIMIT,
+    },
+    ("squeezing", "F0"): {
+        "large_nbar": ((_large_nbar,), lambda p: (_sq(p.strength) / 16.0)
+                       * _sq(np.sin(2 * p.theta)) * _phase_terms("squeezing", p)[0] * p.nbar),
+        "pumped_limit": _PUMPED_LIMIT,
+    },
+    ("mode_mixing", "F0"): {
+        "large_nbar": ((_large_nbar,), _mode_mixing_large_nbar_f0),
+        "pumped_limit": _PUMPED_LIMIT,
+    },
+}
+SQUEEZING_REGIMES = frozenset(_REGIMES["squeezing", "QFI"])
+MODE_MIXING_REGIMES = frozenset(_REGIMES["mode_mixing", "QFI"])
 
 
-SQUEEZING_REGIMES = frozenset({
-    "exact", "theta_zero", "theta_half_pi", "turning_point", "turning_point_limit",
-    "large_nbar", "large_nbar_limit", "pumped", "pumped_limit"})
-MODE_MIXING_REGIMES = frozenset({
-    "exact", "theta_zero", "theta_half_pi_phi_half_pi", "theta_half_pi_phi_zero",
-    "theta_half_pi_phi_zero_limit", "large_nbar", "large_nbar_limit",
-    "pumped", "pumped_limit"})
+def _closed_form(kind: str, quantity: str, regime: str, p: _Point):
+    """``quantity`` ("QFI" or "F0") in ``regime``: its checks in order, then its formula."""
+    regimes = _REGIMES.get((kind, quantity))
+    if regimes is None:
+        raise ValueError(f"no closed-form {quantity} for channel kind {kind!r}")
+    if regime not in regimes:
+        raise ValueError(f"unknown F0 regime {regime!r}" if quantity == "F0" else
+                         f"unknown {kind.replace('_', '-')} regime {regime!r}; "
+                         f"choose one of {sorted(regimes)}")
+    checks, formula = regimes[regime]
+    for check in checks:
+        check(kind, p, regime)
+    return formula(p)
 
 
 def qfi_closed_form(config: InterferometerConfig, regime: str = "exact") -> float:
@@ -356,14 +355,7 @@ def qfi_closed_form(config: InterferometerConfig, regime: str = "exact") -> floa
     (angle, phase relations, particle numbers); asymptotic formulas are never
     applied silently.
     """
-    kind = config.channel.kind
-    if regime == "exact" or kind not in ("squeezing", "mode_mixing"):
-        return _exact_closed_form(kind, _point(config))
-    if regime in ("pumped", "pumped_limit"):
-        return _pumped(config, regime)
-    if kind == "squeezing":
-        return _qfi_squeezing(config, regime)
-    return _qfi_mode_mixing(config, regime)
+    return _closed_form(config.channel.kind, "QFI", regime, _point(config))
 
 
 def optimal_tritter_angle(nbar: float, n_side: float, mode: str = "exact") -> float:
@@ -439,19 +431,18 @@ def number_sum_quadratic_response(config: InterferometerConfig) -> tuple[float, 
     the corresponding large-print expression shows -Phi2; the Phi1 form is the
     one that matches the pipeline exactly, see the regression tests.)
     """
-    ch = config.channel
-    r, theta = config.r, config.theta
-    n0, _ = pump_depletion(config.nbar, config.r)
+    ch, p = config.channel, _point(config)
+    r, theta, n0 = config.r, config.theta, p.n0
     arg_sq = (0.25 * ch.strength) ** 2
     sh2r = np.sinh(2 * r)
     if ch.kind == "squeezing":
-        eta1, eta2 = _phase_args(config)
+        eta1, eta2 = _phase_terms(ch.kind, p)
         common = (n0 * eta1 + np.cosh(r) ** 2) * np.sin(2 * theta) ** 2
         burst = (1.0 + np.cos(theta) ** 4) * (sh2r ** 2 * eta2 + 1.0)
         mean_c = 0.25 * (common + 4.0 * burst)
         var_c = 0.25 * (common + 8.0 * burst)
     elif ch.kind == "mode_mixing":
-        eta3, phi1 = _phase_args(config)
+        eta3, phi1 = _phase_terms(ch.kind, p)
         s2 = np.sin(theta) ** 2
         mean_c = (s2 * (phi1 * n0 * eta3 - phi1 * np.sinh(r) ** 2
                         + (phi1 - 1.0) * sh2r ** 2) + 2.0 * sh2r ** 2)
@@ -479,28 +470,14 @@ def f0_closed_form(config: InterferometerConfig, regime: str = "exact") -> float
 
     "exact" is the small-strain ratio (d<S>)^2/Var built from the quadratic
     response coefficients; "large_nbar" and "pumped_limit" are the printed
-    asymptotic forms.
+    asymptotic forms, checked as :func:`qfi_closed_form`'s regimes are.
     """
-    ch = config.channel
     if regime == "exact":
         mean_c, var_c = number_sum_quadratic_response(config)
         if var_c <= 0:
             raise FloatingPointError(f"non-positive variance coefficient {var_c!r}")
         return float(4.0 * mean_c ** 2 / var_c)
-    if regime == "large_nbar":
-        _check_large_nbar(config, regime)
-        if ch.kind == "squeezing":
-            eta1, _ = _phase_args(config)
-            return (ch.strength ** 2 / 16.0) * np.sin(2 * config.theta) ** 2 \
-                * eta1 * config.nbar
-        if ch.kind == "mode_mixing":
-            eta3, phi1 = _phase_args(config)
-            return 0.25 * ch.strength ** 2 * np.sin(config.theta) ** 2 \
-                * phi1 * eta3 * config.nbar
-        raise ValueError(f"no closed-form F0 for channel kind {ch.kind!r}")
-    if regime == "pumped_limit":
-        return _pumped(config, regime)
-    raise ValueError(f"unknown F0 regime {regime!r}")
+    return _closed_form(config.channel.kind, "F0", regime, _point(config))
 
 
 def fisher_from_moments(config: InterferometerConfig, eps0: float = 1e-3) -> float:
@@ -606,11 +583,11 @@ def _evaluate_stack(kind: str, p: _Point, eps0, quantities) -> dict:
     out = {}
     with np.errstate(all="ignore"):  # the checks report non-finite values
         if "H_closed" in quantities:
-            if kind == "phase":  # no closed form: the scalar function's error
-                out["H_closed"] = ((np.nan,), [_scalar_check(
-                    True, lambda: _exact_closed_form(kind, p))])
-            else:
+            if (kind, "QFI") in _REGIMES:
                 out["H_closed"] = ((_qfi_exact(kind, p),), [])
+            else:  # no closed form: the scalar function's error
+                out["H_closed"] = ((np.nan,), [_scalar_check(
+                    True, lambda: _closed_form(kind, "QFI", "exact", p))])
         if "theta_t" in quantities:
             z = _turning_point_argument(p.nbar, p.n_side)
             theta_t = 0.5 * np.arccos(z)  # as optimal_tritter_angle

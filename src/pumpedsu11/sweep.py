@@ -23,10 +23,10 @@ Unknown keys are hard errors.  All physics parameters live in the file so a
 run is reproducible from the file alone; only the output destination may come
 from the environment.
 
-The unswept keys of an interferometer file's base point, and the single point
-of a ``[gw]`` file without a ``[sweep]`` section, are validated when the file
-is read, so a point outside the formulas' domain is a :class:`ConfigError`
-with the file's name.  An interferometer sweep is held as arrays: each swept
+The unswept keys of an interferometer file's base point, the single point of
+a ``[gw]`` file without a ``[sweep]`` section, and a swept ``[gw]`` file's
+unswept delta and theta_sq are validated when the file is read, so a point
+outside the formulas' domain is a :class:`ConfigError` with the file's name.  An interferometer sweep is held as arrays: each swept
 key is an array shaped to broadcast over the grid, and each unswept key stays
 a scalar.  Every grid reports its failures through one protocol,
 ``pipeline._row_errors``: each check is a mask over the arrays, and a failing
@@ -58,10 +58,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSpec
-from .gw import compare_grid
+from .gw import _check_theta_sq, compare_grid
 from .metrology import QUANTITY_COLUMNS, _evaluate_grid, _Point
 from .pipeline import (InterferometerConfig, _check_tritter_angle, _row_errors, _scalar_check,
-                       _side_population, pump_depletion)
+                       _side_population, max_tritter_angle, pump_depletion)
 
 __all__ = [
     "ConfigError",
@@ -228,8 +228,7 @@ def parse_config(path) -> SweepSpec:
         for name, _ in sweeps:
             if name not in GW_SWEEPABLE_KEYS:
                 raise ConfigError(f"{path}: cannot sweep {name!r} in a [gw] run")
-        if not sweeps:  # a swept grid reports each of its rows' failures in that row
-            _check_gw_point(params, path)
+        _check_gw_point(params, sweeps_names(sweeps), path)
         spec = SweepSpec(base=params, sweeps=tuple(sweeps),
                          quantities=("comparison",), kind="gw")
     else:
@@ -281,11 +280,24 @@ def _build_config(params: dict) -> InterferometerConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _check_gw_point(params: dict, path) -> None:
-    """Put an unswept [gw] point through compare_grid's checks; raise its first error."""
-    _, errors = compare_grid(**params)
-    if errors:
-        raise ConfigError(f"{path}: [gw] base point: {errors[0]}")
+def _check_gw_point(params: dict, swept, path) -> None:
+    """Put the unswept [gw] point through compare_grid's checks; raise its first error.
+
+    A swept file's rows report their own failures, so it is refused only for an
+    unswept value that fails every row: theta_sq < 0, or delta outside [0, 1).
+    """
+    try:
+        if not swept:
+            _, errors = compare_grid(**params)
+            if errors:
+                raise errors[0]
+        else:
+            if "theta_sq" not in swept and params["theta_sq"] is not None:
+                _check_theta_sq(params["theta_sq"])
+            if "delta" not in swept:
+                max_tritter_angle(0.0, params["delta"])
+    except ValueError as exc:  # each of compare_grid's checks raises one
+        raise ConfigError(f"{path}: [gw] base point: {exc}") from None
 
 
 @dataclass(frozen=True)

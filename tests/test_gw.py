@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from pumpedsu11 import (ChannelSpec, GwDetectorParams, InterferometerConfig,
                         channel_strength, compare_schemes, coupling_constant,
                         max_tritter_angle, original_scheme_qfi, phonon_xi,
-                        pumped_scheme_qfi, qcrb_sensitivity, qfi_closed_form)
+                        pump_depletion, pumped_scheme_qfi, qcrb_sensitivity,
+                        qfi_closed_form)
 from pumpedsu11.gw import HBAR, compare_grid
 from pumpedsu11.sweep import GW_COLUMNS, SweepSpec, run_sweep
 
@@ -96,8 +97,9 @@ def test_original_scheme_matches_bare_su11_closed_form():
             nbar=2 * np.sinh(r) ** 2 + 1e7, r=r, theta=0.0,
             channel=ChannelSpec("squeezing", 1.0, 0.2),
             squeeze_phase=0.2 + np.pi / 2)
-        assert original_scheme_qfi(r, 0.2 + np.pi / 2, 0.2) == pytest.approx(
-            qfi_closed_form(cfg, "theta_zero"), rel=1e-12)
+        # one formula: the squeezing "theta_zero" regime calls original_scheme_qfi
+        assert original_scheme_qfi(r, 0.2 + np.pi / 2, 0.2) \
+            == qfi_closed_form(cfg, "theta_zero")
 
 
 def test_qcrb_sensitivity_scaling():
@@ -159,6 +161,16 @@ def test_pumped_scheme_qfi_structure():
     gain = 0.5 * theta ** 2 * n0 * 2 * np.sinh(r) ** 2
     assert pumped_scheme_qfi(n0, r, theta) == pytest.approx(
         original_scheme_qfi(r) + gain, rel=1e-12)
+    # the gain is the "pumped_limit" regime at the matched config, at optimal
+    # phases with nbar = n0 + n; exact (tolerance 0), since both call one
+    # formula at the config's own n0 = nbar - n
+    n_side = 2 * np.sinh(r) ** 2
+    cfg = InterferometerConfig(nbar=n0 + n_side, r=r, theta=theta,
+                               channel=ChannelSpec("squeezing", 1.0),
+                               squeeze_phase=np.pi / 2, tritter_phase=np.pi / 4)
+    matched_n0 = pump_depletion(cfg.nbar, r)[0]
+    assert pumped_scheme_qfi(matched_n0, r, theta) \
+        == original_scheme_qfi(r) + qfi_closed_form(cfg, "pumped_limit")
 
 
 def test_compare_schemes_rejects_negative_theta_sq():

@@ -234,6 +234,18 @@ _PHASE = InterferometerConfig(nbar=1e4, r=1.0, theta=0.3, channel=ChannelSpec("p
      ValueError, "unknown F0 regime 'no_such_regime'"),
     (lambda: f0_closed_form(_PHASE, "large_nbar"), ValueError,
      "no closed-form F0 for channel kind 'phase'"),
+    # a phase channel is refused by kind first, whatever the regime: once the
+    # limit answered at the mode-mixing phase relation (13,811 where F0 is
+    # 72,909), and an F0 regime's own refusal came first
+    (lambda: f0_closed_form(InterferometerConfig(
+        nbar=1e6, r=1.0, theta=0.1, channel=ChannelSpec("phase", 1.0),
+        tritter_phase=np.pi / 2), "pumped_limit"), ValueError,
+     "no closed-form F0 for channel kind 'phase'"),
+    (lambda: f0_closed_form(InterferometerConfig(
+        nbar=100.0, r=1.0, theta=0.3, channel=ChannelSpec("phase", 1.0)), "large_nbar"),
+     ValueError, "no closed-form F0 for channel kind 'phase'"),
+    (lambda: f0_closed_form(_PHASE, "no_such_regime"), ValueError,
+     "no closed-form F0 for channel kind 'phase'"),
     (lambda: optimal_tritter_angle(1e6, 20.0, mode="bogus"), ValueError,
      "mode must be 'exact' or 'approx', got 'bogus'"),
     (lambda: optimal_phases("phase"), ValueError,

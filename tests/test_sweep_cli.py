@@ -686,6 +686,24 @@ def test_gw_sweep_may_replace_a_base_value_outside_the_domain(tmp_path, capsys, 
     assert all(line.endswith(",") for line in lines[1:])  # no row has an error
 
 
+@pytest.mark.parametrize("body, message", [
+    ("delta = 2\n", "delta must be small compared to 1, got 2.0"),
+    ("delta = -0.5\n", "need 0 <= gamma <= delta, got gamma=0.0, delta=-0.5"),
+    ("theta_sq = -0.01\n", "theta^2 must be nonnegative, got -0.01"),
+    ("theta_sq = -0.01\ndelta = 2\n", "theta^2 must be nonnegative, got -0.01"),
+], ids=["large_delta", "negative_delta", "negative_theta_sq", "theta_sq_first"])
+def test_gw_sweep_refuses_an_unswept_value_that_fails_every_row(tmp_path, capsys, body,
+                                                                message):
+    # no swept n0 can mend these: every row once carried the error, with exit 0
+    path = write(tmp_path, f"[gw]\nr_original = 4.2\nr_pumped = 2.0\n{body}"
+                           "[sweep]\nn0 = values 1e5 1e6\n")
+    with pytest.raises(ConfigError, match=r"run\.conf: \[gw\] base point: ") as info:
+        parse_config(path)
+    assert str(info.value).endswith(message)
+    assert main(["sweep", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 NUMBER = st.one_of(
     st.none(), st.floats(allow_nan=True, allow_infinity=True), st.integers(-10 ** 20, 10 ** 20),
     st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, np.float64(1e-300), 10 ** 20, True]))
