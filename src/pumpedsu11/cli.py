@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 
@@ -32,8 +31,6 @@ def _add_common(parser):
     parser.add_argument("--out", default=None, help="output file path")
     parser.add_argument("--format", default="csv", choices=("csv", "json"),
                         help="output format (default csv)")
-    parser.add_argument("--eps0", type=float, default=1e-3,
-                        help="strain evaluation point for moment signals (default 1e-3)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,14 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pumped-up SU(1,1) interferometry with Gaussian channels")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("qfi", help="quantum Fisher information at one configuration")
-    _add_common(p)
-    p = sub.add_parser("sensitivity", help="number-sum sensitivity at one configuration")
-    _add_common(p)
-    p = sub.add_parser("sweep", help="evaluate a parameter grid")
-    _add_common(p)
-    p = sub.add_parser("gw-compare", help="original vs pumped-up detector QFI")
-    _add_common(p)
+    for name, text in (("qfi", "quantum Fisher information at one configuration"),
+                       ("sensitivity", "number-sum sensitivity at one configuration"),
+                       ("sweep", "evaluate a parameter grid"),
+                       ("gw-compare", "original vs pumped-up detector QFI")):
+        _add_common(sub.add_parser(name, help=text))
     p = sub.add_parser("validate", help="run the Fock-oracle cross-check suite")
     p.add_argument("--cutoff", type=int, default=25,
                    help="per-mode Fock cutoff of the three-mode checks, %d to %d (default 25); "
@@ -78,7 +72,7 @@ def _single_point(args, spec, quantities) -> int:
         raise ConfigError(f"{args.config}: single-point command, but [sweep] is present; "
                           "use the sweep subcommand")
     spec = type(spec)(base=spec.base, sweeps=(), quantities=quantities, kind=spec.kind)
-    table = run_sweep(spec, eps0=args.eps0, table=True)
+    table = run_sweep(spec, table=True)
     row = table.rows()[0]
     if row["error"]:
         print(f"error: {row['error']}", file=sys.stderr)
@@ -107,7 +101,7 @@ def _cmd_sensitivity(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = parse_config(args.config)
-    table = run_sweep(spec, eps0=args.eps0, table=True)
+    table = run_sweep(spec, table=True)
     path = _out_path(args)
     text = emit(table, args.format, path)
     if path:
@@ -121,7 +115,7 @@ def _cmd_gw_compare(args) -> int:
     spec = parse_config(args.config)
     if spec.kind != "gw":
         raise ConfigError(f"{args.config}: gw-compare needs a [gw] section")
-    table = run_sweep(spec, eps0=args.eps0, table=True)
+    table = run_sweep(spec, table=True)
     rows = table.rows()
     if len(rows) == 1 and rows[0]["error"]:
         print(f"error: {rows[0]['error']}", file=sys.stderr)
@@ -171,8 +165,6 @@ def main(argv=None) -> int:
         "validate": _cmd_validate,
     }
     try:
-        if not math.isfinite(getattr(args, "eps0", 0.0)):
-            raise ConfigError(f"--eps0 must be a finite number, got {args.eps0!r}")
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -254,9 +254,7 @@ def compare_grid(n0, r_original, r_pumped=None, strength=1.0, delta=0.1, theta_s
         outside = ~((0.0 <= gamma) & (gamma <= delta)) | (delta >= 1.0) \
             | ~((-1.0 <= z) & (z <= 1.0))
         angle = _scalar_check(outside, max_tritter_angle, gamma, delta)
-        inside = ~full(outside)
-        theta_max = np.full(shape, np.nan)
-        theta_max[inside] = max_tritter_angle(full(gamma)[inside], full(delta)[inside])
+        theta_max = 0.5 * np.arccos(z)  # as max_tritter_angle
         bound = theta_max * theta_max
         checks = [angle]
         if theta_sq is None:
@@ -268,7 +266,7 @@ def compare_grid(n0, r_original, r_pumped=None, strength=1.0, delta=0.1, theta_s
             checks = [_scalar_check(~(theta_sq >= 0.0), _check_theta_sq, theta_sq), angle, (
                 given > bound * 1.02, lambda j: ValueError(
                     f"theta^2 = {_item(given, j):.4g} exceeds the undepleted-pump bound "
-                    f"{_item(bound, j):.4g}"))]
+                    f"{_item(full(bound), j):.4g}"))]
         theta = np.sqrt(theta_sq)
         h_orig = original_scheme_qfi(r_original, strength=strength)
         # a row with n0 <= 0 takes NaN here and fails its own check below

@@ -591,10 +591,10 @@ def _evaluate_stack(kind: str, p: _Point, eps0, quantities) -> dict:
         if "theta_t" in quantities:
             z = _turning_point_argument(p.nbar, p.n_side)
             theta_t = 0.5 * np.arccos(z)  # as optimal_tritter_angle
-            failed = (~(p.n_side > 0) | ~(p.nbar > p.n_side) | ~((-1.0 <= z) & (z <= 1.0))
-                      | ~np.isfinite(theta_t))
+            # every row reported on has n0 > 0, so its checks fail where theta_t
+            # is NaN: r = 0 gives z = -inf, and an argument outside [-1, 1] a NaN
             out["theta_t"] = ((theta_t,), [_scalar_check(
-                failed, optimal_tritter_angle, p.nbar, p.n_side)])
+                ~np.isfinite(theta_t), optimal_tritter_angle, p.nbar, p.n_side)])
         strained = not {"F0", "slopes", "moments"}.isdisjoint(quantities)
         if not strained and "H_numeric" not in quantities:
             return out

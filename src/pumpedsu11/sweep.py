@@ -7,6 +7,7 @@ The config format is line-oriented ``key = value`` with optional sections:
     r = 1.0
     nbar = 1e6
     theta = 0.3
+    eps0 = 1e-3                  # strain point of F0 and the moments
 
     [sweep]
     theta = linspace 0 1.5707963267948966 50
@@ -19,9 +20,10 @@ The config format is line-oriented ``key = value`` with optional sections:
     n0 = 1e6
     r_original = 4.2
 
-Unknown keys are hard errors.  All physics parameters live in the file so a
-run is reproducible from the file alone; only the output destination may come
-from the environment.
+Unknown keys, a key given twice and a quantity listed twice are hard errors.
+All physics parameters, the strain point eps0 among them, live in the file so
+a run is reproducible from the file alone; only the output destination may
+come from the environment.  Any base key but ``channel`` can be swept.
 
 The unswept keys of an interferometer file's base point, the single point of
 a ``[gw]`` file without a ``[sweep]`` section, and a swept ``[gw]`` file's
@@ -89,6 +91,7 @@ DEFAULTS = {
     "squeeze_phase": 0.0,
     "theta": 0.0,
     "tritter_phase": 0.0,
+    "eps0": 1e-3,
 }
 GW_DEFAULTS = {
     "n0": 1e6,
@@ -100,8 +103,6 @@ GW_DEFAULTS = {
 }
 
 BASE_KEYS = ("channel",) + tuple(DEFAULTS)
-SWEEPABLE_KEYS = tuple(DEFAULTS) + ("eps0",)
-GW_SWEEPABLE_KEYS = ("n0", "r_original", "r_pumped", "strength", "delta", "theta_sq")
 QUANTITIES = tuple(QUANTITY_COLUMNS)  # H_numeric H_closed F0 moments theta_t
 
 INTERFEROMETER_COLUMNS = tuple(itertools.chain(*QUANTITY_COLUMNS.values())) + ("error",)
@@ -120,10 +121,7 @@ class SweepSpec:
     kind: str = "interferometer"  # or "gw"
 
     def grid_size(self) -> int:
-        size = 1
-        for _, values in self.sweeps:
-            size *= len(values)
-        return size
+        return math.prod(len(values) for _, values in self.sweeps)
 
 
 def _parse_number(token: str, where: str) -> float:
@@ -196,6 +194,8 @@ def parse_config(path) -> SweepSpec:
         if section is None:
             if key not in BASE_KEYS:
                 raise ConfigError(f"{where}: unknown key {key!r}")
+            if key in base:
+                raise ConfigError(f"{where}: key {key!r} given twice")
             base[key] = value if key == "channel" else _parse_number(value, where)
         elif section == "sweep":
             if key in sweeps_names(sweeps):
@@ -204,29 +204,36 @@ def parse_config(path) -> SweepSpec:
         elif section == "outputs":
             if key != "quantities":
                 raise ConfigError(f"{where}: unknown key {key!r} in [outputs]")
+            if outputs_where is not None:
+                raise ConfigError(f"{where}: key {key!r} given twice in [outputs]")
             outputs_where = where
             quantities = tuple(value.replace(",", " ").split())
-            for q in quantities:
+            if not quantities:
+                raise ConfigError(f"{where}: empty quantity list")
+            for i, q in enumerate(quantities):
                 if q not in QUANTITIES + ("comparison",):
                     raise ConfigError(f"{where}: unknown quantity {q!r}")
+                if q in quantities[:i]:
+                    raise ConfigError(f"{where}: quantity {q!r} listed twice")
         else:  # gw
             if key not in GW_DEFAULTS:
                 raise ConfigError(f"{where}: unknown key {key!r} in [gw]")
+            if key in gw:
+                raise ConfigError(f"{where}: key {key!r} given twice in [gw]")
             gw[key] = _parse_number(value, where)
 
     if gw:
         if base:
             raise ConfigError(f"{path}: give either interferometer keys or a [gw] "
                               "section, not both")
-        params = dict(GW_DEFAULTS)
-        params.update(gw)
+        params = {**GW_DEFAULTS, **gw}
         if params["r_original"] is None:
             raise ConfigError(f"{path}: [gw] section requires r_original")
         if outputs_where is not None:
             raise ConfigError(f"{outputs_where}: [outputs] does not apply to a [gw] run, "
                               "which always writes the comparison columns")
         for name, _ in sweeps:
-            if name not in GW_SWEEPABLE_KEYS:
+            if name not in GW_DEFAULTS:
                 raise ConfigError(f"{path}: cannot sweep {name!r} in a [gw] run")
         _check_gw_point(params, sweeps_names(sweeps), path)
         spec = SweepSpec(base=params, sweeps=tuple(sweeps),
@@ -236,10 +243,9 @@ def parse_config(path) -> SweepSpec:
             raise ConfigError(f"{path}: missing required key 'channel'")
         if quantities is not None and "comparison" in quantities:
             raise ConfigError(f"{outputs_where}: quantity 'comparison' needs a [gw] section")
-        params = dict(DEFAULTS)
-        params.update(base)
+        params = {**DEFAULTS, **base}
         for name, _ in sweeps:
-            if name not in SWEEPABLE_KEYS:
+            if name not in DEFAULTS:
                 raise ConfigError(f"{path}: cannot sweep unknown parameter {name!r}")
         _build_config(_unswept_point(params, sweeps))  # validate now, with file context
         spec = SweepSpec(base=params, sweeps=tuple(sweeps),
@@ -360,7 +366,7 @@ def _gw_table(spec: SweepSpec) -> SweepTable:
     return SweepTable(columns, shape)
 
 
-def _interferometer_table(spec: SweepSpec, eps0: float) -> SweepTable:
+def _interferometer_table(spec: SweepSpec) -> SweepTable:
     shape, columns = _axes(spec)
     size = math.prod(shape)
     params = {key: columns.get(key, spec.base[key]) for key in DEFAULTS}
@@ -382,7 +388,7 @@ def _interferometer_table(spec: SweepSpec, eps0: float) -> SweepTable:
     if failed:
         valid = np.ones(size, dtype=bool)
         valid[list(failed)] = False
-    values, errors = _evaluate_grid(spec.base["channel"], point, columns.get("eps0", eps0),
+    values, errors = _evaluate_grid(spec.base["channel"], point, params["eps0"],
                                     spec.quantities, shape, valid)
     for column in INTERFEROMETER_COLUMNS[:-1]:
         cells = values.get(column) or [None] * size
@@ -398,7 +404,7 @@ def _interferometer_table(spec: SweepSpec, eps0: float) -> SweepTable:
     return SweepTable(columns, shape)
 
 
-def run_sweep(spec: SweepSpec, eps0: float = 1e-3, *, table: bool = False):
+def run_sweep(spec: SweepSpec, *, table: bool = False):
     """Evaluate the run configuration over its full grid.
 
     With ``table=True`` the result is the grid's :class:`SweepTable`, the one
@@ -406,11 +412,12 @@ def run_sweep(spec: SweepSpec, eps0: float = 1e-3, *, table: bool = False):
     point.  Rows run in lexicographic grid order (first swept name outermost).
     An interferometer grid's row checks (strength, pump depletion, angle
     range) run as masks over its parameter arrays, and the rows that pass go
-    to the stacked kernel as one batch.  A ``[gw]`` grid goes to
-    :func:`gw.compare_grid` as one batch.  Failures are recorded in the row's
-    ``error`` cell and never abort the sweep.
+    to the stacked kernel as one batch, which takes F0 and the moments at the
+    file's strain point eps0 (a base key, swept or not).  A ``[gw]`` grid
+    goes to :func:`gw.compare_grid` as one batch.  Failures are recorded in
+    the row's ``error`` cell and never abort the sweep.
     """
-    result = _gw_table(spec) if spec.kind == "gw" else _interferometer_table(spec, eps0)
+    result = _gw_table(spec) if spec.kind == "gw" else _interferometer_table(spec)
     return result if table else result.rows()
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pumpedsu11 import (ConfigError, emit, optimal_phases, optimal_tritter_angle,
-                        parse_config, qfi_numeric, run_sweep)
+                        parse_config, qfi_numeric, run_sweep, sensitivity_number_sum)
 from pumpedsu11.cli import main
 from pumpedsu11.sweep import DEFAULTS, GRID_CAP, GW_COLUMNS, SweepTable, _build_config
 from conftest import child_env, emit_rowwise
@@ -320,7 +320,9 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
     assert float(printed["H_numeric"]) == pytest.approx(float(printed["H_closed"]), rel=1e-12)
     # the number-sum signal is stationary at zero strain: a numerical failure
-    assert main(["sensitivity", "--config", path, "--eps0", "0"]) == 2
+    path = write(tmp_path, "channel = squeezing\nr = 10.0\nnbar = 1e12\ntheta = 0.3\n"
+                           "eps0 = 0\n")
+    assert main(["sensitivity", "--config", path]) == 2
     assert capsys.readouterr().err == (
         "error: F0: number-sum signal is stationary at zero strain; use eps0 > 0\n")
 
@@ -345,29 +347,43 @@ def test_cli_non_finite_qfi_is_one_error_line(tmp_path):
     assert proc.stderr == "error: H_numeric: QFI evaluated to inf\n"
 
 
-@pytest.mark.parametrize("line", ["nbar = nan", "nbar = inf", "strength = nan"])
+@pytest.mark.parametrize("line", ["nbar = nan", "nbar = inf", "strength = nan", "eps0 = nan",
+                                  "eps0 = inf"])
 def test_cli_rejects_non_finite_values(tmp_path, capsys, line):
     path = write(tmp_path, f"channel = squeezing\nr = 1.0\ntheta = 0.4\n{line}\n")
     assert main(["qfi", "--config", path]) == 1
-    assert "config error" in capsys.readouterr().err
+    token = line.split(" = ")[1]
+    assert capsys.readouterr().err == (
+        f"config error: {path}:4: expected a finite number, got {token!r}\n")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("command", ["qfi", "sensitivity", "sweep", "gw-compare"])
-def test_cli_rejects_non_finite_eps0(tmp_path, capsys, command, value):
-    text = ("[gw]\nn0 = 1e6\nr_original = 4.2\n" if command == "gw-compare"
-            else "channel = squeezing\nr = 1.0\ntheta = 0.4\n")
-    path = write(tmp_path, text)
-    assert main([command, "--config", path, "--eps0", value]) == 1
-    assert "config error: --eps0" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv", [["sensitivity", "--eps0", "-1e-3"], ["bogus"]])
+@pytest.mark.parametrize("argv", [["sensitivity", "--format", "xml"], ["bogus"]])
 def test_cli_usage_error_exit_code(tmp_path, capsys, argv):
-    # argparse reads "-1e-3" as an option, not as the value of --eps0
+    # an option value outside its choices, and an unknown subcommand
     path = write(tmp_path, "channel = squeezing\nr = 1.0\ntheta = 0.4\n")
     assert main([argv[0], "--config", path, *argv[1:]]) == 1
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["qfi", "sensitivity", "sweep", "gw-compare", "validate"])
+def test_cli_has_no_eps0_option(tmp_path, capsys, command):
+    # the strain point is the config file's eps0 key, so the file alone fixes a run
+    path = write(tmp_path, "channel = squeezing\nr = 1.0\ntheta = 0.4\neps0 = 1e-3\n")
+    config = [] if command == "validate" else ["--config", path]
+    assert main([command, *config, "--eps0", "1e-3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("error: unrecognized arguments: --eps0 1e-3\n")
+
+
+def test_base_eps0_equals_a_swept_eps0_and_the_scalar_function(tmp_path):
+    text = "channel = squeezing\nr = 1.0\nnbar = 1e4\ntheta = 0.4\n"
+    spec = parse_config(write(tmp_path, text + "eps0 = 0.01\n"))
+    [row] = run_sweep(spec)
+    [swept] = run_sweep(parse_config(write(tmp_path, text + "[sweep]\neps0 = values 0.01\n",
+                                           "swept.conf")))
+    assert row["error"] == ""
+    assert swept == {"eps0": 0.01, **row}
+    assert row["F0"] == sensitivity_number_sum(_build_config(spec.base), 0.01)[1]
 
 
 def test_cli_help_exit_code(capsys):
@@ -544,10 +560,10 @@ print(json.dumps({"parsers": len(built), "results": results}))
 def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path):
     point = write(tmp_path, "channel = squeezing\nr = 0.5\nnbar = 100\ntheta = 0.4\n",
                   "point.conf")
-    grid = write(tmp_path, "channel = squeezing\nr = 0.5\nnbar = 1e4\n"
+    grid = write(tmp_path, "channel = squeezing\nr = 0.5\nnbar = 1e4\neps0 = -1e-3\n"
                            "[sweep]\ntheta = values 0.1 0.4\n", "grid.conf")
-    calls = [["sensitivity", "--config", point, "--eps0", "-1e-3"], ["--help"],
-             ["qfi", "--config", point], ["sweep", "--config", grid, "--eps0=-1e-3"],
+    calls = [["sensitivity", "--config", point, "--format", "xml"], ["--help"],
+             ["qfi", "--config", point], ["sweep", "--config", grid, "--format", "csv"],
              ["qfi", "--config", point]]
 
     def run(argvs):
@@ -627,7 +643,16 @@ GW = "[gw]\nn0 = 1e6\nr_original = 4.2\n"
      ":6: parameter 'theta' swept twice"),
     ("sweep", "channel = squeezing\n[outputs]\nquantity = F0\n",
      ":3: unknown key 'quantity' in [outputs]"),
+    ("sweep", "channel = squeezing\nchannel = phase\n", ":2: key 'channel' given twice"),
+    ("qfi", "channel = squeezing\nr = 1\nr = 2\n", ":3: key 'r' given twice"),
+    ("sweep", GW + "n0 = 1e5\n", ":4: key 'n0' given twice in [gw]"),
+    ("sweep", "channel = squeezing\n[outputs]\nquantities = F0\nquantities = H_numeric\n",
+     ":4: key 'quantities' given twice in [outputs]"),
+    ("sweep", "channel = squeezing\n[outputs]\nquantities = theta_t theta_t F0\n",
+     ":3: quantity 'theta_t' listed twice"),
+    ("sweep", "channel = squeezing\n[outputs]\nquantities =\n", ":3: empty quantity list"),
     ("sweep", GW + "n1 = 3\n", ":4: unknown key 'n1' in [gw]"),
+    ("sweep", GW + "eps0 = 1e-3\n", ":4: unknown key 'eps0' in [gw]"),
     ("sweep", "[gw]\nn0 = 1e6\n", ": [gw] section requires r_original"),
     ("sweep", GW + "[sweep]\ntheta = values 0.1\n", ": cannot sweep 'theta' in a [gw] run"),
     ("qfi", GW, ": this command needs an interferometer config"),
@@ -635,7 +660,9 @@ GW = "[gw]\nn0 = 1e6\nr_original = 4.2\n"
      ": single-point command, but [sweep] is present; use the sweep subcommand"),
     ("gw-compare", "channel = squeezing\n", ": gw-compare needs a [gw] section"),
 ], ids=["number", "empty_sweep", "linspace_arity", "empty_values", "unknown_section",
-        "swept_twice", "outputs_key", "gw_key", "gw_r_original", "gw_sweep_key",
+        "swept_twice", "outputs_key", "channel_twice", "r_twice",
+        "gw_key_twice", "outputs_twice", "quantity_twice", "empty_quantities", "gw_key",
+        "gw_eps0", "gw_r_original", "gw_sweep_key",
         "needs_interferometer", "sweep_present", "needs_gw"])
 def test_cli_config_refusals_name_their_place(tmp_path, capsys, command, body, message):
     path = write(tmp_path, body)
