@@ -1,6 +1,11 @@
 """Batch command-line front end.
 
 Subcommands: ``qfi``, ``sensitivity``, ``sweep``, ``gw-compare``, ``validate``.
+The config commands report through two helpers.  A point (``qfi``,
+``sensitivity``, an unswept ``gw-compare``, or a one-row grid whose row fails)
+prints its quantities, or its error with exit 2, then writes ``--out``; any
+other grid is written to ``--out``, or printed to stdout.  A written file is
+reported as ``wrote <path> (<n> rows)``.
 Exit codes: 0 success (also for ``--help``), 1 configuration or command-line
 usage error, 2 numerical failure in a non-sweep command (sweeps record per-row
 failures in the table instead).
@@ -9,11 +14,12 @@ failures in the table instead).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
 
-from .metrology import QUANTITY_COLUMNS
+from .metrology import _REGIMES, QUANTITY_COLUMNS
 from .sweep import GW_COLUMNS, ConfigError, emit, parse_config, run_sweep
 
 EXIT_OK = 0
@@ -65,43 +71,8 @@ def _out_path(args):
     return args.out
 
 
-def _single_point(args, spec, quantities) -> int:
-    if spec.kind != "interferometer":
-        raise ConfigError(f"{args.config}: this command needs an interferometer config")
-    if spec.sweeps:
-        raise ConfigError(f"{args.config}: single-point command, but [sweep] is present; "
-                          "use the sweep subcommand")
-    spec = type(spec)(base=spec.base, sweeps=(), quantities=quantities, kind=spec.kind)
-    table = run_sweep(spec, table=True)
-    row = table.rows()[0]
-    if row["error"]:
-        print(f"error: {row['error']}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    for key in (column for q in quantities for column in QUANTITY_COLUMNS[q]):
-        if row.get(key) is not None:
-            print(f"{key} = {row[key]:.12e}")
-    path = _out_path(args)
-    if path:
-        emit(table, args.format, path)
-        print(f"wrote {path}")
-    return EXIT_OK
-
-
-def _cmd_qfi(args) -> int:
-    spec = parse_config(args.config)
-    # the phase channel has no closed form in this package
-    if spec.kind == "interferometer" and spec.base.get("channel") == "phase":
-        return _single_point(args, spec, ("H_numeric",))
-    return _single_point(args, spec, ("H_numeric", "H_closed"))
-
-
-def _cmd_sensitivity(args) -> int:
-    return _single_point(args, parse_config(args.config), ("F0", "moments", "H_numeric"))
-
-
-def _cmd_sweep(args) -> int:
-    spec = parse_config(args.config)
-    table = run_sweep(spec, table=True)
+def _write_table(args, table) -> int:
+    """Write the table to ``--out``, or print it to stdout."""
     path = _out_path(args)
     text = emit(table, args.format, path)
     if path:
@@ -111,24 +82,38 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _print_point(args, table, columns) -> int:
+    """Print ``columns`` of the table's first row, or its error (exit 2); then write ``--out``."""
+    row = table.rows()[0]
+    if row["error"]:
+        print(f"error: {row['error']}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    for key in columns:
+        print(f"{key} = {row[key]:.12e}")
+    return _write_table(args, table) if _out_path(args) else EXIT_OK
+
+
+def _single_point(args, quantities) -> int:
+    spec = parse_config(args.config)
+    if spec.kind != "interferometer":
+        raise ConfigError(f"{args.config}: this command needs an interferometer config")
+    if spec.sweeps:
+        raise ConfigError(f"{args.config}: single-point command, but [sweep] is present; "
+                          "use the sweep subcommand")
+    if (spec.base["channel"], "QFI") not in _REGIMES:  # a kind without a closed form
+        quantities = tuple(q for q in quantities if q != "H_closed")
+    table = run_sweep(dataclasses.replace(spec, quantities=quantities), table=True)
+    return _print_point(args, table, [c for q in quantities for c in QUANTITY_COLUMNS[q]])
+
+
 def _cmd_gw_compare(args) -> int:
     spec = parse_config(args.config)
     if spec.kind != "gw":
         raise ConfigError(f"{args.config}: gw-compare needs a [gw] section")
     table = run_sweep(spec, table=True)
-    rows = table.rows()
-    if len(rows) == 1 and rows[0]["error"]:
-        print(f"error: {rows[0]['error']}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    if not spec.sweeps:
-        row = rows[0]
-        for key in GW_COLUMNS[:-1]:
-            print(f"{key} = {row[key]:.12e}")
-    path = _out_path(args)
-    if path:
-        emit(table, args.format, path)
-        print(f"wrote {path} ({len(rows)} rows)")
-    return EXIT_OK
+    if not spec.sweeps or (table.size == 1 and table.rows()[0]["error"]):
+        return _print_point(args, table, GW_COLUMNS[:-1])
+    return _write_table(args, table)
 
 
 def _cmd_validate(args) -> int:
@@ -158,9 +143,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse has printed the usage error, or the help
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     handlers = {
-        "qfi": _cmd_qfi,
-        "sensitivity": _cmd_sensitivity,
-        "sweep": _cmd_sweep,
+        "qfi": functools.partial(_single_point, quantities=("H_numeric", "H_closed")),
+        "sensitivity": functools.partial(_single_point, quantities=("F0", "moments", "H_numeric")),
+        "sweep": lambda args: _write_table(args, run_sweep(parse_config(args.config), table=True)),
         "gw-compare": _cmd_gw_compare,
         "validate": _cmd_validate,
     }

@@ -15,13 +15,13 @@ and no squeezed covariance is inverted.
 Every closed form has one home, the table ``_REGIMES``: for each channel
 kind and quantity ("QFI" or "F0") it maps a regime name (exact, or a named
 asymptotic regime) to the regime's checks, in the order they apply, and its
-formula over a ``_Point``.  ``qfi_closed_form`` and ``f0_closed_form`` (but
-for F0's "exact" response ratio) go through one dispatcher, which refuses a
-kind without an entry by name; ``SQUEEZING_REGIMES`` and
-``MODE_MIXING_REGIMES`` are the table's keys.  The squeezing "theta_zero"
-form (the conventional SU(1,1)) and the pumped-up gain (B^2/2) theta^2 n0 n
-are :mod:`gw`'s scheme formulas, one copy for both.  Regimes are never
-auto-detected.
+formula over a ``_Point``; F0's "exact" regime is the small-strain ratio of
+the number-sum response coefficients (``_response``).  ``qfi_closed_form``
+and ``f0_closed_form`` go through one dispatcher, which refuses a kind
+without an entry by name; ``SQUEEZING_REGIMES`` and ``MODE_MIXING_REGIMES``
+are the table's keys.  The squeezing "theta_zero" form (the conventional
+SU(1,1)) and the pumped-up gain (B^2/2) theta^2 n0 n are :mod:`gw`'s scheme
+formulas, one copy for both.  Regimes are never auto-detected.
 
 ``_evaluate_grid`` is the one implementation of H_numeric, F0 and the
 side-mode moments.  It takes a grid's parameters as a ``_Point`` of scalars
@@ -193,6 +193,34 @@ def _qfi_exact(kind: str, p: _Point):
         + 2.0 * p.n0 * s2 * (s2 * _sq(np.sin(p.channel_phase)) + phi1 * eta3))
 
 
+def _response(kind: str, p: _Point):
+    """(c_mean, c_var): the number-sum signal's <S> ~ c_mean eps^2 and Var ~ c_var eps^2.
+
+    The mode-mixing mean carries -Phi1 sinh^2 r where the large print shows
+    -Phi2; the Phi1 form matches the pipeline exactly (see the regression tests).
+    """
+    sh2r_sq = _sq(np.sinh(2 * p.r))
+    if kind == "squeezing":
+        eta1, eta2 = _phase_terms(kind, p)
+        common = (p.n0 * eta1 + _sq(np.cosh(p.r))) * _sq(np.sin(2 * p.theta))
+        burst = (1.0 + _sq(_sq(np.cos(p.theta)))) * (sh2r_sq * eta2 + 1.0)
+        mean_c, var_c = 0.25 * (common + 4.0 * burst), 0.25 * (common + 8.0 * burst)
+    else:
+        eta3, phi1 = _phase_terms(kind, p)
+        s2, sh_sq = _sq(np.sin(p.theta)), _sq(np.sinh(p.r))
+        mean_c = s2 * (phi1 * p.n0 * eta3 - phi1 * sh_sq + (phi1 - 1.0) * sh2r_sq) + 2.0 * sh2r_sq
+        var_c = (phi1 * s2 * (p.n0 * eta3 - sh_sq + 2.0 * sh2r_sq)
+                 + 2.0 * (1.0 + _sq(np.cos(p.theta))) * sh2r_sq)
+    arg_sq = _sq(0.25 * p.strength)
+    return arg_sq * mean_c, arg_sq * var_c
+
+
+def _f0_exact(kind: str, p: _Point):
+    """The "exact" F0, the small-strain ratio (d<S>)^2/Var = 4 c_mean^2 / c_var."""
+    mean_c, var_c = _response(kind, p)
+    return 4.0 * _sq(mean_c) / var_c
+
+
 def _turning_point_argument(nbar, n_side):
     """cos(2 theta_t): the arccos argument of :func:`optimal_tritter_angle`, unchecked."""
     n = n_side
@@ -250,6 +278,12 @@ def _at_turning_point(kind: str, p: _Point, name: str):
     _require(abs(p.theta - t) < 1e-6, name, f"holds at theta_t = {t:.6f}, got {p.theta}")
 
 
+def _positive_variance(kind: str, p: _Point, name: str):
+    var_c = _response(kind, p)[1]
+    if var_c <= 0:
+        raise FloatingPointError(f"non-positive variance coefficient {var_c!r}")
+
+
 _TURNING = (_large_nbar, _optimal_phases, _at_turning_point)
 _PHI_ZERO = (_at_theta(np.pi / 2), _holds(lambda p: abs(np.sin(p.channel_phase)) < 1e-9,
                                           "holds at channel phase 0"),
@@ -278,7 +312,7 @@ def _mode_mixing_large_nbar_f0(p: _Point):
 
 
 # {(channel kind, "QFI" or "F0"): {regime: (checks, formula)}}: the one home of
-# every named closed form but F0's "exact" response ratio
+# every named closed form
 _REGIMES = {
     ("squeezing", "QFI"): {
         "exact": ((), lambda p: _qfi_exact("squeezing", p)),
@@ -320,11 +354,13 @@ _REGIMES = {
         "pumped_limit": _PUMPED_LIMIT,
     },
     ("squeezing", "F0"): {
+        "exact": ((_positive_variance,), lambda p: _f0_exact("squeezing", p)),
         "large_nbar": ((_large_nbar,), lambda p: (_sq(p.strength) / 16.0)
                        * _sq(np.sin(2 * p.theta)) * _phase_terms("squeezing", p)[0] * p.nbar),
         "pumped_limit": _PUMPED_LIMIT,
     },
     ("mode_mixing", "F0"): {
+        "exact": ((_positive_variance,), lambda p: _f0_exact("mode_mixing", p)),
         "large_nbar": ((_large_nbar,), _mode_mixing_large_nbar_f0),
         "pumped_limit": _PUMPED_LIMIT,
     },
@@ -339,9 +375,8 @@ def _closed_form(kind: str, quantity: str, regime: str, p: _Point):
     if regimes is None:
         raise ValueError(f"no closed-form {quantity} for channel kind {kind!r}")
     if regime not in regimes:
-        raise ValueError(f"unknown F0 regime {regime!r}" if quantity == "F0" else
-                         f"unknown {kind.replace('_', '-')} regime {regime!r}; "
-                         f"choose one of {sorted(regimes)}")
+        name = quantity if quantity == "F0" else kind.replace("_", "-")
+        raise ValueError(f"unknown {name} regime {regime!r}; choose one of {sorted(regimes)}")
     checks, formula = regimes[regime]
     for check in checks:
         check(kind, p, regime)
@@ -424,33 +459,11 @@ def heterodyne_moments(state: GaussianState) -> tuple[float, float]:
 
 
 def number_sum_quadratic_response(config: InterferometerConfig) -> tuple[float, float]:
-    """Leading coefficients of the number-sum signal: <S> ~ c_mean eps^2, Var ~ c_var eps^2.
-
-    Scalar closed forms of the small-strain side-mode moments at the
-    interferometer output.  (The mode-mixing mean carries -Phi1 sinh^2 r where
-    the corresponding large-print expression shows -Phi2; the Phi1 form is the
-    one that matches the pipeline exactly, see the regression tests.)
-    """
-    ch, p = config.channel, _point(config)
-    r, theta, n0 = config.r, config.theta, p.n0
-    arg_sq = (0.25 * ch.strength) ** 2
-    sh2r = np.sinh(2 * r)
-    if ch.kind == "squeezing":
-        eta1, eta2 = _phase_terms(ch.kind, p)
-        common = (n0 * eta1 + np.cosh(r) ** 2) * np.sin(2 * theta) ** 2
-        burst = (1.0 + np.cos(theta) ** 4) * (sh2r ** 2 * eta2 + 1.0)
-        mean_c = 0.25 * (common + 4.0 * burst)
-        var_c = 0.25 * (common + 8.0 * burst)
-    elif ch.kind == "mode_mixing":
-        eta3, phi1 = _phase_terms(ch.kind, p)
-        s2 = np.sin(theta) ** 2
-        mean_c = (s2 * (phi1 * n0 * eta3 - phi1 * np.sinh(r) ** 2
-                        + (phi1 - 1.0) * sh2r ** 2) + 2.0 * sh2r ** 2)
-        var_c = (phi1 * s2 * (n0 * eta3 - np.sinh(r) ** 2 + 2.0 * sh2r ** 2)
-                 + 2.0 * (1.0 + np.cos(theta) ** 2) * sh2r ** 2)
-    else:
-        raise ValueError(f"no closed-form response for channel kind {ch.kind!r}")
-    return arg_sq * mean_c, arg_sq * var_c
+    """Leading coefficients of the number-sum signal: <S> ~ c_mean eps^2, Var ~ c_var eps^2,
+    the closed forms of the small-strain side-mode moments (:func:`_response`)."""
+    if (config.channel.kind, "F0") not in _REGIMES:
+        raise ValueError(f"no closed-form response for channel kind {config.channel.kind!r}")
+    return _response(config.channel.kind, _point(config))
 
 
 def sensitivity_number_sum(config: InterferometerConfig,
@@ -472,11 +485,6 @@ def f0_closed_form(config: InterferometerConfig, regime: str = "exact") -> float
     response coefficients; "large_nbar" and "pumped_limit" are the printed
     asymptotic forms, checked as :func:`qfi_closed_form`'s regimes are.
     """
-    if regime == "exact":
-        mean_c, var_c = number_sum_quadratic_response(config)
-        if var_c <= 0:
-            raise FloatingPointError(f"non-positive variance coefficient {var_c!r}")
-        return float(4.0 * mean_c ** 2 / var_c)
     return _closed_form(config.channel.kind, "F0", regime, _point(config))
 
 

@@ -198,6 +198,8 @@ def parse_config(path) -> SweepSpec:
                 raise ConfigError(f"{where}: key {key!r} given twice")
             base[key] = value if key == "channel" else _parse_number(value, where)
         elif section == "sweep":
+            if key == "channel":
+                raise ConfigError(f"{where}: the channel kind cannot be swept")
             if key in sweeps_names(sweeps):
                 raise ConfigError(f"{where}: parameter {key!r} swept twice")
             sweeps.append((key, _parse_sweep_values(value, where)))
@@ -247,7 +249,10 @@ def parse_config(path) -> SweepSpec:
         for name, _ in sweeps:
             if name not in DEFAULTS:
                 raise ConfigError(f"{path}: cannot sweep unknown parameter {name!r}")
-        _build_config(_unswept_point(params, sweeps))  # validate now, with file context
+        try:  # validate now, with file context
+            _build_config(_unswept_point(params, sweeps))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: base point: {exc}") from None
         spec = SweepSpec(base=params, sweeps=tuple(sweeps),
                          quantities=quantities or QUANTITIES)
     if spec.grid_size() > GRID_CAP:

@@ -11,7 +11,7 @@ from pumpedsu11 import (ChannelSpec, GaussianState, InterferometerConfig, Regime
                         reduce_to_modes, run_interferometer, sensitivity_number_sum,
                         squeezing_channel, vacuum_state)
 from pumpedsu11 import fock
-from pumpedsu11.metrology import _at_config
+from pumpedsu11.metrology import _REGIMES, _at_config, _point, _Point, _response
 from pumpedsu11.pipeline import pre_measurement_state
 from conftest import mp_referee, random_config, richardson
 
@@ -231,7 +231,12 @@ _PHASE = InterferometerConfig(nbar=1e4, r=1.0, theta=0.3, channel=ChannelSpec("p
      ValueError, f"unknown mode-mixing regime 'no_such_regime'; choose one of "
                  f"{_MODE_MIXING_REGIMES}"),
     (lambda: f0_closed_form(_config("squeezing", 1e4, 1.0, 0.01), "no_such_regime"),
-     ValueError, "unknown F0 regime 'no_such_regime'"),
+     ValueError, "unknown F0 regime 'no_such_regime'; choose one of "
+                 "['exact', 'large_nbar', 'pumped_limit']"),
+    # the exact ratio is a regime like the others, refused by kind
+    (lambda: f0_closed_form(_PHASE), ValueError, "no closed-form F0 for channel kind 'phase'"),
+    (lambda: f0_closed_form(_config("squeezing", 1e4, 1.0, 0.3, strength=0.0)),
+     FloatingPointError, "non-positive variance coefficient np.float64(0.0)"),
     (lambda: f0_closed_form(_PHASE, "large_nbar"), ValueError,
      "no closed-form F0 for channel kind 'phase'"),
     # a phase channel is refused by kind first, whatever the regime: once the
@@ -452,6 +457,18 @@ def test_quadratic_response_matches_pipeline_limit(rng):
         mean, var = number_sum_moments(side)
         assert mean == pytest.approx(mean_c * eps ** 2, rel=1e-3)
         assert var == pytest.approx(var_c * eps ** 2, rel=1e-3)
+
+
+@pytest.mark.parametrize("kind", ["squeezing", "mode_mixing"])
+def test_response_grid_equals_the_scalar_calls(rng, kind):
+    # bit for bit: a _Point of arrays squares by the same products as one of scalars
+    configs = [random_config(rng, kind=kind) for _ in range(200)]
+    grid = _Point(*np.array([_point(config) for config in configs]).T)
+    mean_c, var_c = _response(kind, grid)
+    f0 = _REGIMES[kind, "F0"]["exact"][1](grid)
+    for i, config in enumerate(configs):
+        assert (mean_c[i], var_c[i]) == number_sum_quadratic_response(config)
+        assert f0[i] == f0_closed_form(config)
 
 
 def test_fisher_exceeds_f0(rng):

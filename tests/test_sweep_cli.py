@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -57,7 +58,7 @@ theta = linspace 0 1.5707963267948966 50
 
 def test_parse_rejects_invalid_base_point(tmp_path):
     path = write(tmp_path, "channel = squeezing\nr = 3.0\nnbar = 10\n")
-    with pytest.raises(ConfigError, match="depleted"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: base point: .*depleted"):
         parse_config(path)
 
 
@@ -79,10 +80,10 @@ def test_sweep_may_replace_a_base_value_outside_the_domain(tmp_path, capsys):
 ], ids=["unknown_channel", "theta_range", "depleted_unswept_pair", "no_pump"])
 def test_sweep_keeps_the_checks_on_unswept_keys(tmp_path, capsys, base, sweep, message):
     path = write(tmp_path, base + "[sweep]\n" + sweep + "\n")
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: base point: .*{message}"):
         parse_config(path)
     assert main(["sweep", "--config", path]) == 1
-    assert capsys.readouterr().err.startswith("config error: ")
+    assert capsys.readouterr().err.startswith(f"config error: {path}: base point: ")
 
 
 def test_parse_requires_channel(tmp_path):
@@ -443,6 +444,32 @@ def test_cli_gw_compare_fails_on_a_one_row_grid_whose_row_fails(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_gw_compare_prints_a_swept_table_as_sweep_does(tmp_path, capsys, fmt):
+    # a swept [gw] file without --out once printed nothing and exited 0
+    path = write(tmp_path, "[gw]\nn0 = 1e6\nr_original = 4.2\n[sweep]\n"
+                           "r_pumped = values 1.0 2.0 9.0\ntheta_sq = values -0.01 0.05\n")
+    assert main(["sweep", "--config", path, "--format", fmt]) == 0
+    swept = capsys.readouterr()
+    assert main(["gw-compare", "--config", path, "--format", fmt]) == 0
+    assert capsys.readouterr() == swept
+    assert swept.out == emit(run_sweep(parse_config(path), table=True), fmt)
+
+
+@pytest.mark.parametrize("command, text, rows", [
+    ("qfi", "channel = squeezing\nr = 0.5\nnbar = 100\n", 1),
+    ("sensitivity", "channel = mode_mixing\nr = 0.5\nnbar = 100\ntheta = 0.4\n", 1),
+    ("sweep", "channel = squeezing\nr = 0.5\nnbar = 1e4\n[sweep]\ntheta = values 0.1 0.4\n", 2),
+    ("gw-compare", "[gw]\nn0 = 1e6\nr_original = 4.2\n", 1),
+    ("gw-compare", "[gw]\nn0 = 1e6\nr_original = 4.2\n[sweep]\nn0 = values 1e5 1e6 1e7\n", 3),
+], ids=["qfi", "sensitivity", "sweep", "gw_point", "gw_grid"])
+def test_cli_out_line_names_the_path_and_rows(tmp_path, capsys, command, text, rows):
+    out = tmp_path / "table.csv"
+    assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out} ({rows} rows)"
+    assert len(out.read_text().splitlines()) == 1 + rows
+
+
 def test_cli_validate(capsys):
     assert main(["validate", "--cutoff", "20"]) == 0
     out = capsys.readouterr().out
@@ -655,6 +682,8 @@ GW = "[gw]\nn0 = 1e6\nr_original = 4.2\n"
     ("sweep", GW + "eps0 = 1e-3\n", ":4: unknown key 'eps0' in [gw]"),
     ("sweep", "[gw]\nn0 = 1e6\n", ": [gw] section requires r_original"),
     ("sweep", GW + "[sweep]\ntheta = values 0.1\n", ": cannot sweep 'theta' in a [gw] run"),
+    ("sweep", SWEEP + "channel = values 1 2\n", ":5: the channel kind cannot be swept"),
+    ("sweep", SWEEP + "channel = squeezing phase\n", ":5: the channel kind cannot be swept"),
     ("qfi", GW, ": this command needs an interferometer config"),
     ("sensitivity", SWEEP + "theta = values 0.1 0.2\n",
      ": single-point command, but [sweep] is present; use the sweep subcommand"),
@@ -662,7 +691,7 @@ GW = "[gw]\nn0 = 1e6\nr_original = 4.2\n"
 ], ids=["number", "empty_sweep", "linspace_arity", "empty_values", "unknown_section",
         "swept_twice", "outputs_key", "channel_twice", "r_twice",
         "gw_key_twice", "outputs_twice", "quantity_twice", "empty_quantities", "gw_key",
-        "gw_eps0", "gw_r_original", "gw_sweep_key",
+        "gw_eps0", "gw_r_original", "gw_sweep_key", "channel_swept", "channel_kinds_swept",
         "needs_interferometer", "sweep_present", "needs_gw"])
 def test_cli_config_refusals_name_their_place(tmp_path, capsys, command, body, message):
     path = write(tmp_path, body)
