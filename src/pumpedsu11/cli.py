@@ -7,7 +7,7 @@ prints its quantities, or its error with exit 2, then writes ``--out``; any
 other grid is written to ``--out``, or printed to stdout.  A written file is
 reported as ``wrote <path> (<n> rows)``.
 Exit codes: 0 success (also for ``--help``), 1 configuration or command-line
-usage error, 2 numerical failure in a non-sweep command (sweeps record per-row
+usage error or a file that cannot be read or written, 2 numerical failure in a non-sweep command (sweeps record per-row
 failures in the table instead).
 """
 
@@ -32,9 +32,15 @@ EXIT_NUMERICAL = 2
 VALIDATE_CUTOFFS = (14, 40)
 
 
+def _out_arg(text):
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return text
+
+
 def _add_common(parser):
     parser.add_argument("--config", required=True, help="path to the run configuration")
-    parser.add_argument("--out", default=None, help="output file path")
+    parser.add_argument("--out", default=None, type=_out_arg, help="output file path")
     parser.add_argument("--format", default="csv", choices=("csv", "json"),
                         help="output format (default csv)")
 
@@ -157,6 +163,9 @@ def main(argv=None) -> int:
     except (FloatingPointError, ArithmeticError, RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # reading --config or writing --out; a failed write names no file
+        print(f"error: {exc.filename or _out_path(args)}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -468,6 +469,75 @@ def test_cli_out_line_names_the_path_and_rows(tmp_path, capsys, command, text, r
     assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out} ({rows} rows)"
     assert len(out.read_text().splitlines()) == 1 + rows
+
+
+SWEEP_TEXT = "channel = squeezing\nr = 0.5\nnbar = 1e4\n[sweep]\ntheta = values 0.1 0.4\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("qfi", "channel = squeezing\nr = 0.5\nnbar = 100\n"),
+    ("sweep", SWEEP_TEXT),
+], ids=["point", "sweep"])
+def test_cli_words_a_file_error_with_its_path(tmp_path, capsys, command, text):
+    missing = str(tmp_path / "missing" / "t.csv")
+    assert main([command, "--config", write(tmp_path, text), "--out", missing]) == 1
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+    assert main([command, "--config", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("qfi", "channel = squeezing\nr = 0.5\nnbar = 100\n"),
+    ("sensitivity", "channel = squeezing\nr = 0.5\nnbar = 100\ntheta = 0.4\n"),
+    ("sweep", SWEEP_TEXT),
+    ("gw-compare", "[gw]\nn0 = 1e6\nr_original = 4.2\n"),
+])
+def test_cli_refuses_an_empty_out_path(tmp_path, capsys, command, text):
+    assert main([command, "--config", write(tmp_path, text), "--out", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith("error: argument --out: expected a file path, got ''")
+
+
+def test_out_rewrites_a_longer_file_to_exactly_the_new_bytes(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    out.write_text("x" * 100_000)
+    path = write(tmp_path, SWEEP_TEXT)
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+    assert out.read_text() == emit(run_sweep(parse_config(path), table=True), "csv")
+
+
+def test_out_may_be_dev_null(tmp_path, capsys):
+    assert main(["sweep", "--config", write(tmp_path, SWEEP_TEXT), "--out", os.devnull]) == 0
+    assert capsys.readouterr().out == f"wrote {os.devnull} (2 rows)\n"
+
+
+def test_out_through_a_symlink_rewrites_its_target(tmp_path, capsys):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n" * 1000)
+    link.symlink_to(target)
+    path = write(tmp_path, SWEEP_TEXT)
+    assert main(["sweep", "--config", path, "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == emit(run_sweep(parse_config(path), table=True), "csv")
+
+
+def test_out_keeps_the_mode_of_an_existing_file(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    out.write_text("old\n")
+    out.chmod(0o604)
+    assert main(["sweep", "--config", write(tmp_path, SWEEP_TEXT), "--out", str(out)]) == 0
+    assert out.stat().st_mode & 0o777 == 0o604
+
+
+def test_out_creates_a_new_file_under_the_umask(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    mask = os.umask(0o002)
+    try:
+        assert main(["sweep", "--config", write(tmp_path, SWEEP_TEXT), "--out", str(out)]) == 0
+    finally:
+        os.umask(mask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~0o002
 
 
 def test_cli_validate(capsys):
