@@ -7,8 +7,9 @@ prints its quantities, or its error with exit 2, then writes ``--out``; any
 other grid is written to ``--out``, or printed to stdout.  A written file is
 reported as ``wrote <path> (<n> rows)``.
 Exit codes: 0 success (also for ``--help``), 1 configuration or command-line
-usage error or a file that cannot be read or written, 2 numerical failure in a non-sweep command (sweeps record per-row
-failures in the table instead).
+usage error, or a file that cannot be read or written (one ``error: <path>:
+<reason>`` line), 2 numerical failure in a non-sweep command (sweeps record
+per-row failures in the table instead).
 """
 
 from __future__ import annotations

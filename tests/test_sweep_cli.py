@@ -496,7 +496,8 @@ def test_cli_refuses_an_empty_out_path(tmp_path, capsys, command, text):
     assert main([command, "--config", write(tmp_path, text), "--out", ""]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1].endswith("error: argument --out: expected a file path, got ''")
+    assert captured.err.splitlines()[-1].endswith(
+        "error: argument --out: expected a file path, got ''")
 
 
 def test_out_rewrites_a_longer_file_to_exactly_the_new_bytes(tmp_path, capsys):
