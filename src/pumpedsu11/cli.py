@@ -3,9 +3,9 @@
 Subcommands: ``qfi``, ``sensitivity``, ``sweep``, ``gw-compare``, ``validate``.
 The config commands report through two helpers.  A point (``qfi``,
 ``sensitivity``, an unswept ``gw-compare``, or a one-row grid whose row fails)
-prints its quantities, or its error with exit 2, then writes ``--out``; any
-other grid is written to ``--out``, or printed to stdout.  A written file is
-reported as ``wrote <path> (<n> rows)``.
+prints its error with exit 2, or writes ``--out`` and only then its quantities;
+any other grid is written to ``--out``, or printed to stdout.  A written file
+is reported as ``wrote <path> (<n> rows)``.
 Exit codes: 0 success (also for ``--help``), 1 configuration or command-line
 usage error, or a file that cannot be read or written (one ``error: <path>:
 <reason>`` line), 2 numerical failure in a non-sweep command (sweeps record
@@ -78,26 +78,27 @@ def _out_path(args):
     return args.out
 
 
-def _write_table(args, table) -> int:
-    """Write the table to ``--out``, or print it to stdout."""
+def _write_table(args, table, point="") -> int:
+    """Write the table to ``--out``, print ``point`` and a ``wrote`` line; or print the table."""
     path = _out_path(args)
     text = emit(table, args.format, path)
+    sys.stdout.write(point if path else text)
     if path:
         print(f"wrote {path} ({table.size} rows)")
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 
 def _print_point(args, table, columns) -> int:
-    """Print ``columns`` of the table's first row, or its error (exit 2); then write ``--out``."""
+    """Print ``columns`` of the first row after writing ``--out``, or the row's error (exit 2)."""
     row = table.rows()[0]
     if row["error"]:
         print(f"error: {row['error']}", file=sys.stderr)
         return EXIT_NUMERICAL
-    for key in columns:
-        print(f"{key} = {row[key]:.12e}")
-    return _write_table(args, table) if _out_path(args) else EXIT_OK
+    point = "".join(f"{key} = {row[key]:.12e}\n" for key in columns)
+    if _out_path(args):
+        return _write_table(args, table, point)
+    sys.stdout.write(point)
+    return EXIT_OK
 
 
 def _single_point(args, quantities) -> int:

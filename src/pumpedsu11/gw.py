@@ -236,7 +236,10 @@ def compare_grid(n0, r_original, r_pumped=None, strength=1.0, delta=0.1, theta_s
     ratio, theta and theta_max to an array that broadcasts to the grid shape
     (without failed rows, each keeps the shape of its own arguments) and holds
     NaN on failed rows; ``errors`` maps the flat index of each failed row to
-    its exception, stored without its traceback.
+    its exception, stored without its traceback.  With theta_sq defaulted,
+    theta is the theta_max array itself, the same bits as the root of the
+    bound: sqrt(fl(x*x)) == x in binary64 unless x*x underflows, and theta_max
+    is 0 or at least 7.4e-9 (half the arccos of the float next below 1).
     """
     if r_pumped is None:
         r_pumped = r_original
@@ -255,19 +258,17 @@ def compare_grid(n0, r_original, r_pumped=None, strength=1.0, delta=0.1, theta_s
             | ~((-1.0 <= z) & (z <= 1.0))
         angle = _scalar_check(outside, max_tritter_angle, gamma, delta)
         theta_max = 0.5 * np.arccos(z)  # as max_tritter_angle
-        bound = theta_max * theta_max
         checks = [angle]
-        if theta_sq is None:
-            theta_sq = bound
-        else:
+        theta = theta_max  # the root of the default theta_sq = theta_max^2
+        if theta_sq is not None:
             theta_sq = np.asarray(theta_sq, dtype=float)
-            given = full(theta_sq)
+            given, bound = full(theta_sq), theta_max * theta_max
             # 2% headroom on theta^2 accepts bounds quoted at two significant digits
             checks = [_scalar_check(~(theta_sq >= 0.0), _check_theta_sq, theta_sq), angle, (
                 given > bound * 1.02, lambda j: ValueError(
                     f"theta^2 = {_item(given, j):.4g} exceeds the undepleted-pump bound "
                     f"{_item(full(bound), j):.4g}"))]
-        theta = np.sqrt(theta_sq)
+            theta = np.sqrt(theta_sq)
         h_orig = original_scheme_qfi(r_original, strength=strength)
         # a row with n0 <= 0 takes NaN here and fails its own check below
         h_pump = pumped_scheme_qfi(np.where(n0 > 0.0, n0, np.nan), r_pumped, theta, strength)
@@ -281,9 +282,10 @@ def compare_grid(n0, r_original, r_pumped=None, strength=1.0, delta=0.1, theta_s
             nonfinite, lambda j: ValueError("non-finite " + ", ".join(
                 name for name, values in results.items() if not np.isfinite(_item(values, j)))))]
         errors = _row_errors(checks, shape)
-    if errors:
-        columns = {name: full(values).copy() for name, values in columns.items()}
-        for values in columns.values():
+    if errors:  # one copy per distinct array, so theta stays theta_max
+        copies = {id(values): full(values).copy() for values in columns.values()}
+        columns = {name: copies[id(values)] for name, values in columns.items()}
+        for values in copies.values():
             values.flat[list(errors)] = np.nan
     # a 0-d result comes back as a numpy scalar
     return {name: np.asarray(values) for name, values in columns.items()}, errors

@@ -318,8 +318,9 @@ class SweepTable:
     Rows run over the grid ``shape`` (one entry per swept name, first name
     outermost) in C order.  A column is a list with one cell per row, or a
     float array that broadcasts to ``shape``: a swept axis, or a value that
-    depends on only some of the axes.  :func:`emit` formats such an array once
-    per element and repeats the text in grid order.
+    depends on only some of the axes.  :func:`emit` formats a column object
+    held under two names once (a ``[gw]`` table with defaulted theta_sq holds
+    theta_max as theta), and a smaller array once per element, then repeats it.
     """
 
     columns: dict
@@ -329,18 +330,12 @@ class SweepTable:
     def size(self) -> int:
         return math.prod(self.shape)
 
-    def cells(self, name) -> list:
-        """Column ``name`` with one cell per row."""
-        column = self.columns[name]
-        if isinstance(column, np.ndarray):
-            return np.broadcast_to(column, self.shape).ravel().tolist()
-        return column
-
     def rows(self) -> list:
         """One dict per row, keys in column order; empty dicts for a table without columns."""
-        names = list(self.columns)
-        rows = zip(*map(self.cells, names)) if names else [()] * self.size
-        return [dict(zip(names, cells)) for cells in rows]
+        cells = [np.broadcast_to(column, self.shape).ravel().tolist()
+                 if isinstance(column, np.ndarray) else column for column in self.columns.values()]
+        rows = zip(*cells) if cells else [()] * self.size
+        return [dict(zip(self.columns, row)) for row in rows]
 
 
 def _axes(spec: SweepSpec) -> tuple:
@@ -357,14 +352,13 @@ def _gw_table(spec: SweepSpec) -> SweepTable:
     shape, columns = _axes(spec)
     values, errors = compare_grid(**{key: columns.get(key, spec.base[key])
                                      for key in GW_DEFAULTS})
-    size = math.prod(shape)
-    error_cells = [""] * size
-    if errors:
-        values = {name: np.broadcast_to(column, shape).ravel().tolist()
-                  for name, column in values.items()}
+    error_cells = [""] * math.prod(shape)
+    if errors:  # full-grid arrays; one list per distinct array keeps a shared column shared
+        lists = {id(column): column.ravel().tolist() for column in values.values()}
+        values = {name: lists[id(column)] for name, column in values.items()}
         for i, exc in errors.items():
             error_cells[i] = str(exc)
-            for column in values.values():
+            for column in lists.values():
                 column[i] = None
     columns.update(values)
     columns["error"] = error_cells
@@ -461,34 +455,39 @@ def _number_text(values, fmt: str) -> list:
     """Cells of a list or array of numbers: 13 significant digits, as text
     (CSV) or as the JSON number of the float that text parses to.
 
-    A JSON cell is the number's ``.13g`` text, which has the digits of
-    :func:`_json_number` and its layout wherever that repr is in fixed notation
-    with a fraction, or in exponent notation.  A mask over the values sends
-    the cells where the two may differ to :func:`_json_number`: zero, values
-    that may round to an integer below 1e13 (where repr ends in ``.0``), values
-    that may round into [1e13, 1e16) (where repr is in fixed notation and
-    ``.13g`` uses an exponent), subnormals (whose shortest repr may have fewer
-    digits) and non-finite values.
+    The values go as one float list through ``float.__format__``, which parses
+    no format per cell.  A JSON cell is the number's ``.13g`` text, which has
+    the digits of :func:`_json_number` and its layout wherever that repr is in
+    fixed notation with a fraction, or in exponent notation.  A mask over the
+    values sends the cells where the two may differ to :func:`_json_number`:
+    zero, values that may round to an integer below 1e13 (where repr ends in
+    ``.0``), values that may round into [1e13, 1e16) (where repr is in fixed
+    notation and ``.13g`` uses an exponent), subnormals (whose shortest repr
+    may have fewer digits) and non-finite values.
     """
-    numbers = values.tolist() if isinstance(values, np.ndarray) else values
+    values = np.asarray(values, dtype=float)
+    text = list(map(float.__format__, values.tolist(),
+                    itertools.repeat(".12e" if fmt == "csv" else ".13g")))
     if fmt == "csv":
-        return list(map("{:.12e}".format, numbers))
-    text = list(map("{:.13g}".format, numbers))
-    x = np.abs(np.asarray(values, dtype=float))
+        return text
+    x = np.abs(values)
     with np.errstate(invalid="ignore"):  # inf - inf
         # rounding to 13 digits moves a value by at most 5e-13 of itself
         plain = (((x >= _SMALLEST_NORMAL) & (x < 9.99999999999995e12)
                   & (np.abs(x - np.rint(x)) > 1e-12 * x))
                  | ((x >= 1.0000000000001e16) & (x < np.inf)))
     for i in np.flatnonzero(~plain).tolist():
-        text[i] = _json_number(numbers[i])
+        text[i] = _json_number(values[i])
     return text
 
 
 def _column_text(column, shape, fmt: str) -> list:
     """One column's cells as text, in grid order: numbers (None where a row
-    failed) or strings (a CSV text cell quoted as csv.writer would)."""
+    failed) or strings (a CSV text cell quoted as csv.writer would).  An
+    array smaller than the grid is formatted once per element, then repeated."""
     if isinstance(column, np.ndarray):
+        if column.shape == shape:
+            return _number_text(column.ravel(), fmt)
         text = np.array(_number_text(column.ravel(), fmt), dtype=object)
         return np.broadcast_to(text.reshape(column.shape), shape).ravel().tolist()
     kinds = set(map(type, column))
@@ -498,11 +497,9 @@ def _column_text(column, shape, fmt: str) -> list:
         return [json.dumps(v) if v else "null" for v in column]
     if type(None) not in kinds:
         return _number_text(column, fmt)
-    if fmt == "csv":
-        number = "{:.12e}".format
-        return ["" if v is None else number(v) for v in column]
     numbers = iter(_number_text([v for v in column if v is not None], fmt))
-    return ["null" if v is None else next(numbers) for v in column]
+    empty = "" if fmt == "csv" else "null"
+    return [empty if v is None else next(numbers) for v in column]
 
 
 def emit(table: SweepTable, fmt: str = "csv", path=None) -> str:
@@ -512,47 +509,47 @@ def emit(table: SweepTable, fmt: str = "csv", path=None) -> str:
     cells carry 13 significant digits in both formats, so a CSV/JSON pair of
     the same table parses to identical values and a written table round-trips
     bit-for-bit at that precision: a CSV number is its ``.12e`` text, a JSON
-    number the shortest repr of the float that text parses to.  Each column is
-    formatted in one pass (a JSON column in one ``.13g`` pass, see
-    :func:`_number_text` for the cells that take the repr rule instead) and the
-    rows are joined through one template.  The CSV text is ``csv.writer``'s
-    with ``"\n"`` line ends: only a text cell can need quotes, so only text
-    cells go through its quoting rule (:func:`_csv_cell`).  The JSON text is
-    the layout of ``json.dumps(records, indent=1)``.
+    number the shortest repr of the float that text parses to.  Each distinct
+    column object is formatted once in one pass (:func:`_number_text`),
+    however many names hold it; one row template, the separators with a hole
+    per cell, is repeated for every row, filled column by column and joined.
+    The CSV text is ``csv.writer``'s with ``"\n"`` line ends: only text cells
+    can need quotes, so only they go through its quoting rule (:func:`_csv_cell`).
+    The JSON text is the layout of ``json.dumps(records, indent=1)``.
 
     ``path`` is rewritten in place: opened without ``O_TRUNC``, written, then
-    cut to the new length if it is a regular file (``/dev/null``, a FIFO or
-    ``/dev/stdout`` is written and left as it is).  Truncating a file to zero
-    and writing it again makes ext4 force out its new blocks (the
-    ``auto_da_alloc`` rule), which made each rewrite of a small table several
-    times slower.  Mode, umask, symlinks and the inode behave as with
-    ``open(path, "w")``.  Neither way is atomic: an interrupted write leaves
-    the new bytes followed by the old file's tail, where a truncating write
-    would leave a short file.
+    cut to the new length if it is a regular file (not ``/dev/null``, a FIFO or
+    ``/dev/stdout``), because ext4 forces out the new blocks of a file truncated
+    to zero and written again (the ``auto_da_alloc`` rule), which made each
+    rewrite of a small table several times slower.  Mode, umask, symlinks and
+    the inode behave as with ``open(path, "w")``.  Neither way is atomic: an
+    interrupted write leaves the new bytes, then the old file's tail.
     """
     columns, shape, size = table.columns, table.shape, table.size
     if not size:
         raise ValueError("refusing to emit an empty table")
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    cells = [_column_text(column, shape, fmt) for column in columns.values()]
-    if fmt == "csv":
-        lines = [",".join(map(_csv_cell, columns)), *map(",".join, zip(*cells))] if cells \
-            else [""] * (size + 1)
-        if len(columns) == 1:  # csv.writer writes a row of one empty cell as ""
-            lines = [line or '""' for line in lines]
-        text = "\n".join(lines) + "\n"
+    distinct = {id(column): column for column in columns.values()}
+    texts = {key: _column_text(column, shape, fmt) for key, column in distinct.items()}
+    cells = [texts[id(column)] for column in columns.values()]
+    if not cells:
+        text = "\n" * (size + 1) if fmt == "csv" else "[\n" + " {},\n" * (size - 1) + " {}\n]\n"
     else:
-        if cells:
-            parts = []
-            for k, (name, column) in enumerate(zip(columns, cells)):
-                head = (" {" if k == 0 else ",") + f"\n  {json.dumps(name)}: "
-                parts += [itertools.repeat(head), column]
-            parts.append(itertools.repeat("\n },\n"))
-            records = "".join(itertools.chain.from_iterable(zip(*parts)))
+        if fmt == "csv":
+            names = list(map(_csv_cell, columns))
+            if len(cells) == 1:  # csv.writer writes a row of one empty cell as '""'
+                names, cells = [names[0] or '""'], [[c or '""' for c in cells[0]]]
+            head, seps, end = ",".join(names) + "\n", [","] * (len(cells) - 1) + ["\n"], "\n"
         else:
-            records = " {},\n" * size
-        text = "[\n" + records[:-2] + "\n]\n"
+            keys = [json.dumps(name) + ": " for name in columns]
+            head, end = "[\n {\n  " + keys[0], "\n }\n]\n"
+            seps = [",\n  " + key for key in keys[1:]] + ["\n },\n {\n  " + keys[0]]
+        template = [piece for sep in seps for piece in (None, sep)] * size
+        for k, column in enumerate(cells):
+            template[2 * k::2 * len(cells)] = column
+        template[-1] = end
+        text = head + "".join(template)
     if path is not None:
         import stat  # loaded with os, so this costs no import time
         with open(path, "w", encoding="utf-8", newline="", opener=_open_in_place) as fh:

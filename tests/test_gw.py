@@ -10,6 +10,7 @@ from pumpedsu11 import (ChannelSpec, GwDetectorParams, InterferometerConfig,
                         pump_depletion, pumped_scheme_qfi, qcrb_sensitivity,
                         qfi_closed_form)
 from pumpedsu11.gw import HBAR, compare_grid
+from pumpedsu11.pipeline import _side_population
 from pumpedsu11.sweep import GW_COLUMNS, SweepSpec, run_sweep
 
 
@@ -341,3 +342,34 @@ def test_compare_grid_stored_errors_hold_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_defaulted_theta_sq_gives_theta_max_as_theta(rng):
+    # theta is the theta_max array itself, and the root of the default
+    # theta_sq = theta_max^2 it stands for has the same bits: sqrt(fl(x*x)) == x
+    # while x*x stays normal, and theta_max is 0 or at least 7.4e-9.  Rows with
+    # gamma on delta give theta_max 0 and about 1e-8; drawn rows with no pump
+    # or an overflowing sinh fail, so compare_grid takes its copy path.
+    delta = 0.1
+    r = rng.uniform(0.0, 3.0, 60)
+    n0 = _side_population(r) / delta
+    n0 = np.concatenate([n0, n0 * (1.0 + 1e-15), rng.uniform(-1e3, 1e8, 60)])
+    r = np.concatenate([r, r, np.where(rng.random(60) < 0.1, 400.0, rng.uniform(0.0, 3.0, 60))])
+    with np.errstate(all="ignore"):
+        columns, errors = compare_grid(n0, 4.2, r, delta=delta)
+    failed = np.isin(np.arange(n0.size), list(errors))
+    assert 0 < failed.sum() < n0.size
+    theta_max = columns["theta_max"]
+    assert columns["theta"] is theta_max
+    kept = theta_max[~failed]
+    assert (kept == 0.0).any() and ((kept > 0.0) & (kept < 1e-7)).any()
+    assert np.array_equal(np.sqrt(kept * kept).view(np.uint64), kept.view(np.uint64))
+    assert np.isnan(theta_max[failed]).all()
+    columns, errors = compare_grid(n0[~failed], 4.2, r[~failed], delta=delta)
+    assert errors == {} and columns["theta"] is columns["theta_max"]
+    for i in np.flatnonzero(~failed)[::5]:
+        point = compare_schemes(n0[i], 4.2, r[i], delta=delta)
+        assert point.theta.hex() == point.theta_max.hex() == theta_max[i].hex()
+    # the same root over the whole range of theta_max = arccos(z) / 2
+    x = 0.5 * np.arccos(rng.uniform(-1.0, 1.0, 100_000))
+    assert np.array_equal(np.sqrt(x * x).view(np.uint64), x.view(np.uint64))

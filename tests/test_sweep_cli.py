@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from pumpedsu11 import (ConfigError, emit, optimal_phases, optimal_tritter_angle,
                         parse_config, qfi_numeric, run_sweep, sensitivity_number_sum)
 from pumpedsu11.cli import main
+from pumpedsu11 import sweep
 from pumpedsu11.sweep import DEFAULTS, GRID_CAP, GW_COLUMNS, SweepTable, _build_config
 from conftest import child_env, emit_rowwise
 
@@ -481,7 +482,9 @@ SWEEP_TEXT = "channel = squeezing\nr = 0.5\nnbar = 1e4\n[sweep]\ntheta = values 
 def test_cli_words_a_file_error_with_its_path(tmp_path, capsys, command, text):
     missing = str(tmp_path / "missing" / "t.csv")
     assert main([command, "--config", write(tmp_path, text), "--out", missing]) == 1
-    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+    # a point is written before it is printed, so a failed write prints nothing
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {missing}: No such file or directory\n")
     assert main([command, "--config", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
 
@@ -888,9 +891,10 @@ EDGE_VALUES = [9.999999999999949e12, 9.99999999999995e12, 1e13, 123456789012345.
 
 def test_emit_edge_values_equal_rowwise_emit():
     floats = [float(v) for v in EDGE_VALUES]
-    columns = {"listed": list(EDGE_VALUES), "array": np.array(floats),
+    array = np.array(floats)
+    columns = {"listed": list(EDGE_VALUES), "array": array,
                "with_none": [None if k % 3 == 1 else v for k, v in enumerate(EDGE_VALUES)],
-               "negated": [-v for v in floats]}
+               "negated": [-v for v in floats], "array_again": array}
     table = SweepTable(columns, (len(EDGE_VALUES),))
     rows = table.rows()
     for fmt in ("csv", "json"):
@@ -901,3 +905,24 @@ def test_emit_edge_values_equal_rowwise_emit():
                  '"listed": 3.0', '"listed": 0.0001', '"listed": 1e-05', '"listed": NaN',
                  '"negated": -Infinity', '"listed": 1e+20', '"listed": 1.0,'):
         assert cell in text
+
+
+def test_a_column_held_under_two_names_is_formatted_once(monkeypatch):
+    # as a [gw] table with defaulted theta_sq holds theta_max as theta
+    rng = np.random.default_rng(27)
+    grid, axis = rng.uniform(0.0, 2.0, (4, 3)), rng.uniform(-1.0, 1.0, (4, 1))
+    with_none = [None if k % 5 == 2 else v for k, v in enumerate(rng.uniform(0.0, 1e14, 12))]
+    shared = {"x": axis, "a": grid, "b": grid, "c": with_none, "d": with_none, "y": axis}
+    copied = {"x": axis, "a": grid, "b": grid.copy(), "c": with_none, "d": list(with_none),
+              "y": axis.copy()}
+    number_text = sweep._number_text
+    calls = []
+    monkeypatch.setattr(sweep, "_number_text",
+                        lambda values, fmt: calls.append(len(values)) or number_text(values, fmt))
+    for fmt in ("csv", "json"):
+        calls.clear()
+        text = emit(SweepTable(shared, (4, 3)), fmt)
+        assert sorted(calls) == [4, 10, 12]  # the axis, the list without None, the grid
+        assert text == emit(SweepTable(copied, (4, 3)), fmt)
+        assert sorted(calls[3:]) == [4, 4, 10, 10, 12, 12]  # each copy formatted again
+        assert text == emit_rowwise(SweepTable(shared, (4, 3)).rows(), fmt)
