@@ -7,9 +7,9 @@ prints its error with exit 2, or writes ``--out`` and only then its quantities;
 any other grid is written to ``--out``, or printed to stdout.  A written file
 is reported as ``wrote <path> (<n> rows)``.
 Exit codes: 0 success (also for ``--help``), 1 configuration or command-line
-usage error, or a file that cannot be read or written (one ``error: <path>:
-<reason>`` line), 2 numerical failure in a non-sweep command (sweeps record
-per-row failures in the table instead).
+usage error, a config that is not UTF-8 among them, or a file that cannot be
+read or written, a missing config too (one ``error: <path>: <reason>`` line),
+2 numerical failure in a non-sweep command (a sweep records it in the row).
 """
 
 from __future__ import annotations

@@ -494,17 +494,16 @@ def number_diff_moments_fock(psi: np.ndarray, cutoff: int, n_modes: int,
 
 def channel_generator(space: FockSpace, kind: str, strength: float, phase: float,
                       modes: tuple[int, int]) -> sparse.dia_matrix:
-    """Hermitian generator G of the channel family U(eps) = exp(-i eps G)."""
-    i, j = modes
+    """Hermitian G of the channel U(eps) = exp(-i eps G): i K of its operation at eps = 1."""
     if kind == "squeezing":
-        coeff, monomials = 0.25j * strength * np.exp(1j * phase), [((i, j), ())]
+        op = TwoModeSqueeze(modes, strength / 4, phase)
     elif kind == "mode_mixing":
-        coeff, monomials = 0.25j * strength * np.exp(-1j * phase), [((i,), (j,))]
+        op = ModeMix(modes, strength / 4, phase)
     elif kind == "phase":
-        coeff, monomials = 0.25 * strength, [((i,), (i,)), ((j,), (j,))]
+        op = PhaseRotate(modes, strength)
     else:
         raise ValueError(f"unknown channel kind {kind!r}")
-    return _ladder_matrix(space.occupation, space.cutoff, coeff, monomials, 1.0)
+    return 1j * _antihermitian_generator(space, op)
 
 
 def generator_variance(psi: np.ndarray, generator: sparse.spmatrix) -> float:

@@ -370,7 +370,7 @@ MODE_MIXING_REGIMES = frozenset(_REGIMES["mode_mixing", "QFI"])
 
 
 def _closed_form(kind: str, quantity: str, regime: str, p: _Point):
-    """``quantity`` ("QFI" or "F0") in ``regime``: its checks in order, then its formula."""
+    """``quantity`` ("QFI" or "F0") in ``regime``: its checks, then its formula, if finite."""
     regimes = _REGIMES.get((kind, quantity))
     if regimes is None:
         raise ValueError(f"no closed-form {quantity} for channel kind {kind!r}")
@@ -380,7 +380,10 @@ def _closed_form(kind: str, quantity: str, regime: str, p: _Point):
     checks, formula = regimes[regime]
     for check in checks:
         check(kind, p, regime)
-    return formula(p)
+    value = formula(p)
+    if not np.isfinite(value):
+        raise FloatingPointError(f"closed-form {quantity} evaluated to {value}")
+    return value
 
 
 def qfi_closed_form(config: InterferometerConfig, regime: str = "exact") -> float:
@@ -591,9 +594,11 @@ def _evaluate_stack(kind: str, p: _Point, eps0, quantities) -> dict:
     out = {}
     with np.errstate(all="ignore"):  # the checks report non-finite values
         if "H_closed" in quantities:
-            if (kind, "QFI") in _REGIMES:
-                out["H_closed"] = ((_qfi_exact(kind, p),), [])
-            else:  # no closed form: the scalar function's error
+            if (kind, "QFI") in _REGIMES:  # a failing point takes the scalar function's error
+                h_closed = _qfi_exact(kind, p)
+                out["H_closed"] = ((h_closed,), [_scalar_check(~np.isfinite(h_closed), lambda *x: (
+                    _closed_form(kind, "QFI", "exact", _Point(*x))), *p)])
+            else:  # no closed form: its error at every point
                 out["H_closed"] = ((np.nan,), [_scalar_check(
                     True, lambda: _closed_form(kind, "QFI", "exact", p))])
         if "theta_t" in quantities:

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSpec
-from .gw import _check_theta_sq, compare_grid
+from .gw import _check_theta_sq, compare_grid, compare_schemes
 from .metrology import QUANTITY_COLUMNS, _evaluate_grid, _Point
 from .pipeline import (InterferometerConfig, _check_tritter_angle, _row_errors, _scalar_check,
                        _side_population, max_tritter_angle, pump_depletion)
@@ -103,6 +103,8 @@ GW_DEFAULTS = {
 }
 
 BASE_KEYS = ("channel",) + tuple(DEFAULTS)
+# the keys of each section but [sweep], which takes any parameter but the channel
+_SECTION_KEYS = {None: BASE_KEYS, "outputs": ("quantities",), "gw": tuple(GW_DEFAULTS)}
 QUANTITIES = tuple(QUANTITY_COLUMNS)  # H_numeric H_closed F0 moments theta_t
 
 INTERFEROMETER_COLUMNS = tuple(itertools.chain(*QUANTITY_COLUMNS.values())) + ("error",)
@@ -165,17 +167,18 @@ def _parse_sweep_values(value: str, where: str) -> tuple:
 
 
 def parse_config(path) -> SweepSpec:
-    """Parse and validate a run configuration file."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-
+    """Parse and validate a run configuration file.  A refusal is a :class:`ConfigError`
+    naming the file, and the line where there is one: for text that is not UTF-8, the
+    line of its first bad byte.  A file ``open`` cannot open raises its ``OSError``."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # at \n, \r\n or \r, as text mode splits
+    try:
+        lines = [line.decode("utf-8") for line in lines]
+    except UnicodeDecodeError as exc:  # its object is the first line that fails
+        raise ConfigError(f"{path}:{lines.index(exc.object) + 1}: not UTF-8 text: byte "
+                          f"0x{exc.object[exc.start]:02x} at column {exc.start + 1}") from None
     section = None
-    base: dict = {}
-    gw: dict = {}
-    sweeps: list = []
-    quantities = None
+    given = {name: {} for name in (None, "sweep", "outputs", "gw")}  # key -> value
     outputs_where = None
 
     for lineno, raw in enumerate(lines, start=1):
@@ -185,31 +188,28 @@ def parse_config(path) -> SweepSpec:
         where = f"{path}:{lineno}"
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in ("sweep", "outputs", "gw"):
+            if section not in given:
                 raise ConfigError(f"{where}: unknown section [{section}]")
             continue
         if "=" not in line:
             raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if section is None:
-            if key not in BASE_KEYS:
-                raise ConfigError(f"{where}: unknown key {key!r}")
-            if key in base:
-                raise ConfigError(f"{where}: key {key!r} given twice")
-            base[key] = value if key == "channel" else _parse_number(value, where)
-        elif section == "sweep":
+        keys = given[section]
+        if section == "sweep":
             if key == "channel":
                 raise ConfigError(f"{where}: the channel kind cannot be swept")
-            if key in sweeps_names(sweeps):
+            if key in keys:
                 raise ConfigError(f"{where}: parameter {key!r} swept twice")
-            sweeps.append((key, _parse_sweep_values(value, where)))
-        elif section == "outputs":
-            if key != "quantities":
-                raise ConfigError(f"{where}: unknown key {key!r} in [outputs]")
-            if outputs_where is not None:
-                raise ConfigError(f"{where}: key {key!r} given twice in [outputs]")
+            keys[key] = _parse_sweep_values(value, where)
+            continue
+        place = f" in [{section}]" if section else ""
+        if key not in _SECTION_KEYS[section]:
+            raise ConfigError(f"{where}: unknown key {key!r}{place}")
+        if key in keys:
+            raise ConfigError(f"{where}: key {key!r} given twice{place}")
+        if section == "outputs":
             outputs_where = where
-            quantities = tuple(value.replace(",", " ").split())
+            keys[key] = quantities = tuple(value.replace(",", " ").split())
             if not quantities:
                 raise ConfigError(f"{where}: empty quantity list")
             for i, q in enumerate(quantities):
@@ -217,13 +217,11 @@ def parse_config(path) -> SweepSpec:
                     raise ConfigError(f"{where}: unknown quantity {q!r}")
                 if q in quantities[:i]:
                     raise ConfigError(f"{where}: quantity {q!r} listed twice")
-        else:  # gw
-            if key not in GW_DEFAULTS:
-                raise ConfigError(f"{where}: unknown key {key!r} in [gw]")
-            if key in gw:
-                raise ConfigError(f"{where}: key {key!r} given twice in [gw]")
-            gw[key] = _parse_number(value, where)
+        else:
+            keys[key] = value if key == "channel" else _parse_number(value, where)
 
+    base, swept, gw = given[None], given["sweep"], given["gw"]
+    quantities = given["outputs"].get("quantities", QUANTITIES)
     if gw:
         if base:
             raise ConfigError(f"{path}: give either interferometer keys or a [gw] "
@@ -234,27 +232,26 @@ def parse_config(path) -> SweepSpec:
         if outputs_where is not None:
             raise ConfigError(f"{outputs_where}: [outputs] does not apply to a [gw] run, "
                               "which always writes the comparison columns")
-        for name, _ in sweeps:
+        for name in swept:
             if name not in GW_DEFAULTS:
                 raise ConfigError(f"{path}: cannot sweep {name!r} in a [gw] run")
-        _check_gw_point(params, sweeps_names(sweeps), path)
-        spec = SweepSpec(base=params, sweeps=tuple(sweeps),
-                         quantities=("comparison",), kind="gw")
+        _check_gw_point(params, swept, path)
+        quantities, kind = ("comparison",), "gw"
     else:
         if "channel" not in base:
             raise ConfigError(f"{path}: missing required key 'channel'")
-        if quantities is not None and "comparison" in quantities:
+        if "comparison" in quantities:
             raise ConfigError(f"{outputs_where}: quantity 'comparison' needs a [gw] section")
         params = {**DEFAULTS, **base}
-        for name, _ in sweeps:
+        for name in swept:
             if name not in DEFAULTS:
                 raise ConfigError(f"{path}: cannot sweep unknown parameter {name!r}")
         try:  # validate now, with file context
-            _build_config(_unswept_point(params, sweeps))
+            _build_config(_unswept_point(params, swept.items()))
         except ConfigError as exc:
             raise ConfigError(f"{path}: base point: {exc}") from None
-        spec = SweepSpec(base=params, sweeps=tuple(sweeps),
-                         quantities=quantities or QUANTITIES)
+        kind = "interferometer"
+    spec = SweepSpec(params, tuple(swept.items()), quantities, kind)
     if spec.grid_size() > GRID_CAP:
         raise ConfigError(f"{path}: sweep grid has {spec.grid_size()} points, "
                           f"cap is {GRID_CAP}")
@@ -292,16 +289,14 @@ def _build_config(params: dict) -> InterferometerConfig:
 
 
 def _check_gw_point(params: dict, swept, path) -> None:
-    """Put the unswept [gw] point through compare_grid's checks; raise its first error.
+    """Put the unswept [gw] point through compare_schemes' checks; raise its first error.
 
     A swept file's rows report their own failures, so it is refused only for an
     unswept value that fails every row: theta_sq < 0, or delta outside [0, 1).
     """
     try:
         if not swept:
-            _, errors = compare_grid(**params)
-            if errors:
-                raise errors[0]
+            compare_schemes(**params)
         else:
             if "theta_sq" not in swept and params["theta_sq"] is not None:
                 _check_theta_sq(params["theta_sq"])

@@ -169,6 +169,10 @@ FAILURES = {
         "F0", InterferometerConfig(1e6, 0.0, 0.5, ChannelSpec("mode_mixing", 1e150)), 1e-3,
         ZeroDivisionError, "degenerate ratio Var(S)/(d<S>/d eps)^2 = 0.0 "
         "(Var(S) = 29598.85623223449, (d<S>/d eps)^2 = inf)"),
+    # inf - inf in the exact closed form
+    "non_finite_closed_form": (
+        "H_closed", InterferometerConfig(1e300, 300.0, 0.3, ChannelSpec("mode_mixing", 1.0, 0.4)),
+        1e-3, FloatingPointError, "closed-form QFI evaluated to nan"),
     "no_closed_form": ("H_closed", InterferometerConfig(1e6, 1.0, 0.5, ChannelSpec("phase")),
                        1e-3, ValueError, "no closed-form QFI for channel kind 'phase'"),
     "no_turning_point": ("theta_t", InterferometerConfig(1e6, 0.0, 0.5, ChannelSpec("squeezing")),

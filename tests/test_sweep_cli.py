@@ -94,7 +94,7 @@ def test_parse_requires_channel(tmp_path):
 
 
 def test_parse_missing_file():
-    with pytest.raises(ConfigError):
+    with pytest.raises(FileNotFoundError):
         parse_config("/nonexistent/run.conf")
 
 
@@ -347,7 +347,8 @@ def test_cli_non_finite_qfi_is_one_error_line(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "pumpedsu11.cli", "qfi", "--config", path],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 2
-    assert proc.stderr == "error: H_numeric: QFI evaluated to inf\n"
+    assert proc.stderr == ("error: H_numeric: QFI evaluated to inf; "
+                           "H_closed: closed-form QFI evaluated to inf\n")
 
 
 @pytest.mark.parametrize("line", ["nbar = nan", "nbar = inf", "strength = nan", "eps0 = nan",
@@ -487,6 +488,23 @@ def test_cli_words_a_file_error_with_its_path(tmp_path, capsys, command, text):
     assert (captured.out, captured.err) == ("", f"error: {missing}: No such file or directory\n")
     assert main([command, "--config", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+    missing = tmp_path / "none.conf"
+    assert main([command, "--config", str(missing)]) == 1
+    assert capsys.readouterr() == ("", f"error: {missing}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("command", ["qfi", "gw-compare"])
+def test_cli_refuses_a_config_that_is_not_utf8(tmp_path, capsys, command):
+    # the line of the first bad byte, with \r\n and \r line ends counted as text mode counts them
+    for data, where, detail in [
+            (b"\xff", 1, "byte 0xff at column 1"),
+            (b"channel = squeezing\r\n# caf\xe9\nr = 1\n", 2, "byte 0xe9 at column 6"),
+            (b"[gw]\rn0 = 1e6\n# caf\xe9 au lait\n# \xff\n", 3, "byte 0xe9 at column 6")]:
+        path = tmp_path / "latin.conf"
+        path.write_bytes(data)
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"config error: {path}:{where}: not UTF-8 text: "
+                                           f"{detail}\n")
 
 
 @pytest.mark.parametrize("command, text", [

@@ -30,7 +30,10 @@ def test_cli_identity_reports_each_differing_call(tmp_path):
     shutil.copytree(pathlib.Path(PACKAGE_ROOT) / "pumpedsu11", changed / "pumpedsu11",
                     ignore=shutil.ignore_patterns("__pycache__"))
     cli = changed / "pumpedsu11" / "cli.py"
-    cli.write_text(cli.read_text().replace('print(f"wrote {path}', 'print(f"saved {path}'))
+    text = cli.read_text()
+    mutated = text.replace('print(f"wrote {path}', 'print(f"saved {path}')
+    assert mutated != text, "cli.py no longer spells the wrote line this test mutates"
+    cli.write_text(mutated)
     proc = identity(tmp_path, PACKAGE_ROOT, str(changed),
                     ["channel = squeezing\nr = 0.5\nnbar = 100\n"])
     assert proc.returncode == 1, proc.stderr
